@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence as SequenceABC
 
-from .certificates import HighIndexEvidence, Witness, verify_witness
-from .residues import GroupOrder, reduce_value
+from .certificates import RULE_EXHAUSTIVE, HighIndexEvidence, Witness, certify, verify_witness
+from .residues import GroupOrder
 from .sequences import Sequence, sequence_index
 from .witness import find_witness
 
@@ -110,21 +110,31 @@ def enumerate_minimal(n: GroupOrder, k: int = 4) -> Iterator[Sequence]:
         yield Sequence(n, terms)
 
 
-def _canonical_terms(terms: tuple[int, ...], n: int, units: tuple[int, ...]) -> tuple[int, ...]:
+def _canonical_terms(terms: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Lexicographically smallest sorted image of sorted terms under the units of Z_n.
+
+    A unit preserves gcd(t, n), and the smallest residue in [1, n] with gcd d
+    is d itself, so the smallest image leads with d = min gcd(t_i, n).  The
+    only units sending a gcd-d term t to d are the lifts of (t/d)^-1 mod n/d,
+    so only those are tried: for d = 1, one modular inverse per term.
+    """
+    gcds = [math.gcd(t, n) for t in terms]
+    d = min(gcds)
+    step = n // d
     best = terms
-    for m in units:
-        if m == 1:
-            continue
-        candidate = tuple(sorted(reduce_value(m * t, n) for t in terms))
-        if candidate < best:
-            best = candidate
+    for t in {t for t, g in zip(terms, gcds) if g == d}:
+        for m in range(pow(t // d, -1, step), n, step):
+            if math.gcd(m, n) != 1:
+                continue
+            candidate = tuple(sorted([(m * x - 1) % n + 1 for x in terms]))
+            if candidate < best:
+                best = candidate
     return best
 
 
 def orbit_canonical(s: Sequence) -> Sequence:
     """Lexicographically smallest sorted sequence in the unit orbit of s."""
-    best = _canonical_terms(s.terms, s.n, _units_list(s.n))
-    return Sequence(s.modulus, best)
+    return Sequence(s.modulus, _canonical_terms(s.terms, s.n))
 
 
 def _min_transform_sum(terms: tuple[int, ...], n: int, units: tuple[int, ...]) -> tuple[int, int]:
@@ -157,33 +167,37 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
     high-index evidence is cross-checked against the exhaustive index.  A
     failure of either check is a soundness bug and raises immediately.
     """
+    tuples = _minimal_tuples(n, k, leading=(n1,))
+    if orbits and n % n1:
+        # An orbit's least member leads with a divisor of n (see
+        # _canonical_terms), so this block only counts toward the total.
+        return BlockResult(
+            n1=n1, sequences=sum(1 for _ in tuples), orbit_reps=0, histogram={}, high_index=[]
+        )
     group = _group_cache(n)
     units = _units_cache(n)
     histogram: dict[str, int] = {}
     high: list[tuple[tuple[int, ...], int]] = []
     sequences = 0
     reps = 0
-    for terms in _minimal_tuples(n, k, leading=(n1,)):
+    for terms in tuples:
         sequences += 1
-        if orbits and _canonical_terms(terms, n, units) != terms:
+        if orbits and _canonical_terms(terms, n) != terms:
             continue
         reps += 1
         seq = Sequence(group, terms)
+        result: Witness | HighIndexEvidence | None
         if k == 4:
-            result: Witness | HighIndexEvidence = find_witness(seq)
+            result = find_witness(seq)
         else:
             min_sum, argmin = _min_transform_sum(terms, n, units)
             if min_sum == n:
-                result = Witness(m=argmin, achieved_sum=min_sum, rule="EXHAUSTIVE")
+                result = certify(seq, argmin, RULE_EXHAUSTIVE)
             else:
                 result = HighIndexEvidence(
                     index=min_sum // n, argmin_unit=argmin, min_sum=min_sum
                 )
-        if isinstance(result, Witness):
-            if not verify_witness(seq, result):
-                raise RuntimeError(f"unsound witness {result} for {terms} over {n}")
-            key = result.label
-        else:
+        if isinstance(result, HighIndexEvidence):
             check = sequence_index(seq)
             if check.numerator != result.min_sum or check.argmin_unit != result.argmin_unit:
                 raise RuntimeError(
@@ -192,6 +206,10 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
                 )
             key = HIGH_INDEX_KEY
             high.append((terms, result.index))
+        else:
+            if result is None or not verify_witness(seq, result):
+                raise RuntimeError(f"unsound witness {result} for {terms} over {n}")
+            key = result.label
         histogram[key] = histogram.get(key, 0) + 1
     return BlockResult(
         n1=n1, sequences=sequences, orbit_reps=reps, histogram=histogram, high_index=high
@@ -222,6 +240,11 @@ def _units_cache(n: int) -> tuple[int, ...]:
 
 def _scan_block_task(args: tuple[int, int, int, bool]) -> BlockResult:
     return _scan_block_impl(*args)
+
+
+def effective_jobs(jobs: int, cpu_count: int | None, pending: int) -> int:
+    """Worker processes worth starting: no more than cores or pending blocks."""
+    return min(jobs, cpu_count or 1, pending)
 
 
 @dataclass
@@ -273,15 +296,28 @@ class Checkpoint:
         self.data_path = self.path.with_name(self.path.name + ".blocks")
 
     def load(self, n: int, k: int, orbits: bool) -> dict[int, BlockResult]:
+        """Completed blocks of this (n, k, orbits) sweep.
+
+        A record is complete once its newline is written.  A final line that
+        lacks its newline or does not decode (a crash mid-append) is dropped
+        and truncated away, so the next record starts on a line of its own;
+        an undecodable line anywhere before the last is corruption and raises.
+        """
         done: dict[int, BlockResult] = {}
         if not self.data_path.exists():
             return done
-        with open(self.data_path, "r", encoding="utf-8") as fh:
+        whole = 0  # bytes up to the end of the last complete record
+        with open(self.data_path, "rb") as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
+                if not line.endswith(b"\n"):
+                    break  # only the final line can lack its newline
+                try:
+                    rec = json.loads(line.decode())
+                except ValueError:
+                    if fh.read(1):
+                        raise
+                    break
+                whole += len(line)
                 if rec["n"] != n or rec["k"] != k or rec["orbits"] != orbits:
                     continue
                 done[rec["n1"]] = BlockResult(
@@ -293,6 +329,11 @@ class Checkpoint:
                         (tuple(terms), index) for terms, index in rec["high_index"]
                     ],
                 )
+            torn = fh.tell() > whole
+        if torn:
+            with open(self.data_path, "r+b") as fh:
+                fh.truncate(whole)
+                os.fsync(fh.fileno())
         return done
 
     def record(self, n: int, k: int, orbits: bool, block: BlockResult) -> None:
@@ -335,12 +376,13 @@ def verify_conjecture(n: GroupOrder, options: VerifyOptions | None = None) -> Ve
     pending = [b for b in all_blocks if b not in results]
     if opts.max_blocks is not None:
         pending = pending[: opts.max_blocks]
+    jobs = effective_jobs(opts.jobs, os.cpu_count(), len(pending))
     interrupted = False
     try:
-        if opts.jobs > 1 and len(pending) > 1:
+        if jobs > 1:
             tasks = [(modulus, opts.k, b, opts.orbits) for b in pending]
-            chunk = max(1, len(tasks) // (opts.jobs * 8))
-            with ProcessPoolExecutor(max_workers=opts.jobs) as pool:
+            chunk = max(1, len(tasks) // (jobs * 8))
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 for block in pool.map(_scan_block_task, tasks, chunksize=chunk):
                     results[block.n1] = block
                     if checkpoint:
@@ -386,19 +428,17 @@ def search_high_index(
     """All minimal zero-sum length-k sequences with index >= 2, with indices.
 
     With ``orbits=True`` only the lexicographically smallest representative
-    of each unit orbit is reported (the index is constant on orbits).
+    of each unit orbit is searched and reported (the index is constant on
+    orbits); such a representative leads with a divisor of n.
     """
     modulus = n.n
     units = _units_cache(modulus)
-    findings: list[tuple[tuple[int, ...], int]] = []
-    for terms in _minimal_tuples(modulus, k):
+    leading = [d for d in range(1, modulus) if modulus % d == 0] if orbits else None
+    findings: list[tuple[Sequence, int]] = []
+    for terms in _minimal_tuples(modulus, k, leading):
+        if orbits and _canonical_terms(terms, modulus) != terms:
+            continue
         min_sum, _ = _min_transform_sum(terms, modulus, units)
         if min_sum > modulus:
-            findings.append((terms, min_sum // modulus))
-    if orbits:
-        by_rep: dict[tuple[int, ...], int] = {}
-        for terms, index in findings:
-            rep = _canonical_terms(terms, modulus, units)
-            by_rep[rep] = index
-        findings = sorted(by_rep.items())
-    return [(Sequence(n, terms), index) for terms, index in sorted(findings)]
+            findings.append((Sequence(n, terms), min_sum // modulus))
+    return findings

@@ -1,3 +1,6 @@
+import dataclasses
+import io
+import json
 import math
 import random
 
@@ -14,13 +17,33 @@ from zsindex import (
     sequence_index,
     verify_conjecture,
 )
-from zsindex.harness import HIGH_INDEX_KEY
+from zsindex import harness
+from zsindex.cli import run
+from zsindex.harness import (
+    HIGH_INDEX_KEY,
+    VerificationReport,
+    _canonical_terms,
+    _minimal_tuples,
+    effective_jobs,
+)
 
-from oracles import naive_minimal_enumeration, naive_orbit_canonical
+from oracles import naive_minimal_enumeration, naive_orbit_canonical, naive_units
 
 
 def terms_of(n, k=4):
     return {s.terms for s in enumerate_minimal(factorize(n), k)}
+
+
+def oracle_reps(n, tuples):
+    """Each tuple's naive canonical form, asking the oracle once per orbit."""
+    rep_of = {}
+    for terms in tuples:
+        if terms in rep_of:
+            continue
+        rep = naive_orbit_canonical(terms, n)
+        for m in naive_units(n):
+            rep_of[tuple(sorted((m * t) % n or n for t in terms))] = rep
+    return rep_of
 
 
 class TestEnumerateMinimal:
@@ -72,6 +95,36 @@ class TestOrbitCanonical:
             units = [m for m in range(1, n) if math.gcd(m, n) == 1]
             m = rng.choice(units)
             assert orbit_canonical(apply_unit(s, m)).terms == rep.terms
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_kernel_matches_oracle_on_every_minimal_tuple(self, k):
+        for n in range(2, 41):
+            tuples = list(_minimal_tuples(n, k))
+            rep_of = oracle_reps(n, tuples)
+            assert set(rep_of) == set(tuples)  # orbits stay inside the minimal set
+            for terms in tuples:
+                assert _canonical_terms(terms, n) == rep_of[terms], (n, terms)
+
+    def test_kernel_matches_oracle_with_zero_term(self):
+        rng = random.Random(7)
+        for _ in range(3000):
+            n = rng.randint(2, 90)
+            terms = tuple(sorted([rng.randint(1, n) for _ in range(rng.randint(0, 5))] + [n]))
+            expected = naive_orbit_canonical(terms, n)
+            assert _canonical_terms(terms, n) == expected, (n, terms)
+            assert orbit_canonical(Sequence.over(n, terms)).terms == expected
+
+    def test_orbits_total_counts_naive_classes(self, tmp_path):
+        report = tmp_path / "orbits.jsonl"
+        argv = ["verify", "--orbits", "--n-range", "2:50", "--all-moduli",
+                "--report-path", str(report)]
+        assert run(argv, out=io.StringIO()) == 0
+        records = [json.loads(line) for line in report.read_text().splitlines()]
+        assert [r["n"] for r in records] == list(range(2, 51))
+        for r in records:
+            tuples = list(_minimal_tuples(r["n"], 4))
+            assert r["sequences_total"] == len(tuples)
+            assert r["orbits_total"] == len(set(oracle_reps(r["n"], tuples).values())), r["n"]
 
 
 
@@ -129,6 +182,28 @@ class TestVerifyConjecture:
         assert report.complete
         assert report.high_index == ()  # short sequences always index 1
         assert report.sequences_total == len(naive_minimal_enumeration(12, 3))
+        assert report.rule_histogram == {"EXHAUSTIVE": report.sequences_total}
+
+    def test_generic_k_witness_comes_from_certify(self, monkeypatch):
+        monkeypatch.setattr(harness, "certify", lambda *args, **kwargs: None)
+        with pytest.raises(RuntimeError, match="unsound witness"):
+            verify_conjecture(factorize(12), VerifyOptions(k=3))
+
+
+@pytest.mark.parametrize(
+    "jobs, cpu_count, pending, expected",
+    [
+        (1, 8, 100, 1),
+        (4, 2, 100, 2),
+        (8, None, 100, 1),
+        (8, 16, 3, 3),
+        (2, 2, 1, 1),
+        (2, 2, 0, 0),
+        (10**6, 4, 10**6, 4),
+    ],
+)
+def test_effective_jobs(jobs, cpu_count, pending, expected):
+    assert effective_jobs(jobs, cpu_count, pending) == expected
 
 
 class TestCheckpointResume:
@@ -146,6 +221,37 @@ class TestCheckpointResume:
         assert resumed.sequences_total == fresh.sequences_total
         assert resumed.rule_histogram == fresh.rule_histogram
         assert resumed.high_index == fresh.high_index
+
+    @pytest.mark.parametrize("cut", ["half", "no_newline", "garbled"])
+    def test_torn_last_record_is_dropped(self, tmp_path, cut):
+        ckpt = tmp_path / "sweep.ckpt"
+        verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt, max_blocks=5))
+        blocks = tmp_path / "sweep.ckpt.blocks"
+        last = blocks.read_bytes().splitlines(keepends=True)[-1]
+        torn = {
+            "half": last[: len(last) // 2],
+            "no_newline": last[:-1],
+            "garbled": last[: len(last) // 2] + b"\n",
+        }[cut]
+        with open(blocks, "ab") as fh:
+            fh.write(torn)
+        resumed = verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
+        fresh = verify_conjecture(factorize(25))
+        for field in dataclasses.fields(VerificationReport):
+            if field.name != "elapsed":
+                assert getattr(resumed, field.name) == getattr(fresh, field.name), field.name
+        records = [json.loads(line) for line in blocks.read_text().splitlines()]
+        assert [r["n1"] for r in records] == list(range(1, 25))
+
+    def test_corrupt_inner_record_raises(self, tmp_path):
+        ckpt = tmp_path / "sweep.ckpt"
+        verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt, max_blocks=5))
+        blocks = tmp_path / "sweep.ckpt.blocks"
+        lines = blocks.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:10] + b"\n"
+        blocks.write_bytes(b"".join(lines))
+        with pytest.raises(json.JSONDecodeError):
+            verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
 
     def test_orbit_mode_invalidates_blocks(self, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"
@@ -183,3 +289,12 @@ class TestSearchHighIndex:
     def test_indices_are_exact(self):
         for s, index in search_high_index(factorize(12)):
             assert sequence_index(s).as_integer() == index
+
+    @pytest.mark.parametrize("n", [n for n in range(6, 61) if math.gcd(n, 6) != 1])
+    def test_orbit_search_matches_naive_dedup(self, n):
+        group = factorize(n)
+        expected = sorted(
+            {(naive_orbit_canonical(s.terms, n), index) for s, index in search_high_index(group)}
+        )
+        got = [(s.terms, index) for s, index in search_high_index(group, orbits=True)]
+        assert got == expected
