@@ -76,10 +76,12 @@ def certify(
     that to discard near-miss candidates instead of trusting any derivation.
     """
     n = s.modulus.n
-    m = reduce_value(m, n)
+    m = (m - 1) % n + 1
     if math.gcd(m, n) != 1:
         return None
-    total = sum(reduce_value(m * t, n) for t in s.terms)
+    total = 0
+    for t in s.terms:
+        total += (m * t - 1) % n + 1
     if total != n:
         return None
     return Witness(m=m, achieved_sum=total, rule=rule, k=k, case=case, trail=trail)

@@ -10,12 +10,15 @@ fields.  Configuration is flags only; no environment variables are read.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
+import logging
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .certificates import HighIndexEvidence, Witness
 from .harness import (
@@ -56,6 +59,18 @@ VERIFY_FIELDS = (
     "complete",
 )
 CSV_HEADER = "n,k,orbits,sequences_total,orbits_total,high_index_count,complete"
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
+
+# Copied into every command's parser through ``parents``.  Built once, so an
+# invocation pays neither a parser construction nor add_argument's
+# per-call formatter check for it.
+_LOG_LEVEL_OPTION = argparse.ArgumentParser(add_help=False)
+_LOG_LEVEL_OPTION.add_argument(
+    "--log-level",
+    choices=LOG_LEVELS,
+    default="WARNING",
+    help="threshold for the zsindex log messages on stderr (default WARNING)",
+)
 
 
 class UsageError(ValueError):
@@ -373,6 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, parents=[_LOG_LEVEL_OPTION])
 
     def add_common(p: argparse.ArgumentParser, with_terms: bool = False) -> None:
         p.add_argument("--n", type=int, default=None, help="modulus (>= 2)")
@@ -384,27 +400,27 @@ def build_parser() -> argparse.ArgumentParser:
                 help="comma-separated terms in [1, n]; n denotes the zero element",
             )
 
-    p_index = sub.add_parser("index", help="exact index of a sequence")
+    p_index = command("index", help="exact index of a sequence")
     add_common(p_index, with_terms=True)
 
-    p_minimal = sub.add_parser("minimal", help="zero-sum and minimality predicates")
+    p_minimal = command("minimal", help="zero-sum and minimality predicates")
     add_common(p_minimal, with_terms=True)
 
-    p_enum = sub.add_parser("enumerate", help="list minimal zero-sum sequences")
+    p_enum = command("enumerate", help="list minimal zero-sum sequences")
     add_common(p_enum)
     p_enum.add_argument("--k", type=int, default=4, help="sequence length")
     p_enum.add_argument(
         "--orbits", action="store_true", help="orbit representatives only"
     )
 
-    p_witness = sub.add_parser("witness", help="find a validated index-1 certificate")
+    p_witness = command("witness", help="find a validated index-1 certificate")
     add_common(p_witness, with_terms=True)
     p_witness.add_argument("--report-path", type=str, default=None)
 
-    p_reduce = sub.add_parser("reduce", help="content reduction and normal form")
+    p_reduce = command("reduce", help="content reduction and normal form")
     add_common(p_reduce, with_terms=True)
 
-    p_verify = sub.add_parser("verify", help="sweep all minimal sequences per modulus")
+    p_verify = command("verify", help="sweep all minimal sequences per modulus")
     add_common(p_verify)
     p_verify.add_argument("--n-range", type=str, default=None, help="LO:HI inclusive")
     p_verify.add_argument(
@@ -425,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--checkpoint-path", type=str, default=None)
     p_verify.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
 
-    p_search = sub.add_parser("search", help="list high-index sequences")
+    p_search = command("search", help="list high-index sequences")
     add_common(p_search)
     p_search.add_argument("--k", type=int, default=4)
     p_search.add_argument("--orbits", action="store_true")
@@ -445,6 +461,22 @@ _COMMANDS: dict[str, Callable[[RunConfig, TextIO], int]] = {
 }
 
 
+@contextlib.contextmanager
+def _stderr_logging(level: str) -> Iterator[None]:
+    """Send the zsindex loggers to stderr at ``level`` for one invocation."""
+    package = logging.getLogger("zsindex")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    saved = package.level
+    package.setLevel(level)
+    package.addHandler(handler)
+    try:
+        yield
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(saved)
+
+
 def run(argv: list[str] | None = None, out: TextIO | None = None) -> int:
     """Parse and execute; returns the process exit code."""
     out = out if out is not None else sys.stdout
@@ -452,7 +484,8 @@ def run(argv: list[str] | None = None, out: TextIO | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        return _COMMANDS[config.command](config, out)
+        with _stderr_logging(args.log_level):
+            return _COMMANDS[config.command](config, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

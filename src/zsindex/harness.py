@@ -18,15 +18,11 @@ from pathlib import Path
 from typing import Iterator, Sequence as SequenceABC
 
 from .certificates import RULE_EXHAUSTIVE, HighIndexEvidence, Witness, certify, verify_witness
-from .residues import GroupOrder
-from .sequences import Sequence, sequence_index
+from .residues import GroupOrder, units
+from .sequences import Sequence, is_minimal_terms, min_transform_sum, sequence_index
 from .witness import find_witness
 
 HIGH_INDEX_KEY = "HIGH_INDEX"
-
-
-def _units_list(n: int) -> tuple[int, ...]:
-    return tuple(m for m in range(1, n) if math.gcd(m, n) == 1)
 
 
 def _minimal_quadruples(n: int, leading: SequenceABC[int]) -> Iterator[tuple[int, int, int, int]]:
@@ -55,16 +51,6 @@ def _minimal_quadruples(n: int, leading: SequenceABC[int]) -> Iterator[tuple[int
 def _minimal_tuples_generic(n: int, k: int, leading: SequenceABC[int]) -> Iterator[tuple[int, ...]]:
     """Sorted minimal zero-sum k-tuples, by DFS with multiple-of-n pruning."""
 
-    def _is_minimal(terms: tuple[int, ...]) -> bool:
-        for mask in range(1, (1 << k) - 1):
-            subtotal = 0
-            for i in range(k):
-                if mask >> i & 1:
-                    subtotal += terms[i]
-            if subtotal % n == 0:
-                return False
-        return True
-
     def _extend(prefix: list[int], partial: int) -> Iterator[tuple[int, ...]]:
         remaining = k - len(prefix)
         low = prefix[-1]
@@ -73,7 +59,7 @@ def _minimal_tuples_generic(n: int, k: int, leading: SequenceABC[int]) -> Iterat
             if t == 0 or t < low:
                 return
             candidate = tuple(prefix) + (t,)
-            if _is_minimal(candidate):
+            if is_minimal_terms(candidate, n):
                 yield candidate
             return
         lo = partial + remaining * low
@@ -137,18 +123,6 @@ def orbit_canonical(s: Sequence) -> Sequence:
     return Sequence(s.modulus, _canonical_terms(s.terms, s.n))
 
 
-def _min_transform_sum(terms: tuple[int, ...], n: int, units: tuple[int, ...]) -> tuple[int, int]:
-    """Exhaustive (min transformed sum, smallest argmin unit)."""
-    best = 0
-    best_m = 1
-    for m in units:
-        total = sum((m * t - 1) % n + 1 for t in terms)
-        if best == 0 or total < best:
-            best = total
-            best_m = m
-    return best, best_m
-
-
 @dataclass
 class BlockResult:
     """Tallies for one leading-term block; merging is plain addition."""
@@ -175,7 +149,7 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
             n1=n1, sequences=sum(1 for _ in tuples), orbit_reps=0, histogram={}, high_index=[]
         )
     group = _group_cache(n)
-    units = _units_cache(n)
+    unit_list = units(group)
     histogram: dict[str, int] = {}
     high: list[tuple[tuple[int, ...], int]] = []
     sequences = 0
@@ -190,7 +164,7 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
         if k == 4:
             result = find_witness(seq)
         else:
-            min_sum, argmin = _min_transform_sum(terms, n, units)
+            min_sum, argmin = min_transform_sum(terms, n, unit_list, stop_at=n)
             if min_sum == n:
                 result = certify(seq, argmin, RULE_EXHAUSTIVE)
             else:
@@ -217,7 +191,6 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
 
 
 _GROUP_CACHE: dict[int, GroupOrder] = {}
-_UNITS_CACHE: dict[int, tuple[int, ...]] = {}
 
 
 def _group_cache(n: int) -> GroupOrder:
@@ -228,14 +201,6 @@ def _group_cache(n: int) -> GroupOrder:
         group = factorize(n)
         _GROUP_CACHE[n] = group
     return group
-
-
-def _units_cache(n: int) -> tuple[int, ...]:
-    units = _UNITS_CACHE.get(n)
-    if units is None:
-        units = _units_list(n)
-        _UNITS_CACHE[n] = units
-    return units
 
 
 def _scan_block_task(args: tuple[int, int, int, bool]) -> BlockResult:
@@ -432,13 +397,13 @@ def search_high_index(
     orbits); such a representative leads with a divisor of n.
     """
     modulus = n.n
-    units = _units_cache(modulus)
+    unit_list = units(n)
     leading = [d for d in range(1, modulus) if modulus % d == 0] if orbits else None
     findings: list[tuple[Sequence, int]] = []
     for terms in _minimal_tuples(modulus, k, leading):
         if orbits and _canonical_terms(terms, modulus) != terms:
             continue
-        min_sum, _ = _min_transform_sum(terms, modulus, units)
+        min_sum, _ = min_transform_sum(terms, modulus, unit_list, stop_at=modulus)
         if min_sum > modulus:
             findings.append((Sequence(n, terms), min_sum // modulus))
     return findings

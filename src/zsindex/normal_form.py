@@ -13,6 +13,7 @@ before it leaves the module; no derivation is trusted.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ from .certificates import (
     certify,
 )
 from .residues import GroupOrder, factorize, units
-from .sequences import Sequence, apply_unit, is_minimal_zero_sum
+from .sequences import Sequence, apply_unit, is_minimal_zero_sum, min_transform_sum
 
 
 class TrivialContent(ValueError):
@@ -84,6 +85,11 @@ class NormalForm:
         return (self.e, self.c, n - self.b, n - self.a)
 
     def represented(self) -> Sequence:
+        return self._represented
+
+    @functools.cached_property
+    def _represented(self) -> Sequence:
+        # Built once per form: every search stage certifies against it.
         return Sequence(self.modulus, self.represented_terms())
 
 
@@ -184,18 +190,6 @@ def _one_sided_at(terms: tuple[int, ...], n: int, m: int) -> bool:
     return low <= 1 or high <= 1
 
 
-def _direct_scan_witness(s: Sequence, rule: str, skip: tuple[int, ...] = ()) -> Witness | None:
-    """First unit (ascending) whose transformed sum is exactly n."""
-    n = s.n
-    terms = s.terms
-    for m in units(s.modulus):
-        if m in skip:
-            continue
-        if sum((m * t - 1) % n + 1 for t in terms) == n:
-            return certify(s, m, rule)
-    return None
-
-
 def one_sided_witness(s: Sequence) -> Witness | None:
     """Search units for a transform with at most one term on one half.
 
@@ -218,12 +212,19 @@ def one_sided_witness(s: Sequence) -> Witness | None:
         w = certify(s, candidate, RULE_ONE_SIDED)
         if w is not None:
             return w
-    return _direct_scan_witness(s, RULE_ONE_SIDED, skip=(hit, n - hit))
+    total, m = min_transform_sum(terms, n, units(s.modulus), stop_at=n)
+    if total == n:
+        return certify(s, m, RULE_ONE_SIDED)
+    return None
 
 
 def _strict_split(terms: tuple[int, ...], n: int) -> tuple[int, int]:
-    below = sum(1 for t in terms if 2 * t < n)
-    above = sum(1 for t in terms if 2 * t > n)
+    below = above = 0
+    for t in terms:
+        if 2 * t < n:
+            below += 1
+        elif 2 * t > n:
+            above += 1
     return below, above
 
 

@@ -8,9 +8,9 @@ so everything is safe to share across threads or processes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 
 class InvalidModulus(ValueError):
@@ -109,12 +109,14 @@ def reduce_mod(x: int, n: GroupOrder) -> Residue:
     return Residue(reduce_value(x, n.n), n)
 
 
-def units(n: GroupOrder) -> Iterator[int]:
-    """Yield the units of Z_n in ascending order (gcd filter over [1, n])."""
-    modulus = n.n
-    for m in range(1, modulus + 1):
-        if math.gcd(m, modulus) == 1:
-            yield m
+def units(n: GroupOrder) -> tuple[int, ...]:
+    """The units of Z_n in ascending order, cached per modulus."""
+    return _units(n.n)
+
+
+@functools.lru_cache(maxsize=32)
+def _units(modulus: int) -> tuple[int, ...]:
+    return tuple(m for m in range(1, modulus + 1) if math.gcd(m, modulus) == 1)
 
 
 def mod_inverse(m: int, n: GroupOrder) -> int:

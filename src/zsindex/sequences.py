@@ -78,23 +78,27 @@ def is_zero_sum(s: Sequence) -> bool:
 
 
 def is_minimal_zero_sum(s: Sequence) -> bool:
-    """Zero-sum with no proper nonempty sub-multiset summing to zero.
+    """Zero-sum with no proper nonempty sub-multiset summing to zero."""
+    return is_minimal_terms(s.terms, s.n)
 
-    Checks all 2^k - 2 proper nonempty subsets directly; k stays small in
-    this problem domain, so no length-specific shortcut is taken here.
+
+def is_minimal_terms(terms: tuple[int, ...], n: int) -> bool:
+    """is_minimal_zero_sum on a bare term tuple over Z_n.
+
+    For a zero-sum sequence a subset sums to zero exactly when its
+    complement does, so only the 2^(k-1) - 1 nonempty subsets that leave
+    out the last term are checked.  Their sums are built incrementally,
+    each from a smaller subset's sum plus one term.
     """
-    if not is_zero_sum(s):
+    if sum(terms) % n:
         return False
-    n = s.n
-    terms = s.terms
-    k = len(terms)
-    for mask in range(1, (1 << k) - 1):
-        subtotal = 0
-        for i in range(k):
-            if mask >> i & 1:
-                subtotal += terms[i]
-        if subtotal % n == 0:
-            return False
+    sums = [0]
+    for t in terms[:-1]:
+        for x in tuple(sums):
+            y = (x + t) % n
+            if not y:
+                return False
+            sums.append(y)
     return True
 
 
@@ -118,20 +122,39 @@ def norm_under(s: Sequence, m: int) -> Fraction:
     return Fraction(total, n)
 
 
+def min_transform_sum(
+    terms: tuple[int, ...],
+    n: int,
+    units: Iterable[int],
+    stop_at: int | None = None,
+) -> tuple[int, int]:
+    """Scan units ascending for (transformed sum, unit).
+
+    Returns the first unit whose transformed sum equals ``stop_at``;
+    without one, the exact minimum and the smallest unit achieving it.
+    ``units`` must hold units only: a unit sends exactly the zero terms to
+    zero, so |m*t|_n is (m*t) % n plus n for each zero term.
+    """
+    zeros = n * sum(1 for t in terms if t % n == 0)
+    best = 0
+    best_m = 0
+    for m in units:
+        total = zeros
+        for t in terms:
+            total += m * t % n
+        if total == stop_at:
+            return total, m
+        if total < best or not best_m:
+            best = total
+            best_m = m
+    return best, best_m
+
+
 def sequence_index(s: Sequence) -> IndexValue:
     """ind(S): minimize the transformed-term sum over all units of Z_n.
 
     Scans units ascending, so the recorded argmin is the smallest unit
     achieving the minimum.
     """
-    n = s.n
-    terms = s.terms
-    best_sum: int | None = None
-    best_m = 1
-    for m in units(s.modulus):
-        total = sum((m * t - 1) % n + 1 for t in terms)
-        if best_sum is None or total < best_sum:
-            best_sum = total
-            best_m = m
-    assert best_sum is not None
-    return IndexValue(numerator=best_sum, denominator=n, argmin_unit=best_m)
+    best_sum, best_m = min_transform_sum(s.terms, s.n, units(s.modulus))
+    return IndexValue(numerator=best_sum, denominator=s.n, argmin_unit=best_m)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .certificates import (
     RULE_CANDIDATE,
@@ -37,7 +38,7 @@ from .normal_form import (
     reduce_by_content,
 )
 from .residues import reduce_value, units
-from .sequences import Sequence, is_minimal_zero_sum
+from .sequences import Sequence, is_minimal_zero_sum, min_transform_sum
 
 logger = logging.getLogger(__name__)
 
@@ -189,18 +190,28 @@ def candidate_multipliers(
     interval members ascending by (k, m), then the fixed small constants.
     Each entry is reduced into [1, n-1] and tagged with its source.
     """
+    return list(_iter_candidates(nf, params))
+
+
+def _iter_candidates(
+    nf: NormalForm, params: PrimePowerParams | None
+) -> Iterator[tuple[int, str]]:
+    """candidate_multipliers' entries, in order, built only as far as read."""
+    n = nf.modulus.n
+    seen: set[int] = set()
+    for value, tag in _pool_sources(nf, params):
+        m = reduce_value(value, n)
+        if m not in seen and math.gcd(m, n) == 1:
+            seen.add(m)
+            yield m, tag
+
+
+def _pool_sources(
+    nf: NormalForm, params: PrimePowerParams | None
+) -> Iterator[tuple[int, str]]:
+    """Raw pool values with their tags, before reduction and deduplication."""
     n = nf.modulus.n
     e, a = nf.e, nf.a
-    out: list[tuple[int, str]] = []
-    seen: set[int] = set()
-
-    def add(value: int, tag: str) -> None:
-        m = reduce_value(value, n)
-        if m in seen or math.gcd(m, n) != 1:
-            return
-        seen.add(m)
-        out.append((m, tag))
-
     structured: list[tuple[int, int, str]] = [
         (n + a, a, "(n+a)/a"),
         (n + 2 * a, a, "(n+2a)/a"),
@@ -220,17 +231,16 @@ def candidate_multipliers(
         structured.append((3 * n - qq, 2 * qq, "(3n-q0)/(2q0)"))
     for numerator, denominator, tag in structured:
         if numerator > 0 and numerator % denominator == 0:
-            add(numerator // denominator, tag)
+            yield numerator // denominator, tag
     try:
         k1 = compute_k1(nf)
     except DiagnosticNotFound:
         k1 = 1
     for k in range(1, max(7, k1) + 1):
         for m in interval_integers(k, nf):
-            add(m, "interval")
+            yield m, "interval"
     for m in FIXED_CANDIDATES:
-        add(m, "const")
-    return out
+        yield m, "const"
 
 
 def _prime_params(nf: NormalForm) -> PrimePowerParams | None:
@@ -246,19 +256,12 @@ def _prime_params(nf: NormalForm) -> PrimePowerParams | None:
 def _exhaustive(s: Sequence, trail: tuple[str, ...]) -> Witness | HighIndexEvidence:
     """Ascending unit scan: first certificate, else the exact minimum."""
     n = s.n
-    terms = s.terms
-    best: int | None = None
-    best_m = 1
-    for m in units(s.modulus):
-        total = sum((m * t - 1) % n + 1 for t in terms)
-        if total == n:
-            w = certify(s, m, RULE_EXHAUSTIVE, trail=trail)
-            assert w is not None
-            return w
-        if best is None or total < best:
-            best = total
-            best_m = m
-    assert best is not None and best % n == 0
+    best, best_m = min_transform_sum(s.terms, n, units(s.modulus), stop_at=n)
+    if best == n:
+        w = certify(s, best_m, RULE_EXHAUSTIVE, trail=trail)
+        assert w is not None
+        return w
+    assert best % n == 0
     return HighIndexEvidence(index=best // n, argmin_unit=best_m, min_sum=best)
 
 
@@ -323,7 +326,7 @@ def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
             logger.debug("trail lift failed for %s via %s", w, outcome.trail)
     rep = nf.represented()
     params = _prime_params(nf)
-    for m, tag in candidate_multipliers(nf, params):
+    for m, tag in _iter_candidates(nf, params):
         w = certify(rep, m, RULE_CANDIDATE, case=tag)
         if w is None:
             continue

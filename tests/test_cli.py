@@ -1,6 +1,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import zsindex
 
 from zsindex import Sequence, Witness, verify_witness
 from zsindex.cli import (
@@ -252,3 +258,43 @@ class TestInvalidInput:
     def test_garbled_terms(self):
         code, _ = invoke(["index", "--n", "10", "--terms", "1,x"])
         assert code == EXIT_USAGE
+
+
+def _module_env():
+    """Environment in which ``python -m zsindex`` imports this checkout."""
+    env = dict(os.environ)
+    src = str(Path(zsindex.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "zsindex", "index", "--n", "35", "--terms", "2,3,31,34"],
+            capture_output=True, text=True, env=_module_env(), timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout == "index 1 argmin 24\n"
+
+
+class TestLogLevel:
+    def test_debug_leaves_report_unchanged(self, tmp_path, capsys):
+        records = []
+        for extra in ([], ["--log-level", "DEBUG"]):
+            report = tmp_path / f"verify{len(extra)}.jsonl"
+            code, _ = invoke(["verify", "--n", "35", "--report-path", str(report)] + extra)
+            assert code == EXIT_OK
+            record = json.loads(report.read_text())
+            del record["elapsed_ms"]
+            records.append(record)
+        assert records[0] == records[1]
+        assert "DEBUG zsindex.witness:" in capsys.readouterr().err
+
+    def test_bad_level_is_usage_error_without_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "zsindex", "verify", "--n", "35", "--log-level", "LOUD"],
+            capture_output=True, text=True, env=_module_env(), timeout=60,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert "--log-level" in proc.stderr and "Traceback" not in proc.stderr

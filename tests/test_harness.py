@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -188,6 +189,60 @@ class TestVerifyConjecture:
         monkeypatch.setattr(harness, "certify", lambda *args, **kwargs: None)
         with pytest.raises(RuntimeError, match="unsound witness"):
             verify_conjecture(factorize(12), VerifyOptions(k=3))
+
+
+# Proof-rule labels and high-index findings as the staged pipeline produced
+# them before the shared scan kernel and lazy candidate pool; a hot-path
+# change must not relabel a single sequence.  n = 30's 140 index-2 findings
+# are pinned by count and by the SHA-256 of their JSON list.
+GOLDEN_HISTOGRAMS = {
+    30: {
+        "CANDIDATE:(n+2a)/a": 4, "CANDIDATE:(n+3a)/a": 2, "CANDIDATE:(n+4a)/a": 2,
+        "CANDIDATE:const": 6, "CANDIDATE:interval": 220, "HIGH_INDEX": 140,
+        "INTERVAL": 76, "ONE_SIDED": 198, "SUM_3N": 206, "SUM_N": 206,
+        "TWO_OF_THREE": 22,
+    },
+    35: {
+        "CANDIDATE:(n+2a)/a": 4, "CANDIDATE:(n+3a)/a": 6, "CANDIDATE:(n+4a)/a": 18,
+        "CANDIDATE:const": 32, "CANDIDATE:interval": 276, "EXHAUSTIVE": 12,
+        "INTERVAL": 388, "ONE_SIDED": 348, "SUM_3N": 321, "SUM_N": 321,
+        "TWO_OF_THREE": 8,
+    },
+    49: {
+        "CANDIDATE:(n+2a)/a": 4, "CANDIDATE:(n+3a)/a": 6, "CANDIDATE:(n+4a)/a": 12,
+        "CANDIDATE:const": 38, "CANDIDATE:interval": 764, "EXHAUSTIVE": 12,
+        "INTERVAL": 1320, "ONE_SIDED": 916, "SUM_3N": 864, "SUM_N": 864,
+    },
+    55: {
+        "CANDIDATE:(n+2a)/a": 22, "CANDIDATE:(n+3a)/a": 18, "CANDIDATE:(n+4a)/a": 16,
+        "CANDIDATE:const": 94, "CANDIDATE:interval": 1140, "EXHAUSTIVE": 72,
+        "INTERVAL": 1722, "ONE_SIDED": 1280, "SUM_3N": 1215, "SUM_N": 1215,
+        "TWO_OF_THREE": 10,
+    },
+    77: {
+        "CANDIDATE:(n+2a)/a": 18, "CANDIDATE:(n+3a)/a": 10, "CANDIDATE:(n+4a)/a": 4,
+        "CANDIDATE:(n+a)/a": 2, "CANDIDATE:const": 244, "CANDIDATE:interval": 3082,
+        "EXHAUSTIVE": 230, "INTERVAL": 5186, "ONE_SIDED": 3416, "SUM_3N": 3289,
+        "SUM_N": 3289, "TWO_OF_THREE": 2,
+    },
+}
+GOLDEN_HIGH_INDEX = {
+    30: (140, "9a807639115609a85c87bdbfdd0808c606f0dd01639dcc789eedc12ec8c722e3"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_HISTOGRAMS))
+def test_golden_rule_histogram(n):
+    report = verify_conjecture(factorize(n))
+    assert report.rule_histogram == GOLDEN_HISTOGRAMS[n]
+    if n not in GOLDEN_HIGH_INDEX:
+        assert report.high_index == ()
+        return
+    listed = json.dumps([[list(terms), index] for terms, index in report.high_index])
+    assert (len(report.high_index), hashlib.sha256(listed.encode()).hexdigest()) == (
+        GOLDEN_HIGH_INDEX[n]
+    )
+    assert {index for _, index in report.high_index} == {2}
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from zsindex import (
     UnbalancedSplit,
     constraint_report,
     content,
+    enumerate_minimal,
     factorize,
     min_prime_powers,
     one_sided_witness,
@@ -102,6 +103,18 @@ class TestSum3n:
     def test_no_unit_reaches_3n(self):
         assert sum3n_witness(seq(10, (2, 5, 6, 7))) is None
 
+    def test_matches_naive_scan_on_every_minimal_quadruple(self):
+        for n in range(2, 41):
+            naive = naive_units(n)
+            for s in enumerate_minimal(factorize(n)):
+                triples = [m for m in naive if naive_transform_sum(s.terms, n, m) == 3 * n]
+                w = sum3n_witness(s)
+                if not triples:
+                    assert w is None, (s.terms, n)
+                    continue
+                assert w is not None and w.m == n - triples[0], (s.terms, n)
+                assert w.rule == RULE_SUM_3N and verify_witness(s, w)
+
 
 class TestOneSided:
     def test_hit_is_converted_to_direct_witness(self):
@@ -116,6 +129,28 @@ class TestOneSided:
     def test_hit_without_witness_returns_none(self):
         # (4,5,6,13)/14 is one-sided at m=1 but has index 2
         assert one_sided_witness(seq(14, (4, 5, 6, 13))) is None
+
+    def test_matches_naive_scan_on_every_minimal_quadruple(self):
+        def one_sided(terms, n, m):
+            images = [(m * t) % n or n for t in terms]
+            low = sum(1 for v in images if 2 * v <= n)
+            high = sum(1 for v in images if 2 * v >= n)
+            return low <= 1 or high <= 1
+
+        for n in range(2, 41):
+            naive = naive_units(n)
+            for s in enumerate_minimal(factorize(n)):
+                w = one_sided_witness(s)
+                hits = [m for m in naive if one_sided(s.terms, n, m)]
+                if not hits:
+                    assert w is None, (s.terms, n)
+                    continue
+                certifying = [m for m in naive if naive_transform_sum(s.terms, n, m) == n]
+                preferred = [m for m in (hits[0], n - hits[0]) if m in certifying]
+                expected = (preferred or certifying or [None])[0]
+                assert (w.m if w else None) == expected, (s.terms, n)
+                if w is not None:
+                    assert w.rule == RULE_ONE_SIDED and verify_witness(s, w)
 
 
 class TestToNormalForm:

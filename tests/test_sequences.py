@@ -10,13 +10,16 @@ from zsindex import (
     NotAUnit,
     Sequence,
     apply_unit,
+    factorize,
     is_minimal_zero_sum,
     is_zero_sum,
     norm_under,
     sequence_index,
 )
+from zsindex.residues import units
+from zsindex.sequences import min_transform_sum
 
-from oracles import naive_index, naive_is_minimal
+from oracles import naive_index, naive_is_minimal, naive_transform_sum, naive_units
 
 
 def seq(n, terms):
@@ -66,9 +69,14 @@ class TestMinimality:
         assert not is_minimal_zero_sum(seq(7, (7, 3, 4)))
 
     def test_agrees_with_oracle_small(self):
-        for n in (6, 7, 10):
-            for combo in combinations_with_replacement(range(1, n + 1), 3):
-                assert is_minimal_zero_sum(seq(n, combo)) == naive_is_minimal(combo, n)
+        # The check skips the subsets holding the last term; this covers
+        # every length it is used at, zero terms included.
+        for n in range(2, 15):
+            for k in range(1, 7):
+                for combo in combinations_with_replacement(range(1, n + 1), k):
+                    assert is_minimal_zero_sum(seq(n, combo)) == naive_is_minimal(combo, n), (
+                        combo, n,
+                    )
 
 
 class TestApplyUnit:
@@ -166,6 +174,23 @@ class TestIndex:
         result = sequence_index(s)
         assert result.value == expected_value
         assert result.argmin_unit == expected_m
+
+    def test_kernel_matches_oracle_exhaustive(self):
+        # Every sorted k-multiset over [1, n], zero term included.
+        for n in range(2, 17):
+            unit_list = units(factorize(n))
+            naive = naive_units(n)
+            for k in range(1, 6):
+                for combo in combinations_with_replacement(range(1, n + 1), k):
+                    expected_value, expected_m = naive_index(combo, n)
+                    total, m = min_transform_sum(combo, n, unit_list)
+                    assert (Fraction(total, n), m) == (expected_value, expected_m), (combo, n)
+                    hits = [u for u in naive if naive_transform_sum(combo, n, u) == n]
+                    stopped = min_transform_sum(combo, n, unit_list, stop_at=n)
+                    if hits:
+                        assert stopped == (n, hits[0]), (combo, n)
+                    else:
+                        assert stopped == (total, m), (combo, n)
 
     def test_short_minimal_sequences_have_index_one(self):
         from zsindex import enumerate_minimal, factorize
