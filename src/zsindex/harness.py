@@ -8,6 +8,7 @@ list union, so the final report is independent of worker scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence as SequenceABC
 
-from .certificates import RULE_EXHAUSTIVE, HighIndexEvidence, Witness, certify, verify_witness
-from .residues import GroupOrder, units
+from .certificates import HighIndexEvidence, verify_witness
+from .residues import GroupOrder, factorize, units
 from .sequences import Sequence, is_minimal_terms, min_transform_sum, sequence_index
-from .witness import find_witness
+from .witness import _exhaustive, find_witness
 
 HIGH_INDEX_KEY = "HIGH_INDEX"
 
@@ -148,8 +149,7 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
         return BlockResult(
             n1=n1, sequences=sum(1 for _ in tuples), orbit_reps=0, histogram={}, high_index=[]
         )
-    group = _group_cache(n)
-    unit_list = units(group)
+    group = factorize(n)
     histogram: dict[str, int] = {}
     high: list[tuple[tuple[int, ...], int]] = []
     sequences = 0
@@ -160,17 +160,7 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
             continue
         reps += 1
         seq = Sequence(group, terms)
-        result: Witness | HighIndexEvidence | None
-        if k == 4:
-            result = find_witness(seq)
-        else:
-            min_sum, argmin = min_transform_sum(terms, n, unit_list, stop_at=n)
-            if min_sum == n:
-                result = certify(seq, argmin, RULE_EXHAUSTIVE)
-            else:
-                result = HighIndexEvidence(
-                    index=min_sum // n, argmin_unit=argmin, min_sum=min_sum
-                )
+        result = find_witness(seq) if k == 4 else _exhaustive(seq, trail=())
         if isinstance(result, HighIndexEvidence):
             check = sequence_index(seq)
             if check.numerator != result.min_sum or check.argmin_unit != result.argmin_unit:
@@ -188,19 +178,6 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
     return BlockResult(
         n1=n1, sequences=sequences, orbit_reps=reps, histogram=histogram, high_index=high
     )
-
-
-_GROUP_CACHE: dict[int, GroupOrder] = {}
-
-
-def _group_cache(n: int) -> GroupOrder:
-    group = _GROUP_CACHE.get(n)
-    if group is None:
-        from .residues import factorize
-
-        group = factorize(n)
-        _GROUP_CACHE[n] = group
-    return group
 
 
 def _scan_block_task(args: tuple[int, int, int, bool]) -> BlockResult:
@@ -247,13 +224,13 @@ class VerificationReport:
 
 
 class Checkpoint:
-    """Append-only block-completion log with a sidecar tally store.
+    """Append-only block-completion log.
 
-    The marker file holds one ``n k n1`` line per completed block, fsynced
-    on completion.  The sidecar JSONL file (same path + ``.blocks``) carries
-    each block's tallies so a resumed run reproduces the uninterrupted
-    report exactly; its records also carry the orbits flag, so switching
-    modes never reuses stale blocks.
+    Each completed block appends one fsynced JSONL record to ``path +
+    ".blocks"`` carrying its tallies, so a resumed run reproduces the
+    uninterrupted report exactly; records also carry the orbits flag, so
+    switching modes never reuses stale blocks.  Nothing is written at
+    ``path`` itself.
     """
 
     def __init__(self, path: str | os.PathLike[str]):
@@ -316,10 +293,6 @@ class Checkpoint:
             fh.write(json.dumps(payload, sort_keys=True) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(f"{n} {k} {block.n1}\n")
-            fh.flush()
-            os.fsync(fh.fileno())
 
 
 def verify_conjecture(n: GroupOrder, options: VerifyOptions | None = None) -> VerificationReport:
@@ -342,19 +315,17 @@ def verify_conjecture(n: GroupOrder, options: VerifyOptions | None = None) -> Ve
     if opts.max_blocks is not None:
         pending = pending[: opts.max_blocks]
     jobs = effective_jobs(opts.jobs, os.cpu_count(), len(pending))
+    tasks = [(modulus, opts.k, b, opts.orbits) for b in pending]
     interrupted = False
     try:
-        if jobs > 1:
-            tasks = [(modulus, opts.k, b, opts.orbits) for b in pending]
-            chunk = max(1, len(tasks) // (jobs * 8))
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for block in pool.map(_scan_block_task, tasks, chunksize=chunk):
-                    results[block.n1] = block
-                    if checkpoint:
-                        checkpoint.record(modulus, opts.k, opts.orbits, block)
-        else:
-            for b in pending:
-                block = _scan_block_impl(modulus, opts.k, b, opts.orbits)
+        executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
+        with executor as pool:
+            if pool is None:
+                blocks = map(_scan_block_task, tasks)
+            else:
+                chunk = max(1, len(tasks) // (jobs * 8))
+                blocks = pool.map(_scan_block_task, tasks, chunksize=chunk)
+            for block in blocks:
                 results[block.n1] = block
                 if checkpoint:
                     checkpoint.record(modulus, opts.k, opts.orbits, block)

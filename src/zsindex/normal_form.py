@@ -158,25 +158,6 @@ def reduce_by_content(s: Sequence) -> Sequence:
     return Sequence(factorize(s.n // u), tuple(t // u for t in s.terms))
 
 
-def sum3n_witness(s: Sequence) -> Witness | None:
-    """Search all units for a transform summing to 3n; certify the complement.
-
-    When sum of |m*t|_n is 3n, the complement unit n - m reaches sum n
-    directly; the returned witness is that complement, validated before
-    return.  Returns None when no unit qualifies.
-    """
-    n = s.n
-    terms = s.terms
-    target = 3 * n
-    for m in units(s.modulus):
-        total = sum((m * t - 1) % n + 1 for t in terms)
-        if total == target:
-            w = certify(s, n - m, RULE_SUM_3N)
-            if w is not None:
-                return w
-    return None
-
-
 def _one_sided_at(terms: tuple[int, ...], n: int, m: int) -> bool:
     """At most one transformed term in [1, n/2], or at most one in [n/2, n]."""
     low = 0

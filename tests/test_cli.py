@@ -166,8 +166,10 @@ class TestVerifyCommand:
              "--checkpoint-path", str(ckpt), "--report-path", str(report)]
         )
         assert code == EXIT_OK
-        markers = ckpt.read_text().strip().splitlines()
-        assert markers == [f"21 4 {i}" for i in range(1, 21)]
+        assert not ckpt.exists()
+        lines = (tmp_path / "sweep.ckpt.blocks").read_text().splitlines()
+        keys = [(r["n"], r["k"], r["n1"]) for r in map(json.loads, lines)]
+        assert len(keys) == 20 and set(keys) == {(21, 4, i) for i in range(1, 21)}
         record = json.loads(report.read_text().strip())
         assert record["complete"] is True
 

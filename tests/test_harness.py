@@ -18,7 +18,7 @@ from zsindex import (
     sequence_index,
     verify_conjecture,
 )
-from zsindex import harness
+from zsindex import witness
 from zsindex.cli import run
 from zsindex.harness import (
     HIGH_INDEX_KEY,
@@ -28,7 +28,7 @@ from zsindex.harness import (
     effective_jobs,
 )
 
-from oracles import naive_minimal_enumeration, naive_orbit_canonical, naive_units
+from oracles import naive_index, naive_minimal_enumeration, naive_orbit_canonical, naive_units
 
 
 def terms_of(n, k=4):
@@ -186,9 +186,22 @@ class TestVerifyConjecture:
         assert report.rule_histogram == {"EXHAUSTIVE": report.sequences_total}
 
     def test_generic_k_witness_comes_from_certify(self, monkeypatch):
-        monkeypatch.setattr(harness, "certify", lambda *args, **kwargs: None)
-        with pytest.raises(RuntimeError, match="unsound witness"):
+        monkeypatch.setattr(witness, "certify", lambda *args, **kwargs: None)
+        with pytest.raises(AssertionError):
             verify_conjecture(factorize(12), VerifyOptions(k=3))
+
+    @pytest.mark.parametrize("n", range(6, 15))
+    def test_generic_k_high_index_branch(self, n):
+        report = verify_conjecture(factorize(n), VerifyOptions(k=5))
+        expected = []
+        for terms in sorted(naive_minimal_enumeration(n, 5)):
+            index, _ = naive_index(terms, n)
+            if index >= 2:
+                expected.append((terms, int(index)))
+        assert report.high_index == tuple(expected)
+        assert set(report.rule_histogram) <= {"EXHAUSTIVE", HIGH_INDEX_KEY}
+        assert report.rule_histogram.get(HIGH_INDEX_KEY, 0) == len(expected)
+        assert sum(report.rule_histogram.values()) == report.sequences_total
 
 
 # Proof-rule labels and high-index findings as the staged pipeline produced
@@ -261,21 +274,42 @@ def test_effective_jobs(jobs, cpu_count, pending, expected):
     assert effective_jobs(jobs, cpu_count, pending) == expected
 
 
+def block_keys(blocks):
+    """The (n, k, n1) of each checkpoint record, in file order."""
+    return [(r["n"], r["k"], r["n1"]) for r in map(json.loads, blocks.read_text().splitlines())]
+
+
+def assert_same_report(resumed, fresh):
+    for field in dataclasses.fields(VerificationReport):
+        if field.name != "elapsed":
+            assert getattr(resumed, field.name) == getattr(fresh, field.name), field.name
+
+
 class TestCheckpointResume:
     def test_resume_reproduces_full_report(self, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"
+        blocks = tmp_path / "sweep.ckpt.blocks"
         partial = verify_conjecture(
             factorize(25), VerifyOptions(checkpoint_path=ckpt, max_blocks=5)
         )
         assert not partial.complete
-        marker_lines = ckpt.read_text().strip().splitlines()
-        assert marker_lines == [f"25 4 {i}" for i in range(1, 6)]
+        assert not ckpt.exists()
+        assert block_keys(blocks) == [(25, 4, i) for i in range(1, 6)]
         resumed = verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
-        fresh = verify_conjecture(factorize(25))
         assert resumed.complete
-        assert resumed.sequences_total == fresh.sequences_total
-        assert resumed.rule_histogram == fresh.rule_histogram
-        assert resumed.high_index == fresh.high_index
+        assert_same_report(resumed, verify_conjecture(factorize(25)))
+        assert not ckpt.exists()
+        assert block_keys(blocks) == [(25, 4, i) for i in range(1, 25)]
+
+    def test_stale_marker_file_is_ignored(self, tmp_path):
+        # Older releases also wrote one "n k n1" line per block at FILE itself.
+        ckpt = tmp_path / "sweep.ckpt"
+        verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt, max_blocks=5))
+        markers = "".join(f"25 4 {i}\n" for i in range(1, 6))
+        ckpt.write_text(markers)
+        resumed = verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
+        assert_same_report(resumed, verify_conjecture(factorize(25)))
+        assert ckpt.read_text() == markers
 
     @pytest.mark.parametrize("cut", ["half", "no_newline", "garbled"])
     def test_torn_last_record_is_dropped(self, tmp_path, cut):

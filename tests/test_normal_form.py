@@ -22,7 +22,6 @@ from zsindex import (
     min_prime_powers,
     one_sided_witness,
     reduce_by_content,
-    sum3n_witness,
     to_normal_form,
     verify_witness,
 )
@@ -87,33 +86,6 @@ class TestReduceByContent:
             assert naive_is_minimal(big.terms, n)
             assert naive_index(big.terms, n)[0] == naive_index(small, n_small)[0]
             checked += 1
-
-
-class TestSum3n:
-    def test_triple_sum_restated_as_complement(self):
-        w = sum3n_witness(seq(5, (4, 4, 4, 3)))
-        assert w is not None and w.rule == RULE_SUM_3N
-        assert w.m == 4 and w.achieved_sum == 5
-
-    def test_first_triple_hit_is_used(self):
-        # (1,1,1,2): multiplier 4 reaches 15 = 3n, so the complement 1 is emitted
-        w = sum3n_witness(seq(5, (1, 1, 1, 2)))
-        assert w is not None and w.m == 1
-
-    def test_no_unit_reaches_3n(self):
-        assert sum3n_witness(seq(10, (2, 5, 6, 7))) is None
-
-    def test_matches_naive_scan_on_every_minimal_quadruple(self):
-        for n in range(2, 41):
-            naive = naive_units(n)
-            for s in enumerate_minimal(factorize(n)):
-                triples = [m for m in naive if naive_transform_sum(s.terms, n, m) == 3 * n]
-                w = sum3n_witness(s)
-                if not triples:
-                    assert w is None, (s.terms, n)
-                    continue
-                assert w is not None and w.m == n - triples[0], (s.terms, n)
-                assert w.rule == RULE_SUM_3N and verify_witness(s, w)
 
 
 class TestOneSided:
