@@ -28,7 +28,6 @@ from .harness import (
     verify_conjecture,
 )
 from .normal_form import (
-    ConstraintReport,
     ContentNotOne,
     NormalForm,
     NormalizationOutcome,
@@ -39,7 +38,6 @@ from .normal_form import (
     Trail,
     TrivialContent,
     UnbalancedSplit,
-    constraint_report,
     content,
     min_prime_powers,
     one_sided_witness,
@@ -50,10 +48,7 @@ from .residues import (
     GroupOrder,
     InvalidModulus,
     NotAUnit,
-    Residue,
     factorize,
-    mod_inverse,
-    reduce_mod,
     units,
 )
 from .sequences import (
@@ -62,17 +57,14 @@ from .sequences import (
     apply_unit,
     is_minimal_zero_sum,
     is_zero_sum,
-    norm_under,
     sequence_index,
 )
 from .witness import (
     DiagnosticNotFound,
-    IntervalDiagnostics,
     candidate_multipliers,
     compute_k1,
     compute_l,
     find_witness,
-    interval_diagnostics,
     interval_integers,
     interval_witness,
     two_of_three_witness,
@@ -81,13 +73,11 @@ from .witness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstraintReport",
     "ContentNotOne",
     "DiagnosticNotFound",
     "GroupOrder",
     "HighIndexEvidence",
     "IndexValue",
-    "IntervalDiagnostics",
     "InvalidModulus",
     "NormalForm",
     "NormalizationOutcome",
@@ -95,7 +85,6 @@ __all__ = [
     "NotLength4",
     "NotMinimalZeroSum",
     "PrimePowerParams",
-    "Residue",
     "RULE_CANDIDATE",
     "RULE_EXHAUSTIVE",
     "RULE_INTERVAL",
@@ -116,23 +105,18 @@ __all__ = [
     "certify",
     "compute_k1",
     "compute_l",
-    "constraint_report",
     "content",
     "enumerate_minimal",
     "factorize",
     "find_witness",
-    "interval_diagnostics",
     "interval_integers",
     "interval_witness",
     "is_minimal_zero_sum",
     "is_zero_sum",
     "min_prime_powers",
-    "mod_inverse",
-    "norm_under",
     "one_sided_witness",
     "orbit_canonical",
     "reduce_by_content",
-    "reduce_mod",
     "search_high_index",
     "sequence_index",
     "to_normal_form",

@@ -1,10 +1,11 @@
 """Command-line front end with JSONL and CSV reporting.
 
-Exit codes: 0 success (for verify over gcd(n,6)=1 moduli: no high-index
-findings), 1 a high-index sequence was found where the conjecture predicted
-none, 2 invalid input, 3 interrupted (checkpoint written).  All outputs are
-deterministic: lists are sorted and timestamps appear only in elapsed
-fields.  Configuration is flags only; no environment variables are read.
+Exit codes: 0 success (for verify: no high-index length-4 sequence over a
+gcd(n,6)=1 modulus; shorter ones always have index 1), 1 a high-index
+sequence was found where the conjecture predicted none, 2 invalid input,
+3 interrupted (checkpoint written).  All outputs are deterministic: lists
+are sorted and timestamps appear only in elapsed fields.  Configuration is
+flags only; no environment variables are read.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .normal_form import (
     reduce_by_content,
     to_normal_form,
 )
-from .residues import InvalidModulus, factorize
+from .residues import factorize
 from .sequences import Sequence, is_minimal_zero_sum, is_zero_sum, sequence_index
 from .witness import compute_k1, compute_l, find_witness
 
@@ -163,10 +164,14 @@ def witness_record(s: Sequence, result: Witness | HighIndexEvidence) -> dict:
             "rule": result.label,
             "trail": list(result.trail),
         }
+    return _high_index_record(s, result.index)
+
+
+def _high_index_record(s: Sequence, index: int) -> dict:
     return {
         "n": s.n,
         "terms": list(s.terms),
-        "index": result.index,
+        "index": index,
         "witness_m": None,
         "rule": None,
         "trail": [],
@@ -364,18 +369,10 @@ def _cmd_search(config: RunConfig, out: TextIO) -> int:
         out.write(f"{','.join(map(str, seq.terms))} index {index}\n")
     out.write(f"total {len(findings)}\n")
     if config.report_path:
-        records = [
-            {
-                "n": config.moduli[0],
-                "terms": list(seq.terms),
-                "index": index,
-                "witness_m": None,
-                "rule": None,
-                "trail": [],
-            }
-            for seq, index in findings
-        ]
-        _write_jsonl(config.report_path, records)
+        _write_jsonl(
+            config.report_path,
+            (_high_index_record(seq, index) for seq, index in findings),
+        )
     return EXIT_OK
 
 
@@ -486,10 +483,7 @@ def run(argv: list[str] | None = None, out: TextIO | None = None) -> int:
         config = _config_from_args(args)
         with _stderr_logging(args.log_level):
             return _COMMANDS[config.command](config, out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InvalidModulus, ValueError) as exc:
+    except ValueError as exc:  # UsageError and InvalidModulus included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:

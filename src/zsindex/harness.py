@@ -15,6 +15,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Sequence as SequenceABC
 
@@ -180,10 +181,6 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
     )
 
 
-def _scan_block_task(args: tuple[int, int, int, bool]) -> BlockResult:
-    return _scan_block_impl(*args)
-
-
 def effective_jobs(jobs: int, cpu_count: int | None, pending: int) -> int:
     """Worker processes worth starting: no more than cores or pending blocks."""
     return min(jobs, cpu_count or 1, pending)
@@ -197,7 +194,6 @@ class VerifyOptions:
     orbits: bool = False
     jobs: int = 1
     checkpoint_path: str | os.PathLike[str] | None = None
-    max_blocks: int | None = None  # stop after this many new blocks (complete=False)
 
 
 @dataclass
@@ -216,7 +212,11 @@ class VerificationReport:
     complete: bool
 
     def conjecture_applicable(self) -> bool:
-        return self.gcd6_class == 1
+        """gcd(n, 6) = 1 and length at most 4, where the index must be 1.
+
+        The conjecture is about length 4; lengths up to 3 always have index 1.
+        """
+        return self.gcd6_class == 1 and self.k <= 4
 
     def conjecture_violated(self) -> bool:
         """High-index findings where the conjecture promised none."""
@@ -301,7 +301,7 @@ def verify_conjecture(n: GroupOrder, options: VerifyOptions | None = None) -> Ve
     Witnesses are rechecked independently and high-index evidence is
     cross-checked against the exhaustive index, so a returned report is
     sound by construction.  ``complete`` is False when the run was
-    interrupted or block-limited; a checkpoint makes such runs resumable.
+    interrupted; a checkpoint makes such runs resumable.
     """
     opts = options or VerifyOptions()
     start = time.perf_counter()
@@ -312,19 +312,17 @@ def verify_conjecture(n: GroupOrder, options: VerifyOptions | None = None) -> Ve
         checkpoint.load(modulus, opts.k, opts.orbits) if checkpoint else {}
     )
     pending = [b for b in all_blocks if b not in results]
-    if opts.max_blocks is not None:
-        pending = pending[: opts.max_blocks]
     jobs = effective_jobs(opts.jobs, os.cpu_count(), len(pending))
-    tasks = [(modulus, opts.k, b, opts.orbits) for b in pending]
+    args = (repeat(modulus), repeat(opts.k), pending, repeat(opts.orbits))
     interrupted = False
     try:
         executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
         with executor as pool:
             if pool is None:
-                blocks = map(_scan_block_task, tasks)
+                blocks = map(_scan_block_impl, *args)
             else:
-                chunk = max(1, len(tasks) // (jobs * 8))
-                blocks = pool.map(_scan_block_task, tasks, chunksize=chunk)
+                chunk = max(1, len(pending) // (jobs * 8))
+                blocks = pool.map(_scan_block_impl, *args, chunksize=chunk)
             for block in blocks:
                 results[block.n1] = block
                 if checkpoint:

@@ -289,19 +289,13 @@ class PrimePowerParams:
 
     For n with exactly two prime factors and every term sharing a factor
     with n, two terms carry p and the other two carry q.  ``p`` is chosen
-    so that p**i0 < q**j0; positions index into the sorted terms.
+    so that p**i0 < q**j0.
     """
 
     p: int
     q: int
     i0: int
     j0: int
-    p_positions: tuple[int, int]
-    q_positions: tuple[int, int]
-
-    @property
-    def p_power(self) -> int:
-        return self.p**self.i0
 
     @property
     def q_power(self) -> int:
@@ -317,7 +311,7 @@ def _valuation(x: int, p: int) -> int:
 
 
 def min_prime_powers(s: Sequence, p: int, q: int) -> PrimePowerParams:
-    """Extract i0, j0 and the class assignment from the term gcds.
+    """Extract i0 and j0 from the gcds of the two prime classes of terms.
 
     Requires n = p^alpha * q^beta, every term sharing a factor with n, and
     exactly two terms divisible by each prime; raises StructureViolation
@@ -327,11 +321,9 @@ def min_prime_powers(s: Sequence, p: int, q: int) -> PrimePowerParams:
     n = s.n
     if set(s.modulus.primes) != {p, q} or p == q:
         raise StructureViolation(f"{n} is not of the form {p}^a * {q}^b")
-    p_positions: list[int] = []
-    q_positions: list[int] = []
     p_gcds: list[int] = []
     q_gcds: list[int] = []
-    for i, t in enumerate(s.terms):
+    for t in s.terms:
         g = math.gcd(t, n)
         if g == 1:
             raise StructureViolation(f"term {t} is coprime to {n}")
@@ -340,57 +332,19 @@ def min_prime_powers(s: Sequence, p: int, q: int) -> PrimePowerParams:
         if by_p and by_q:
             raise StructureViolation(f"term {t} is divisible by both {p} and {q}")
         if by_p:
-            p_positions.append(i)
             p_gcds.append(g)
         else:
-            q_positions.append(i)
             q_gcds.append(g)
-    if len(p_positions) != 2 or len(q_positions) != 2:
+    if len(p_gcds) != 2 or len(q_gcds) != 2:
         raise StructureViolation(
-            f"need two terms per prime class, got {len(p_positions)} with {p} "
-            f"and {len(q_positions)} with {q}"
+            f"need two terms per prime class, got {len(p_gcds)} with {p} "
+            f"and {len(q_gcds)} with {q}"
         )
     p_min = min(p_gcds)
     q_min = min(q_gcds)
     if p_min > q_min:
         p, q = q, p
         p_min, q_min = q_min, p_min
-        p_positions, q_positions = q_positions, p_positions
     return PrimePowerParams(
-        p=p,
-        q=q,
-        i0=_valuation(p_min, p),
-        j0=_valuation(q_min, q),
-        p_positions=(p_positions[0], p_positions[1]),
-        q_positions=(q_positions[0], q_positions[1]),
-    )
-
-
-@dataclass(frozen=True)
-class ConstraintReport:
-    """Which of the reduced-parameter constraints a normal form satisfies.
-
-    ``floor_b_over_a`` / ``ceil_b_over_a`` are diagnostics only; callers
-    compare them against k1 in whichever sense they need.
-    """
-
-    modulus_large: bool  # n >= 75 * p^i0
-    leading_term_admissible: bool  # e in {p^i0, q^j0, 2*q^j0} and a > 3e
-    q_spacing: bool  # a >= 6e whenever e in {q^j0, 2*q^j0}
-    floor_b_over_a: int
-    ceil_b_over_a: int
-
-
-def constraint_report(nf: NormalForm, params: PrimePowerParams) -> ConstraintReport:
-    """Report the renumbering constraints as booleans plus diagnostics."""
-    pk = params.p_power
-    qk = params.q_power
-    e, a, b = nf.e, nf.a, nf.b
-    e_in_set = e in (pk, qk, 2 * qk)
-    return ConstraintReport(
-        modulus_large=nf.modulus.n >= 75 * pk,
-        leading_term_admissible=e_in_set and a > 3 * e,
-        q_spacing=(e not in (qk, 2 * qk)) or a >= 6 * e,
-        floor_b_over_a=b // a,
-        ceil_b_over_a=-(-b // a),
+        p=p, q=q, i0=_valuation(p_min, p), j0=_valuation(q_min, q)
     )

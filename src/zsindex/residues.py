@@ -51,32 +51,6 @@ class GroupOrder:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def totient(self) -> int:
-        """Number of units of Z_n, read off the factorization."""
-        phi = 1
-        for p, alpha in self.factors:
-            phi *= (p - 1) * p ** (alpha - 1)
-        return phi
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z_n stored as its representative in [1, n]."""
-
-    value: int
-    modulus: GroupOrder
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.value <= self.modulus.n:
-            raise ValueError(
-                f"residue {self.value} outside [1, {self.modulus.n}]"
-            )
-
-    def __int__(self) -> int:
-        return self.value
-
-    def is_zero(self) -> bool:
-        return self.value == self.modulus.n
 
 
 def factorize(n: int) -> GroupOrder:
@@ -104,11 +78,6 @@ def reduce_value(x: int, n: int) -> int:
     return (x - 1) % n + 1
 
 
-def reduce_mod(x: int, n: GroupOrder) -> Residue:
-    """Reduce any integer (negatives included) into the [1, n] window."""
-    return Residue(reduce_value(x, n.n), n)
-
-
 def units(n: GroupOrder) -> tuple[int, ...]:
     """The units of Z_n in ascending order, cached per modulus."""
     return _units(n.n)
@@ -117,14 +86,3 @@ def units(n: GroupOrder) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=32)
 def _units(modulus: int) -> tuple[int, ...]:
     return tuple(m for m in range(1, modulus + 1) if math.gcd(m, modulus) == 1)
-
-
-def mod_inverse(m: int, n: GroupOrder) -> int:
-    """The v in [1, n] with m*v = 1 (mod n).
-
-    Raises NotAUnit when gcd(m, n) > 1.
-    """
-    modulus = n.n
-    if math.gcd(m, modulus) != 1:
-        raise NotAUnit(f"{m} is not a unit modulo {modulus}")
-    return reduce_value(pow(m, -1, modulus), modulus)

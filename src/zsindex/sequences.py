@@ -63,14 +63,6 @@ class IndexValue:
     def value(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
-    def is_integral(self) -> bool:
-        return self.numerator % self.denominator == 0
-
-    def as_integer(self) -> int:
-        if not self.is_integral():
-            raise ValueError(f"index {self.value} is not an integer")
-        return self.numerator // self.denominator
-
 
 def is_zero_sum(s: Sequence) -> bool:
     """True iff the terms sum to 0 modulo n."""
@@ -111,15 +103,6 @@ def apply_unit(s: Sequence, m: int) -> Sequence:
     if math.gcd(m, n) != 1:
         raise NotAUnit(f"{m} is not a unit modulo {n}")
     return Sequence(s.modulus, tuple(reduce_value(m * t, n) for t in s.terms))
-
-
-def norm_under(s: Sequence, m: int) -> Fraction:
-    """Exact value of (sum of |m*t|_n over terms) / n, never rounded."""
-    n = s.n
-    if math.gcd(m, n) != 1:
-        raise NotAUnit(f"{m} is not a unit modulo {n}")
-    total = sum((m * t - 1) % n + 1 for t in s.terms)
-    return Fraction(total, n)
 
 
 def min_transform_sum(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .certificates import (
@@ -53,18 +52,11 @@ class DiagnosticNotFound(RuntimeError):
     """An interval diagnostic's bounded scan found no qualifying value."""
 
 
-def interval_integers(k: int, nf: NormalForm, closed: bool = False) -> list[int]:
-    """Integers m with k*n/c <= m < k*n/b, by exact ceiling arithmetic.
-
-    With ``closed=True`` the upper endpoint is included (m <= k*n/b), as the
-    first sufficient condition requires.  No floating point anywhere.
-    """
+def interval_integers(k: int, nf: NormalForm) -> list[int]:
+    """Integers m with k*n/c <= m < k*n/b, by exact ceiling arithmetic."""
     n = nf.modulus.n
     lo = -(-k * n // nf.c)
-    if closed:
-        hi = k * n // nf.b + 1
-    else:
-        hi = -(-k * n // nf.b)
+    hi = -(-k * n // nf.b)
     return list(range(lo, hi))
 
 
@@ -100,25 +92,6 @@ def compute_l(nf: NormalForm) -> int:
         if hi - lo >= 3:
             return l
     raise DiagnosticNotFound(f"no triple-integer interval up to l = {2 * c}")
-
-
-@dataclass(frozen=True)
-class IntervalDiagnostics:
-    """k1, l, and the integer content of the first few intervals."""
-
-    k1: int
-    l: int
-    integers_per_interval: tuple[tuple[int, tuple[int, ...]], ...]
-
-
-def interval_diagnostics(nf: NormalForm) -> IntervalDiagnostics:
-    k1 = compute_k1(nf)
-    l = compute_l(nf)
-    top = max(7, k1, l)
-    per = tuple(
-        (k, tuple(interval_integers(k, nf))) for k in range(1, top + 1)
-    )
-    return IntervalDiagnostics(k1=k1, l=l, integers_per_interval=per)
 
 
 def interval_witness(nf: NormalForm) -> Witness | None:

@@ -211,6 +211,11 @@ class TestVerifyCommand:
         assert code == EXIT_VIOLATION
         assert "violation" in output
 
+    def test_length_5_findings_are_not_violations(self):
+        code, output = invoke(["verify", "--n", "11", "--k", "5"])
+        assert code == EXIT_OK
+        assert output == "n=11 sequences=82 high_index=12 complete=true ok\n"
+
     def test_incomplete_run_exits_interrupted(self, monkeypatch):
         import zsindex.cli as cli_mod
 
@@ -234,6 +239,15 @@ class TestSearchCommand:
         assert "2,5,6,7 index 2" in output
         records = [json.loads(line) for line in report.read_text().splitlines()]
         assert {tuple(r["terms"]) for r in records} >= {(2, 5, 6, 7)}
+
+    def test_record_matches_witness_record(self, tmp_path):
+        searched = tmp_path / "search.jsonl"
+        witnessed = tmp_path / "witness.jsonl"
+        invoke(["search", "--n", "10", "--report-path", str(searched)])
+        invoke(["witness", "--n", "10", "--terms", "2,5,6,7", "--report-path", str(witnessed)])
+        records = [json.loads(line) for line in searched.read_text().splitlines()]
+        [record] = [r for r in records if r["terms"] == [2, 5, 6, 7]]
+        assert record == json.loads(witnessed.read_text())
 
     def test_clean_modulus(self):
         code, output = invoke(["search", "--n", "35", "--k", "4"])

@@ -18,7 +18,7 @@ from zsindex import (
     sequence_index,
     verify_conjecture,
 )
-from zsindex import witness
+from zsindex import harness, witness
 from zsindex.cli import run
 from zsindex.harness import (
     HIGH_INDEX_KEY,
@@ -285,13 +285,25 @@ def assert_same_report(resumed, fresh):
             assert getattr(resumed, field.name) == getattr(fresh, field.name), field.name
 
 
+def sweep_interrupted_at_block_6(monkeypatch, ckpt):
+    """verify n = 25 with a checkpoint, stopped by Ctrl-C as block 6 starts."""
+    scan = harness._scan_block_impl
+
+    def interrupting(n, k, n1, orbits):
+        if n1 == 6:
+            raise KeyboardInterrupt
+        return scan(n, k, n1, orbits)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "_scan_block_impl", interrupting)
+        return verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
+
+
 class TestCheckpointResume:
-    def test_resume_reproduces_full_report(self, tmp_path):
+    def test_resume_reproduces_full_report(self, monkeypatch, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"
         blocks = tmp_path / "sweep.ckpt.blocks"
-        partial = verify_conjecture(
-            factorize(25), VerifyOptions(checkpoint_path=ckpt, max_blocks=5)
-        )
+        partial = sweep_interrupted_at_block_6(monkeypatch, ckpt)
         assert not partial.complete
         assert not ckpt.exists()
         assert block_keys(blocks) == [(25, 4, i) for i in range(1, 6)]
@@ -301,10 +313,10 @@ class TestCheckpointResume:
         assert not ckpt.exists()
         assert block_keys(blocks) == [(25, 4, i) for i in range(1, 25)]
 
-    def test_stale_marker_file_is_ignored(self, tmp_path):
+    def test_stale_marker_file_is_ignored(self, monkeypatch, tmp_path):
         # Older releases also wrote one "n k n1" line per block at FILE itself.
         ckpt = tmp_path / "sweep.ckpt"
-        verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt, max_blocks=5))
+        sweep_interrupted_at_block_6(monkeypatch, ckpt)
         markers = "".join(f"25 4 {i}\n" for i in range(1, 6))
         ckpt.write_text(markers)
         resumed = verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
@@ -312,9 +324,9 @@ class TestCheckpointResume:
         assert ckpt.read_text() == markers
 
     @pytest.mark.parametrize("cut", ["half", "no_newline", "garbled"])
-    def test_torn_last_record_is_dropped(self, tmp_path, cut):
+    def test_torn_last_record_is_dropped(self, monkeypatch, tmp_path, cut):
         ckpt = tmp_path / "sweep.ckpt"
-        verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt, max_blocks=5))
+        sweep_interrupted_at_block_6(monkeypatch, ckpt)
         blocks = tmp_path / "sweep.ckpt.blocks"
         last = blocks.read_bytes().splitlines(keepends=True)[-1]
         torn = {
@@ -332,9 +344,9 @@ class TestCheckpointResume:
         records = [json.loads(line) for line in blocks.read_text().splitlines()]
         assert [r["n1"] for r in records] == list(range(1, 25))
 
-    def test_corrupt_inner_record_raises(self, tmp_path):
+    def test_corrupt_inner_record_raises(self, monkeypatch, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"
-        verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt, max_blocks=5))
+        sweep_interrupted_at_block_6(monkeypatch, ckpt)
         blocks = tmp_path / "sweep.ckpt.blocks"
         lines = blocks.read_bytes().splitlines(keepends=True)
         lines[2] = lines[2][:10] + b"\n"
@@ -342,9 +354,9 @@ class TestCheckpointResume:
         with pytest.raises(json.JSONDecodeError):
             verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
 
-    def test_orbit_mode_invalidates_blocks(self, tmp_path):
+    def test_orbit_mode_invalidates_blocks(self, monkeypatch, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"
-        verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt, max_blocks=5))
+        sweep_interrupted_at_block_6(monkeypatch, ckpt)
         orbity = verify_conjecture(
             factorize(25), VerifyOptions(checkpoint_path=ckpt, orbits=True)
         )
@@ -367,7 +379,7 @@ class TestSearchHighIndex:
         assert (2, 5, 6, 7) not in reps
         for s, index in findings:
             assert orbit_canonical(s).terms == s.terms
-            assert sequence_index(s).as_integer() == index
+            assert sequence_index(s).value == index
 
     def test_clean_modulus(self):
         assert search_high_index(factorize(35)) == []
@@ -377,7 +389,7 @@ class TestSearchHighIndex:
 
     def test_indices_are_exact(self):
         for s, index in search_high_index(factorize(12)):
-            assert sequence_index(s).as_integer() == index
+            assert sequence_index(s).value == index
 
     @pytest.mark.parametrize("n", [n for n in range(6, 61) if math.gcd(n, 6) != 1])
     def test_orbit_search_matches_naive_dedup(self, n):

@@ -15,7 +15,6 @@ from zsindex import (
     StructureViolation,
     TrivialContent,
     UnbalancedSplit,
-    constraint_report,
     content,
     enumerate_minimal,
     factorize,
@@ -239,7 +238,7 @@ class TestMinPrimePowers:
     def test_worked_example(self):
         params = min_prime_powers(seq(175, (10, 50, 21, 49)), 5, 7)
         assert (params.p, params.i0, params.q, params.j0) == (5, 1, 7, 1)
-        assert params.p_power == 5 and params.q_power == 7
+        assert params.p ** params.i0 == 5 and params.q_power == 7
 
     def test_coprime_term_rejected(self):
         with pytest.raises(StructureViolation):
@@ -248,12 +247,12 @@ class TestMinPrimePowers:
     def test_min_over_each_class(self):
         params = min_prime_powers(seq(245, (5, 10, 49, 7)), 5, 7)
         assert params.i0 == 1 and params.j0 == 1
-        assert params.p_power == 5 and params.q_power == 7
+        assert params.p ** params.i0 == 5 and params.q_power == 7
 
     def test_roles_swap_to_enforce_order(self):
         params = min_prime_powers(seq(175, (25, 50, 7, 14)), 5, 7)
         assert params.p == 7 and params.q == 5
-        assert params.p_power == 7 and params.q_power == 25
+        assert params.p ** params.i0 == 7 and params.q_power == 25
 
     def test_unbalanced_pattern_rejected(self):
         with pytest.raises(StructureViolation):
@@ -262,28 +261,3 @@ class TestMinPrimePowers:
     def test_wrong_modulus_shape_rejected(self):
         with pytest.raises(StructureViolation):
             min_prime_powers(seq(30, (2, 3, 10, 15)), 2, 3)
-
-
-class TestConstraintReport:
-    def test_small_leading_gap_fails_admissibility(self):
-        nf = NormalForm(factorize(35), e=1, a=2, b=3, c=4)
-        params = min_prime_powers(seq(175, (10, 50, 21, 49)), 5, 7)
-        report = constraint_report(nf, params)
-        assert not report.leading_term_admissible  # a = 2 is not > 3e = 3
-        assert not report.modulus_large  # 35 < 75 * 5
-        assert report.floor_b_over_a == 1 and report.ceil_b_over_a == 2
-
-    def test_admissible_when_e_matches_and_gap_is_wide(self):
-        params = min_prime_powers(seq(175, (10, 50, 21, 49)), 5, 7)
-        nf = NormalForm(factorize(1225), e=5, a=21, b=100, c=116)
-        report = constraint_report(nf, params)
-        assert report.leading_term_admissible
-        assert report.modulus_large  # 1225 >= 375
-        assert report.q_spacing  # vacuous: e is the p-power
-
-    def test_q_spacing_enforced_for_q_leading_terms(self):
-        params = min_prime_powers(seq(175, (10, 50, 21, 49)), 5, 7)
-        nf = NormalForm(factorize(1225), e=7, a=25, b=100, c=118)
-        report = constraint_report(nf, params)
-        assert report.leading_term_admissible  # 25 > 21
-        assert not report.q_spacing  # 25 < 42 = 6e

@@ -19,7 +19,6 @@ from zsindex import (
     compute_l,
     factorize,
     find_witness,
-    interval_diagnostics,
     interval_integers,
     interval_witness,
     min_prime_powers,
@@ -70,10 +69,9 @@ class TestIntervalIntegers:
     def test_empty_interval(self):
         assert interval_integers(2, nf(35, 1, 2, 15, 16)) == []
 
-    def test_closed_variant_includes_upper_bound(self):
+    def test_half_open_excludes_upper_bound(self):
         form = nf(40, 1, 3, 8, 10)
         assert interval_integers(1, form) == [4]  # 5 = 40/8 is excluded half-open
-        assert interval_integers(1, form, closed=True) == [4, 5]
 
     def test_exact_arithmetic_against_cross_multiplication(self):
         rng = random.Random(11)
@@ -108,7 +106,10 @@ class TestK1:
 
 class TestL:
     def test_three_integers_at_six(self):
-        assert compute_l(nf(35, 1, 2, 8, 9)) == 6
+        form = nf(35, 1, 2, 8, 9)
+        assert compute_l(form) == 6
+        assert interval_integers(6, form) == [24, 25, 26]
+        assert all(len(interval_integers(k, form)) <= 2 for k in range(1, 6))
 
     def test_immediate(self):
         assert compute_l(nf(35, 1, 2, 3, 4)) == 1
@@ -123,16 +124,6 @@ class TestL:
             expected = naive_l(form.modulus.n, form.b, form.c)
             assert expected is not None
             assert compute_l(form) == expected
-
-
-class TestIntervalDiagnostics:
-    def test_fields_are_consistent(self):
-        diag = interval_diagnostics(nf(35, 1, 2, 8, 9))
-        assert diag.k1 == 1 and diag.l == 6
-        per = dict(diag.integers_per_interval)
-        assert per[1] == (4,)
-        assert per[6] == (24, 25, 26)
-        assert all(len(per[k]) <= 2 for k in range(1, 6))
 
 
 class TestIntervalWitness:
@@ -197,7 +188,7 @@ class TestCandidatePool:
         # represented sequence (5, 49, 135, 161): gcds 5, 49, 5, 7
         form = nf(175, 5, 14, 40, 49)
         params = min_prime_powers(form.represented(), 5, 7)
-        assert params.p_power == 5 and params.q_power == 7
+        assert params.p ** params.i0 == 5 and params.q_power == 7
         with_params = dict(candidate_multipliers(form, params))
         without = dict(candidate_multipliers(form))
         assert with_params.get(12) == "(n-q0)/(2q0)"  # (175 - 7) / 14
