@@ -106,10 +106,7 @@ class TestK1:
 
 class TestL:
     def test_three_integers_at_six(self):
-        form = nf(35, 1, 2, 8, 9)
-        assert compute_l(form) == 6
-        assert interval_integers(6, form) == [24, 25, 26]
-        assert all(len(interval_integers(k, form)) <= 2 for k in range(1, 6))
+        assert compute_l(nf(35, 1, 2, 8, 9)) == 6
 
     def test_immediate(self):
         assert compute_l(nf(35, 1, 2, 3, 4)) == 1
@@ -124,6 +121,16 @@ class TestL:
             expected = naive_l(form.modulus.n, form.b, form.c)
             assert expected is not None
             assert compute_l(form) == expected
+
+
+class TestIntervalDiagnostics:
+    def test_fields_are_consistent(self):
+        form = nf(35, 1, 2, 8, 9)
+        assert compute_k1(form) == 1 and compute_l(form) == 6
+        per = {k: interval_integers(k, form) for k in range(1, 7)}
+        assert per[1] == [4]
+        assert per[6] == [24, 25, 26]
+        assert all(len(per[k]) <= 2 for k in range(1, 6))
 
 
 class TestIntervalWitness:
