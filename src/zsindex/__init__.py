@@ -33,13 +33,10 @@ from .normal_form import (
     NormalizationOutcome,
     NotLength4,
     NotMinimalZeroSum,
-    PrimePowerParams,
-    StructureViolation,
     Trail,
     TrivialContent,
     UnbalancedSplit,
     content,
-    min_prime_powers,
     one_sided_witness,
     reduce_by_content,
     to_normal_form,
@@ -60,7 +57,6 @@ from .sequences import (
     sequence_index,
 )
 from .witness import (
-    DiagnosticNotFound,
     candidate_multipliers,
     compute_k1,
     compute_l,
@@ -74,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContentNotOne",
-    "DiagnosticNotFound",
     "GroupOrder",
     "HighIndexEvidence",
     "IndexValue",
@@ -84,7 +79,6 @@ __all__ = [
     "NotAUnit",
     "NotLength4",
     "NotMinimalZeroSum",
-    "PrimePowerParams",
     "RULE_CANDIDATE",
     "RULE_EXHAUSTIVE",
     "RULE_INTERVAL",
@@ -93,7 +87,6 @@ __all__ = [
     "RULE_SUM_N",
     "RULE_TWO_OF_THREE",
     "Sequence",
-    "StructureViolation",
     "Trail",
     "TrivialContent",
     "UnbalancedSplit",
@@ -113,7 +106,6 @@ __all__ = [
     "interval_witness",
     "is_minimal_zero_sum",
     "is_zero_sum",
-    "min_prime_powers",
     "one_sided_witness",
     "orbit_canonical",
     "reduce_by_content",

@@ -221,6 +221,11 @@ def _resolve_moduli(args: argparse.Namespace) -> list[int]:
         if not getattr(args, "all_moduli", False):
             coprime_to = getattr(args, "coprime_to", 6)
             moduli = [m for m in moduli if math.gcd(m, coprime_to) == 1]
+            if not moduli:
+                raise UsageError(
+                    f"no modulus in {n_range} is coprime to {coprime_to} "
+                    "(--all-moduli keeps every modulus)"
+                )
         return moduli
     return []
 

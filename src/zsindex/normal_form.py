@@ -7,8 +7,10 @@ The normal form stores parameters (e, a, b, c) over modulus n with
 and represents the sequence (e, c, n-b, n-a), which sums to 2n and is always
 minimal zero-sum.  Normalization either reaches that shape (recording the
 multipliers it applied as a trail) or certifies index 1 outright along the
-way.  Any certificate emitted here is validated by direct recomputation
-before it leaves the module; no derivation is trusted.
+way.  Replaying the trail on the input gives the represented sequence, so m
+certifies the represented sequence exactly when m times the composed trail
+certifies the input.  Any certificate emitted here is validated by direct
+recomputation before it leaves the module; no derivation is trusted.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ class NotLength4(ValueError):
 
 class NotMinimalZeroSum(ValueError):
     """The input is not a minimal zero-sum sequence."""
-
-
-class StructureViolation(ValueError):
-    """The two-terms-per-prime divisibility pattern does not hold."""
 
 
 class UnbalancedSplit(RuntimeError):
@@ -280,71 +278,4 @@ def _normalize_validated(s: Sequence) -> NormalizationOutcome:
             return outcome
     raise UnbalancedSplit(
         f"no unit transform of {s.terms} over {n} splits two-and-two"
-    )
-
-
-@dataclass(frozen=True)
-class PrimePowerParams:
-    """Minimum prime-power gcds over the two divisibility classes.
-
-    For n with exactly two prime factors and every term sharing a factor
-    with n, two terms carry p and the other two carry q.  ``p`` is chosen
-    so that p**i0 < q**j0.
-    """
-
-    p: int
-    q: int
-    i0: int
-    j0: int
-
-    @property
-    def q_power(self) -> int:
-        return self.q**self.j0
-
-
-def _valuation(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def min_prime_powers(s: Sequence, p: int, q: int) -> PrimePowerParams:
-    """Extract i0 and j0 from the gcds of the two prime classes of terms.
-
-    Requires n = p^alpha * q^beta, every term sharing a factor with n, and
-    exactly two terms divisible by each prime; raises StructureViolation
-    otherwise.  The roles of p and q are swapped if needed so that the
-    p-side minimum is the smaller prime power.
-    """
-    n = s.n
-    if set(s.modulus.primes) != {p, q} or p == q:
-        raise StructureViolation(f"{n} is not of the form {p}^a * {q}^b")
-    p_gcds: list[int] = []
-    q_gcds: list[int] = []
-    for t in s.terms:
-        g = math.gcd(t, n)
-        if g == 1:
-            raise StructureViolation(f"term {t} is coprime to {n}")
-        by_p = t % p == 0
-        by_q = t % q == 0
-        if by_p and by_q:
-            raise StructureViolation(f"term {t} is divisible by both {p} and {q}")
-        if by_p:
-            p_gcds.append(g)
-        else:
-            q_gcds.append(g)
-    if len(p_gcds) != 2 or len(q_gcds) != 2:
-        raise StructureViolation(
-            f"need two terms per prime class, got {len(p_gcds)} with {p} "
-            f"and {len(q_gcds)} with {q}"
-        )
-    p_min = min(p_gcds)
-    q_min = min(q_gcds)
-    if p_min > q_min:
-        p, q = q, p
-        p_min, q_min = q_min, p_min
-    return PrimePowerParams(
-        p=p, q=q, i0=_valuation(p_min, p), j0=_valuation(q_min, q)
     )

@@ -3,13 +3,18 @@
 The pipeline mirrors the reduction order: cheap sum checks, content
 division, normalization, then two interval-based sufficient conditions, a
 pool of structured candidate multipliers, and finally an exhaustive
-ascending scan over all units.  Every hit from every stage is validated by
-direct recomputation before it is emitted; a failed validation is logged
-and the search just continues, so soundness rests on the validation alone.
+ascending scan over all units.  The interval stage and the pool's interval
+entries read the half-open intervals [kn/c, kn/b) from one function,
+``interval_integers``; the pool's two-prime formulas need one integer, q0,
+read from the gcds of the represented terms.  Every hit from every stage is
+validated by direct recomputation before it is emitted; a failed validation
+is logged and the search just continues, so soundness rests on the
+validation alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from typing import Iterator
@@ -28,12 +33,9 @@ from .normal_form import (
     NormalForm,
     NotLength4,
     NotMinimalZeroSum,
-    PrimePowerParams,
-    StructureViolation,
     UnbalancedSplit,
     _normalize_validated,
     content,
-    min_prime_powers,
     reduce_by_content,
 )
 from .residues import reduce_value, units
@@ -48,16 +50,10 @@ FIXED_CANDIDATES = (
 )
 
 
-class DiagnosticNotFound(RuntimeError):
-    """An interval diagnostic's bounded scan found no qualifying value."""
-
-
-def interval_integers(k: int, nf: NormalForm) -> list[int]:
+def interval_integers(k: int, nf: NormalForm) -> range:
     """Integers m with k*n/c <= m < k*n/b, by exact ceiling arithmetic."""
     n = nf.modulus.n
-    lo = -(-k * n // nf.c)
-    hi = -(-k * n // nf.b)
-    return list(range(lo, hi))
+    return range(-(-k * n // nf.c), -(-k * n // nf.b))
 
 
 def compute_k1(nf: NormalForm) -> int:
@@ -65,51 +61,37 @@ def compute_k1(nf: NormalForm) -> int:
     empty while interval k itself contains an integer.
 
     An interval is empty exactly when its two ceilings agree, so this is the
-    first k in [1, b] with a nonempty interval; the ceiling equality then
-    holds for every j <= k - 1.  Raises DiagnosticNotFound when no k <= b
-    qualifies (not expected to occur).
+    first k with a nonempty interval; the ceiling equality then holds for
+    every j <= k - 1.  The scan ends by k = b: that interval starts at
+    bn/c <= n - n/c < n - 2, so it holds n - 2 and n - 1.
     """
-    n = nf.modulus.n
-    b, c = nf.b, nf.c
-    for k in range(1, b + 1):
-        lo = -(-k * n // c)
-        hi = -(-k * n // b)
-        if lo < hi:
-            return k
-    raise DiagnosticNotFound(f"no nonempty interval index up to {b}")
+    return next(k for k in itertools.count(1) if interval_integers(k, nf))
 
 
 def compute_l(nf: NormalForm) -> int:
     """Smallest l >= 1 with at least three integers in [ln/c, ln/b).
 
-    The interval length grows linearly in l, so the scan is bounded by 2c.
+    The interval length ln(c - b)/(bc) grows linearly in l; at l = 2c it is
+    at least 2n/b > 4, so the scan ends there at the latest.
     """
-    n = nf.modulus.n
-    b, c = nf.b, nf.c
-    for l in range(1, 2 * c + 1):
-        lo = -(-l * n // c)
-        hi = -(-l * n // b)
-        if hi - lo >= 3:
-            return l
-    raise DiagnosticNotFound(f"no triple-integer interval up to l = {2 * c}")
+    return next(l for l in itertools.count(1) if len(interval_integers(l, nf)) >= 3)
 
 
 def interval_witness(nf: NormalForm) -> Witness | None:
-    """First (k, m) with kn/c <= m <= kn/b, gcd(m, n) = 1 and m*a < n that
+    """First (k, m) with kn/c <= m < kn/b, gcd(m, n) = 1 and m*a < n that
     directly certifies the represented sequence.
 
-    Scans k ascending, then m ascending within the closed interval; stops
+    Scans k ascending, then m ascending within the half-open interval; stops
     once even the interval's lower end pushes m*a past n.
     """
     n = nf.modulus.n
-    a, b = nf.a, nf.b
+    a = nf.a
     rep = nf.represented()
-    for k in range(1, b + 1):
-        lo = -(-k * n // nf.c)
-        if lo * a >= n:
+    for k in range(1, nf.b + 1):
+        members = interval_integers(k, nf)
+        if members.start * a >= n:
             break  # lower ends only grow with k
-        hi = k * n // b
-        for m in range(lo, hi + 1):
+        for m in members:
             if m * a >= n:
                 break
             if math.gcd(m, n) != 1:
@@ -154,34 +136,28 @@ def two_of_three_witness(nf: NormalForm) -> Witness | None:
     return None
 
 
-def candidate_multipliers(
-    nf: NormalForm, params: PrimePowerParams | None = None
-) -> list[tuple[int, str]]:
+def candidate_multipliers(nf: NormalForm) -> list[tuple[int, str]]:
     """The structured multiplier pool, deduplicated and filtered to units.
 
     Order: the divisibility-based formulas in construction order, then
     interval members ascending by (k, m), then the fixed small constants.
     Each entry is reduced into [1, n-1] and tagged with its source.
     """
-    return list(_iter_candidates(nf, params))
+    return list(_iter_candidates(nf))
 
 
-def _iter_candidates(
-    nf: NormalForm, params: PrimePowerParams | None
-) -> Iterator[tuple[int, str]]:
+def _iter_candidates(nf: NormalForm) -> Iterator[tuple[int, str]]:
     """candidate_multipliers' entries, in order, built only as far as read."""
     n = nf.modulus.n
     seen: set[int] = set()
-    for value, tag in _pool_sources(nf, params):
+    for value, tag in _pool_sources(nf):
         m = reduce_value(value, n)
         if m not in seen and math.gcd(m, n) == 1:
             seen.add(m)
             yield m, tag
 
 
-def _pool_sources(
-    nf: NormalForm, params: PrimePowerParams | None
-) -> Iterator[tuple[int, str]]:
+def _pool_sources(nf: NormalForm) -> Iterator[tuple[int, str]]:
     """Raw pool values with their tags, before reduction and deduplication."""
     n = nf.modulus.n
     e, a = nf.e, nf.a
@@ -198,32 +174,36 @@ def _pool_sources(
         (n - e, e, "(n-e)/e"),
         (n - 2 * e, e, "(n-2e)/e"),
     ]
-    if params is not None:
-        qq = params.q_power
-        structured.append((n - qq, 2 * qq, "(n-q0)/(2q0)"))
-        structured.append((3 * n - qq, 2 * qq, "(3n-q0)/(2q0)"))
+    q0 = _q0(nf.represented())
+    if q0 is not None:
+        structured.append((n - q0, 2 * q0, "(n-q0)/(2q0)"))
+        structured.append((3 * n - q0, 2 * q0, "(3n-q0)/(2q0)"))
     for numerator, denominator, tag in structured:
         if numerator > 0 and numerator % denominator == 0:
             yield numerator // denominator, tag
-    try:
-        k1 = compute_k1(nf)
-    except DiagnosticNotFound:
-        k1 = 1
-    for k in range(1, max(7, k1) + 1):
+    for k in range(1, max(7, compute_k1(nf)) + 1):
         for m in interval_integers(k, nf):
             yield m, "interval"
     for m in FIXED_CANDIDATES:
         yield m, "const"
 
 
-def _prime_params(nf: NormalForm) -> PrimePowerParams | None:
-    if len(nf.modulus.factors) != 2:
+def _q0(s: Sequence) -> int | None:
+    """The q0 of the two-prime formulas, or None where they do not apply.
+
+    They apply when n = p^alpha * q^beta and the terms split two and two:
+    two divisible by p only, two by q only.  Each class's least gcd(t, n)
+    is then a prime power, and q0 is the larger of the two.
+    """
+    if len(s.modulus.primes) != 2:
         return None
-    p, q = nf.modulus.primes
-    try:
-        return min_prime_powers(nf.represented(), p, q)
-    except StructureViolation:
+    p, q = s.modulus.primes
+    gcds = [math.gcd(t, s.n) for t in s.terms]
+    p_only = [g for g in gcds if g % p == 0 and g % q != 0]
+    q_only = [g for g in gcds if g % q == 0 and g % p != 0]
+    if len(p_only) != 2 or len(q_only) != 2:
         return None
+    return max(min(p_only), min(q_only))
 
 
 def _exhaustive(s: Sequence, trail: tuple[str, ...]) -> Witness | HighIndexEvidence:
@@ -297,18 +277,14 @@ def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
             if lifted is not None:
                 return lifted
             logger.debug("trail lift failed for %s via %s", w, outcome.trail)
-    rep = nf.represented()
-    params = _prime_params(nf)
-    for m, tag in _iter_candidates(nf, params):
-        w = certify(rep, m, RULE_CANDIDATE, case=tag)
-        if w is None:
-            continue
-        lifted = certify(
+    for m, tag in _iter_candidates(nf):
+        # The trail maps s onto the represented sequence, so m certifies
+        # that sequence exactly when m times the trail certifies s.
+        w = certify(
             s, m * trail_product, RULE_CANDIDATE, case=tag, trail=trail_strings
         )
-        if lifted is not None:
-            return lifted
-        logger.debug("candidate lift failed for m=%d tag=%s", m, tag)
+        if w is not None:
+            return w
     return _exhaustive(s, trail=trail_strings)
 
 
@@ -316,10 +292,10 @@ def find_witness(s: Sequence) -> Witness | HighIndexEvidence:
     """Find a validated index-1 certificate, or prove the index exceeds 1.
 
     Stages, in order: sum = n, content division, normalization (with its
-    cheap certificates), the closed-interval condition, the half-plane
-    condition, the structured candidate pool, exhaustive scan.  The result
-    of the exhaustive stage is exact evidence of the minimum when no
-    certificate exists.  Requires a minimal zero-sum quadruple.
+    cheap certificates), the interval condition on [kn/c, kn/b), the
+    half-plane condition, the structured candidate pool, exhaustive scan.
+    The result of the exhaustive stage is exact evidence of the minimum when
+    no certificate exists.  Requires a minimal zero-sum quadruple.
     """
     if len(s.terms) != 4:
         raise NotLength4(f"expected 4 terms, got {len(s.terms)}")

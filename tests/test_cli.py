@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import zsindex
 
 from zsindex import Sequence, Witness, verify_witness
@@ -270,6 +272,16 @@ class TestInvalidInput:
     def test_bad_range(self):
         code, _ = invoke(["verify", "--n-range", "20:7"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--coprime-to", "0"]], ids=["default-filter", "coprime-to-0"]
+    )
+    def test_filter_leaves_no_modulus(self, extra, capsys):
+        code, _ = invoke(["verify", "--n-range", "8:10", *extra])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "no modulus in 8:10 is coprime to" in err
+        assert "--n or --n-range is required" not in err
 
     def test_garbled_terms(self):
         code, _ = invoke(["index", "--n", "10", "--terms", "1,x"])

@@ -206,8 +206,10 @@ class TestVerifyConjecture:
 
 # Proof-rule labels and high-index findings as the staged pipeline produced
 # them before the shared scan kernel and lazy candidate pool; a hot-path
-# change must not relabel a single sequence.  n = 30's 140 index-2 findings
-# are pinned by count and by the SHA-256 of their JSON list.
+# change must not relabel a single sequence.  n = 75 is the smallest modulus
+# where both two-prime q0 formulas are the first pool hit.  The index-2
+# findings of n = 30 (140) and n = 75 (32) are pinned by count and by the
+# SHA-256 of their JSON list.
 GOLDEN_HISTOGRAMS = {
     30: {
         "CANDIDATE:(n+2a)/a": 4, "CANDIDATE:(n+3a)/a": 2, "CANDIDATE:(n+4a)/a": 2,
@@ -232,6 +234,14 @@ GOLDEN_HISTOGRAMS = {
         "INTERVAL": 1722, "ONE_SIDED": 1280, "SUM_3N": 1215, "SUM_N": 1215,
         "TWO_OF_THREE": 10,
     },
+    75: {
+        "CANDIDATE:(3n-q0)/(2q0)": 6, "CANDIDATE:(n+2a)/a": 38,
+        "CANDIDATE:(n+3a)/a": 30, "CANDIDATE:(n+4a)/a": 28, "CANDIDATE:(n-2e)/e": 4,
+        "CANDIDATE:(n-q0)/(2q0)": 6, "CANDIDATE:const": 440,
+        "CANDIDATE:interval": 4142, "EXHAUSTIVE": 614, "HIGH_INDEX": 32,
+        "INTERVAL": 2462, "ONE_SIDED": 3162, "SUM_3N": 3042, "SUM_N": 3042,
+        "TWO_OF_THREE": 292,
+    },
     77: {
         "CANDIDATE:(n+2a)/a": 18, "CANDIDATE:(n+3a)/a": 10, "CANDIDATE:(n+4a)/a": 4,
         "CANDIDATE:(n+a)/a": 2, "CANDIDATE:const": 244, "CANDIDATE:interval": 3082,
@@ -241,6 +251,7 @@ GOLDEN_HISTOGRAMS = {
 }
 GOLDEN_HIGH_INDEX = {
     30: (140, "9a807639115609a85c87bdbfdd0808c606f0dd01639dcc789eedc12ec8c722e3"),
+    75: (32, "3ca8d210764946e0a217bcfd8637e85519dfc9c8fc68b9d5da68389102b775e3"),
 }
 
 

@@ -12,20 +12,26 @@ from zsindex import (
     RULE_SUM_3N,
     RULE_SUM_N,
     Sequence,
-    StructureViolation,
     TrivialContent,
     UnbalancedSplit,
     content,
     enumerate_minimal,
     factorize,
-    min_prime_powers,
     one_sided_witness,
     reduce_by_content,
     to_normal_form,
     verify_witness,
 )
 
-from oracles import naive_index, naive_is_minimal, naive_transform_sum, naive_units
+from zsindex.witness import _q0
+
+from oracles import (
+    naive_index,
+    naive_is_minimal,
+    naive_q0,
+    naive_transform_sum,
+    naive_units,
+)
 
 
 def seq(n, terms):
@@ -235,29 +241,33 @@ class TestNormalFormType:
 
 
 class TestMinPrimePowers:
+    """q0 of the candidate pool's two-prime formulas: of the two prime
+    classes' least gcd(t, n), a prime power each, the larger."""
+
     def test_worked_example(self):
-        params = min_prime_powers(seq(175, (10, 50, 21, 49)), 5, 7)
-        assert (params.p, params.i0, params.q, params.j0) == (5, 1, 7, 1)
-        assert params.p ** params.i0 == 5 and params.q_power == 7
+        assert _q0(seq(175, (10, 50, 21, 49))) == 7
 
     def test_coprime_term_rejected(self):
-        with pytest.raises(StructureViolation):
-            min_prime_powers(seq(35, (2, 3, 31, 34)), 5, 7)
+        assert _q0(seq(35, (2, 3, 31, 34))) is None
 
     def test_min_over_each_class(self):
-        params = min_prime_powers(seq(245, (5, 10, 49, 7)), 5, 7)
-        assert params.i0 == 1 and params.j0 == 1
-        assert params.p ** params.i0 == 5 and params.q_power == 7
+        assert _q0(seq(245, (5, 10, 49, 7))) == 7
 
     def test_roles_swap_to_enforce_order(self):
-        params = min_prime_powers(seq(175, (25, 50, 7, 14)), 5, 7)
-        assert params.p == 7 and params.q == 5
-        assert params.p ** params.i0 == 7 and params.q_power == 25
+        # the p-class minimum 25 exceeds the q-class minimum 7
+        assert _q0(seq(175, (25, 50, 7, 14))) == 25
 
     def test_unbalanced_pattern_rejected(self):
-        with pytest.raises(StructureViolation):
-            min_prime_powers(seq(175, (5, 10, 15, 7)), 5, 7)
+        assert _q0(seq(175, (5, 10, 15, 7))) is None
 
     def test_wrong_modulus_shape_rejected(self):
-        with pytest.raises(StructureViolation):
-            min_prime_powers(seq(30, (2, 3, 10, 15)), 2, 3)
+        assert _q0(seq(30, (2, 3, 10, 15))) is None
+
+    @pytest.mark.parametrize("n", [45, 75])
+    def test_matches_naive_q0_on_every_minimal_quadruple(self, n):
+        found = 0
+        for s in enumerate_minimal(factorize(n), 4):
+            expected = naive_q0(s.terms, n)
+            assert _q0(s) == expected, s.terms
+            found += expected is not None
+        assert found > 0

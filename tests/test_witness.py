@@ -21,7 +21,6 @@ from zsindex import (
     find_witness,
     interval_integers,
     interval_witness,
-    min_prime_powers,
     two_of_three_witness,
     verify_witness,
 )
@@ -61,17 +60,17 @@ def random_normal_form(rng, n_max=2000):
 
 class TestIntervalIntegers:
     def test_wide_interval(self):
-        assert interval_integers(1, nf(35, 1, 2, 3, 4)) == [9, 10, 11]
+        assert list(interval_integers(1, nf(35, 1, 2, 3, 4))) == [9, 10, 11]
 
     def test_single_member(self):
-        assert interval_integers(1, nf(35, 1, 2, 8, 9)) == [4]
+        assert list(interval_integers(1, nf(35, 1, 2, 8, 9))) == [4]
 
     def test_empty_interval(self):
-        assert interval_integers(2, nf(35, 1, 2, 15, 16)) == []
+        assert list(interval_integers(2, nf(35, 1, 2, 15, 16))) == []
 
     def test_half_open_excludes_upper_bound(self):
         form = nf(40, 1, 3, 8, 10)
-        assert interval_integers(1, form) == [4]  # 5 = 40/8 is excluded half-open
+        assert list(interval_integers(1, form)) == [4]  # 5 = 40/8 is excluded half-open
 
     def test_exact_arithmetic_against_cross_multiplication(self):
         rng = random.Random(11)
@@ -80,7 +79,7 @@ class TestIntervalIntegers:
             n, b, c = form.modulus.n, form.b, form.c
             for k in (1, 2, 3, 5):
                 members = interval_integers(k, form)
-                assert members == naive_interval_members(k, n, b, c)
+                assert list(members) == naive_interval_members(k, n, b, c)
                 for m in members:
                     assert k * n <= m * c and m * b < k * n
 
@@ -127,7 +126,7 @@ class TestIntervalDiagnostics:
     def test_fields_are_consistent(self):
         form = nf(35, 1, 2, 8, 9)
         assert compute_k1(form) == 1 and compute_l(form) == 6
-        per = {k: interval_integers(k, form) for k in range(1, 7)}
+        per = {k: list(interval_integers(k, form)) for k in range(1, 7)}
         assert per[1] == [4]
         assert per[6] == [24, 25, 26]
         assert all(len(per[k]) <= 2 for k in range(1, 6))
@@ -192,16 +191,15 @@ class TestCandidatePool:
         assert 28 not in pool35  # gcd(28, 35) = 7
 
     def test_prime_power_formulas_need_params(self):
-        # represented sequence (5, 49, 135, 161): gcds 5, 49, 5, 7
+        # represented sequence (5, 49, 135, 161): gcds 5, 49, 5, 7, so q0 = 7
         form = nf(175, 5, 14, 40, 49)
-        params = min_prime_powers(form.represented(), 5, 7)
-        assert params.p ** params.i0 == 5 and params.q_power == 7
-        with_params = dict(candidate_multipliers(form, params))
-        without = dict(candidate_multipliers(form))
-        assert with_params.get(12) == "(n-q0)/(2q0)"  # (175 - 7) / 14
-        assert with_params.get(37) == "(3n-q0)/(2q0)"  # (525 - 7) / 14
+        pool = dict(candidate_multipliers(form))
+        assert pool.get(12) == "(n-q0)/(2q0)"  # (175 - 7) / 14
+        assert pool.get(37) == "(3n-q0)/(2q0)"  # (525 - 7) / 14
+        # represented sequence (1, 4, 32, 33) has unit terms: no q0
+        unit_terms = dict(candidate_multipliers(nf(35, 1, 2, 3, 4)))
         q_tags = {"(n-q0)/(2q0)", "(3n-q0)/(2q0)"}
-        assert not q_tags & set(without.values())
+        assert not q_tags & set(unit_terms.values())
 
     def test_no_duplicate_multipliers(self):
         pool = candidate_multipliers(nf(35, 1, 2, 3, 4))
