@@ -22,9 +22,13 @@ from typing import Iterator, Sequence as SequenceABC
 from .certificates import HighIndexEvidence, verify_witness
 from .residues import GroupOrder, factorize, units
 from .sequences import Sequence, is_minimal_terms, min_transform_sum, sequence_index
-from .witness import _exhaustive, find_witness
+from .witness import _MEMO, _exhaustive, find_witness
 
 HIGH_INDEX_KEY = "HIGH_INDEX"
+# Version of the FILE.blocks records.  Records without it were written
+# before full sweeps carried each sequence's lead-image label, so their
+# histograms cannot merge with this engine's.
+CHECKPOINT_SCHEMA = 2
 
 
 def _minimal_quadruples(n: int, leading: SequenceABC[int]) -> Iterator[tuple[int, int, int, int]]:
@@ -229,8 +233,9 @@ class Checkpoint:
     Each completed block appends one fsynced JSONL record to ``path +
     ".blocks"`` carrying its tallies, so a resumed run reproduces the
     uninterrupted report exactly; records also carry the orbits flag, so
-    switching modes never reuses stale blocks.  Nothing is written at
-    ``path`` itself.
+    switching modes never reuses stale blocks, and ``CHECKPOINT_SCHEMA``,
+    so a log from another engine version is refused rather than merged.
+    Nothing is written at ``path`` itself.
     """
 
     def __init__(self, path: str | os.PathLike[str]):
@@ -243,7 +248,8 @@ class Checkpoint:
         A record is complete once its newline is written.  A final line that
         lacks its newline or does not decode (a crash mid-append) is dropped
         and truncated away, so the next record starts on a line of its own;
-        an undecodable line anywhere before the last is corruption and raises.
+        an undecodable line anywhere before the last is corruption and raises,
+        and so does a record of another schema or none.
         """
         done: dict[int, BlockResult] = {}
         if not self.data_path.exists():
@@ -260,6 +266,12 @@ class Checkpoint:
                         raise
                     break
                 whole += len(line)
+                if rec.get("schema") != CHECKPOINT_SCHEMA:
+                    raise ValueError(
+                        f"{self.data_path} holds a record of checkpoint schema "
+                        f"{rec.get('schema')}, not {CHECKPOINT_SCHEMA}; "
+                        "start from a new checkpoint path"
+                    )
                 if rec["n"] != n or rec["k"] != k or rec["orbits"] != orbits:
                     continue
                 done[rec["n1"]] = BlockResult(
@@ -280,6 +292,7 @@ class Checkpoint:
 
     def record(self, n: int, k: int, orbits: bool, block: BlockResult) -> None:
         payload = {
+            "schema": CHECKPOINT_SCHEMA,
             "n": n,
             "k": k,
             "orbits": orbits,
@@ -315,6 +328,7 @@ def verify_conjecture(n: GroupOrder, options: VerifyOptions | None = None) -> Ve
     jobs = effective_jobs(opts.jobs, os.cpu_count(), len(pending))
     args = (repeat(modulus), repeat(opts.k), pending, repeat(opts.orbits))
     interrupted = False
+    _MEMO.clear()  # cold start: forked workers inherit the empty memo
     try:
         executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
         with executor as pool:
@@ -329,6 +343,8 @@ def verify_conjecture(n: GroupOrder, options: VerifyOptions | None = None) -> Ve
                     checkpoint.record(modulus, opts.k, opts.orbits, block)
     except KeyboardInterrupt:
         interrupted = True
+    finally:
+        _MEMO.clear()
     complete = not interrupted and len(results) == len(all_blocks)
     histogram: dict[str, int] = {}
     high: list[tuple[tuple[int, ...], int]] = []

@@ -29,9 +29,9 @@ class Sequence:
         if len(ordered) < 1:
             raise ValueError("a sequence needs at least one term")
         n = self.modulus.n
-        for t in ordered:
-            if not 1 <= t <= n:
-                raise ValueError(f"term {t} outside [1, {n}]")
+        lo, hi = ordered[0], ordered[-1]  # sorted: these bound every term
+        if lo < 1 or hi > n:
+            raise ValueError(f"term {lo if lo < 1 else hi} outside [1, {n}]")
 
     @classmethod
     def over(cls, n: int, terms: Iterable[int]) -> "Sequence":

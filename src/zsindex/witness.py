@@ -9,7 +9,9 @@ entries read the half-open intervals [kn/c, kn/b) from one function,
 read from the gcds of the represented terms.  Every hit from every stage is
 validated by direct recomputation before it is emitted; a failed validation
 is logged and the search just continues, so soundness rests on the
-validation alone.
+validation alone.  ``find_witness`` runs the stages once per lead image
+of a unit orbit and carries each certificate to the other sequences with
+that image, certifying it again on their own terms.
 """
 
 from __future__ import annotations
@@ -267,6 +269,8 @@ def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
     assert nf is not None
     trail_product = outcome.trail.composed(n)
     trail_strings = outcome.trail.as_strings()
+    # The trail maps s onto the represented sequence, so m certifies that
+    # sequence exactly when m times the trail certifies s.
     for stage in (interval_witness, two_of_three_witness):
         w = stage(nf)
         if w is not None:
@@ -274,12 +278,9 @@ def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
                 s, w.m * trail_product, w.rule, k=w.k, case=w.case,
                 trail=trail_strings,
             )
-            if lifted is not None:
-                return lifted
-            logger.debug("trail lift failed for %s via %s", w, outcome.trail)
+            assert lifted is not None, "trail lift must preserve the certificate"
+            return lifted
     for m, tag in _iter_candidates(nf):
-        # The trail maps s onto the represented sequence, so m certifies
-        # that sequence exactly when m times the trail certifies s.
         w = certify(
             s, m * trail_product, RULE_CANDIDATE, case=tag, trail=trail_strings
         )
@@ -288,17 +289,68 @@ def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
     return _exhaustive(s, trail=trail_strings)
 
 
+def _lead_image(terms: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
+    """A sorted image u*T of sorted terms that leads with d = min gcd(t, n).
+
+    u is the smallest unit lift of (t/d)^-1 mod n/d for the first term t
+    with gcd(t, n) = d, so u*t = d.  When T already leads with d, u = 1 and
+    the image is T itself.  Unlike the orbit's least member, this needs one
+    inverse and one sort, not one sort per lift of every gcd-d term.
+    """
+    d, t = n, n
+    for x in terms:
+        g = math.gcd(x, n)
+        if g < d:
+            d, t = g, x
+            if g == 1:
+                break  # no gcd is smaller
+    if t == d:
+        return terms, 1
+    step = n // d
+    u = pow(t // d, -1, step)
+    while math.gcd(u, n) != 1:
+        u += step
+    return tuple(sorted([(u * x - 1) % n + 1 for x in terms])), u
+
+
+# _pipeline's result per (n, lead image).  find_witness reads the same
+# result for every sequence with that image, so the memo changes no output;
+# verify_conjecture empties it at both ends so every sweep starts cold.
+_MEMO_CAP = 1 << 15
+_MEMO: dict[tuple[int, tuple[int, ...]], Witness | HighIndexEvidence] = {}
+
+
 def find_witness(s: Sequence) -> Witness | HighIndexEvidence:
     """Find a validated index-1 certificate, or prove the index exceeds 1.
 
-    Stages, in order: sum = n, content division, normalization (with its
-    cheap certificates), the interval condition on [kn/c, kn/b), the
-    half-plane condition, the structured candidate pool, exhaustive scan.
-    The result of the exhaustive stage is exact evidence of the minimum when
-    no certificate exists.  Requires a minimal zero-sum quadruple.
+    The staged pipeline runs once per lead image u*T (see ``_lead_image``):
+    sum = n, content division, normalization (with its cheap certificates),
+    the interval condition on [kn/c, kn/b), the half-plane condition, the
+    structured candidate pool, exhaustive scan.  The index is constant on
+    unit orbits and a certificate m of u*T gives m*u for T, which is
+    certified on T's own terms; high-index evidence is recomputed on T so
+    its argmin is T's smallest.  Requires a minimal zero-sum quadruple.
     """
     if len(s.terms) != 4:
         raise NotLength4(f"expected 4 terms, got {len(s.terms)}")
     if not is_minimal_zero_sum(s):
         raise NotMinimalZeroSum(f"{s.terms} over {s.n} is not minimal zero-sum")
-    return _pipeline(s)
+    n = s.n
+    image, u = _lead_image(s.terms, n)
+    key = (n, image)
+    found = _MEMO.get(key)
+    if found is None:
+        found = _pipeline(s if u == 1 else Sequence(s.modulus, image))
+        if len(_MEMO) >= _MEMO_CAP:
+            _MEMO.clear()  # a bound on memory; a sweep past it restarts cold
+        _MEMO[key] = found
+    if u == 1:
+        return found
+    if isinstance(found, HighIndexEvidence):
+        return _exhaustive(s, trail=())
+    w = certify(
+        s, found.m * u, found.rule, k=found.k, case=found.case,
+        trail=(f"orbit:{u}",) + found.trail,
+    )
+    assert w is not None, "a unit must carry the certificate along its orbit"
+    return w

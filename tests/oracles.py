@@ -128,3 +128,19 @@ def naive_orbit_canonical(terms: tuple[int, ...], n: int) -> tuple[int, ...]:
         if candidate < best:
             best = candidate
     return best
+
+
+def naive_orbit_reps(n: int, tuples) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each tuple's naive canonical form, asking the oracle once per orbit.
+
+    Every member of an orbit met is mapped, so the result also covers the
+    unit images of the given tuples.
+    """
+    rep_of = {}
+    for terms in tuples:
+        if terms in rep_of:
+            continue
+        rep = naive_orbit_canonical(terms, n)
+        for m in naive_units(n):
+            rep_of[tuple(sorted((m * t) % n or n for t in terms))] = rep
+    return rep_of

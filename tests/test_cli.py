@@ -77,7 +77,7 @@ class TestWitnessCommand:
              "--report-path", str(report)]
         )
         assert code == EXIT_OK
-        assert output.startswith("index 1 witness 26 rule INTERVAL")
+        assert output.startswith("index 1 witness 24 rule INTERVAL")
         record = json.loads(report.read_text().strip())
         assert set(record) == {"n", "terms", "index", "witness_m", "rule", "trail"}
         s = Sequence.over(record["n"], record["terms"])

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from zsindex import (
+    HighIndexEvidence,
     Sequence,
     VerifyOptions,
     apply_unit,
@@ -28,23 +29,16 @@ from zsindex.harness import (
     effective_jobs,
 )
 
-from oracles import naive_index, naive_minimal_enumeration, naive_orbit_canonical, naive_units
+from oracles import (
+    naive_index,
+    naive_minimal_enumeration,
+    naive_orbit_canonical,
+    naive_orbit_reps,
+)
 
 
 def terms_of(n, k=4):
     return {s.terms for s in enumerate_minimal(factorize(n), k)}
-
-
-def oracle_reps(n, tuples):
-    """Each tuple's naive canonical form, asking the oracle once per orbit."""
-    rep_of = {}
-    for terms in tuples:
-        if terms in rep_of:
-            continue
-        rep = naive_orbit_canonical(terms, n)
-        for m in naive_units(n):
-            rep_of[tuple(sorted((m * t) % n or n for t in terms))] = rep
-    return rep_of
 
 
 class TestEnumerateMinimal:
@@ -101,7 +95,7 @@ class TestOrbitCanonical:
     def test_kernel_matches_oracle_on_every_minimal_tuple(self, k):
         for n in range(2, 41):
             tuples = list(_minimal_tuples(n, k))
-            rep_of = oracle_reps(n, tuples)
+            rep_of = naive_orbit_reps(n, tuples)
             assert set(rep_of) == set(tuples)  # orbits stay inside the minimal set
             for terms in tuples:
                 assert _canonical_terms(terms, n) == rep_of[terms], (n, terms)
@@ -125,7 +119,7 @@ class TestOrbitCanonical:
         for r in records:
             tuples = list(_minimal_tuples(r["n"], 4))
             assert r["sequences_total"] == len(tuples)
-            assert r["orbits_total"] == len(set(oracle_reps(r["n"], tuples).values())), r["n"]
+            assert r["orbits_total"] == len(set(naive_orbit_reps(r["n"], tuples).values())), r["n"]
 
 
 
@@ -204,12 +198,12 @@ class TestVerifyConjecture:
         assert sum(report.rule_histogram.values()) == report.sequences_total
 
 
-# Proof-rule labels and high-index findings as the staged pipeline produced
-# them before the shared scan kernel and lazy candidate pool; a hot-path
-# change must not relabel a single sequence.  n = 75 is the smallest modulus
-# where both two-prime q0 formulas are the first pool hit.  The index-2
-# findings of n = 30 (140) and n = 75 (32) are pinned by count and by the
-# SHA-256 of their JSON list.
+# Proof-rule labels as the staged pipeline produces them on every sequence,
+# unchanged since before the shared scan kernel and lazy candidate pool; a
+# hot-path change must not relabel a single sequence.  n = 75 is the
+# smallest modulus where both two-prime q0 formulas are the first pool hit.
+# The index-2 findings of n = 30 (140) and n = 75 (32) are pinned by count
+# and by the SHA-256 of their JSON list.
 GOLDEN_HISTOGRAMS = {
     30: {
         "CANDIDATE:(n+2a)/a": 4, "CANDIDATE:(n+3a)/a": 2, "CANDIDATE:(n+4a)/a": 2,
@@ -255,10 +249,41 @@ GOLDEN_HIGH_INDEX = {
 }
 
 
+# The same sweeps' rule_histogram, where find_witness runs the pipeline on
+# each sequence's lead image and the sequence carries that image's label.
+GOLDEN_TRANSPORTED = {
+    30: {
+        "CANDIDATE:interval": 52, "HIGH_INDEX": 140, "INTERVAL": 158,
+        "ONE_SIDED": 102, "SUM_N": 572, "TWO_OF_THREE": 58,
+    },
+    35: {"INTERVAL": 539, "ONE_SIDED": 247, "SUM_N": 912, "TWO_OF_THREE": 36},
+    49: {"INTERVAL": 1658, "ONE_SIDED": 622, "SUM_N": 2520},
+    55: {"INTERVAL": 2328, "ONE_SIDED": 898, "SUM_N": 3539, "TWO_OF_THREE": 39},
+    75: {
+        "HIGH_INDEX": 32, "INTERVAL": 5249, "ONE_SIDED": 2235, "SUM_N": 8928,
+        "TWO_OF_THREE": 896,
+    },
+    77: {"INTERVAL": 6672, "ONE_SIDED": 2501, "SUM_N": 9599},
+}
+# verify --orbits: (orbits_total, rule_histogram), as before lead images.
+GOLDEN_ORBITS = {
+    35: (79, {"INTERVAL": 13, "ONE_SIDED": 3, "SUM_N": 63}),
+    75: (476, {"HIGH_INDEX": 3, "INTERVAL": 91, "ONE_SIDED": 13, "SUM_N": 363,
+               "TWO_OF_THREE": 6}),
+    77: (325, {"INTERVAL": 49, "ONE_SIDED": 7, "SUM_N": 269}),
+}
+
+
 @pytest.mark.parametrize("n", sorted(GOLDEN_HISTOGRAMS))
 def test_golden_rule_histogram(n):
+    staged: dict[str, int] = {}
+    for seq in enumerate_minimal(factorize(n)):
+        result = witness._pipeline(seq)
+        key = HIGH_INDEX_KEY if isinstance(result, HighIndexEvidence) else result.label
+        staged[key] = staged.get(key, 0) + 1
+    assert staged == GOLDEN_HISTOGRAMS[n]
     report = verify_conjecture(factorize(n))
-    assert report.rule_histogram == GOLDEN_HISTOGRAMS[n]
+    assert report.rule_histogram == GOLDEN_TRANSPORTED[n]
     if n not in GOLDEN_HIGH_INDEX:
         assert report.high_index == ()
         return
@@ -267,6 +292,30 @@ def test_golden_rule_histogram(n):
         GOLDEN_HIGH_INDEX[n]
     )
     assert {index for _, index in report.high_index} == {2}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_ORBITS))
+def test_golden_orbit_histogram(n):
+    report = verify_conjecture(factorize(n), VerifyOptions(orbits=True))
+    assert (report.orbits_total, report.rule_histogram) == GOLDEN_ORBITS[n]
+
+
+def test_every_sweep_starts_with_a_cold_memo(monkeypatch):
+    images = []
+    pipeline = witness._pipeline
+
+    def counting(s):
+        if s.n == 77:  # content division recurses at smaller moduli
+            images.append(s.terms)
+        return pipeline(s)
+
+    monkeypatch.setattr(witness, "_pipeline", counting)
+    first = verify_conjecture(factorize(77))
+    calls = len(images)
+    second = verify_conjecture(factorize(77))
+    assert calls == len(images) - calls == len(set(images)) == 970
+    assert first.rule_histogram == second.rule_histogram
+    assert witness._MEMO == {}
 
 
 @pytest.mark.parametrize(
@@ -364,6 +413,33 @@ class TestCheckpointResume:
         blocks.write_bytes(b"".join(lines))
         with pytest.raises(json.JSONDecodeError):
             verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
+
+    @pytest.mark.parametrize("schema", [None, 1, harness.CHECKPOINT_SCHEMA + 1])
+    def test_record_of_another_schema_is_refused(self, tmp_path, capsys, schema):
+        # A record as releases before the schema field wrote it: full-sweep
+        # labels came from the staged pipeline on every sequence then.
+        record = {
+            "high_index": [], "histogram": {"INTERVAL": 29, "ONE_SIDED": 14, "SUM_N": 48,
+                                            "TWO_OF_THREE": 1},
+            "k": 4, "n": 25, "n1": 1, "orbit_reps": 92, "orbits": False, "sequences": 92,
+        }
+        if schema is not None:
+            record["schema"] = schema
+        ckpt = tmp_path / "sweep.ckpt"
+        blocks = tmp_path / "sweep.ckpt.blocks"
+        blocks.write_text(json.dumps(record, sort_keys=True) + "\n")
+        with pytest.raises(ValueError, match="checkpoint schema"):
+            verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
+        code = run(["verify", "--n", "25", "--checkpoint-path", str(ckpt)], out=io.StringIO())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+        assert blocks.read_text() == json.dumps(record, sort_keys=True) + "\n"
+
+    def test_records_carry_the_schema(self, monkeypatch, tmp_path):
+        sweep_interrupted_at_block_6(monkeypatch, tmp_path / "sweep.ckpt")
+        records = (tmp_path / "sweep.ckpt.blocks").read_text().splitlines()
+        assert [json.loads(r)["schema"] for r in records] == [harness.CHECKPOINT_SCHEMA] * 5
 
     def test_orbit_mode_invalidates_blocks(self, monkeypatch, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"

@@ -41,6 +41,17 @@ class TestSequenceType:
         with pytest.raises(ValueError):
             seq(10, (1, 11))
 
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("bad", [-3, 0, 11, 25])
+    def test_out_of_range_term_at_each_position(self, position, bad):
+        # Only the sorted extremes are checked; wherever the bad term sits
+        # in the input, sorting moves it to one of them.
+        terms = [3, 10, 1, 7]
+        assert seq(10, terms).terms == (1, 3, 7, 10)
+        terms[position] = bad
+        with pytest.raises(ValueError, match=f"term {bad} outside"):
+            seq(10, terms)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             seq(10, ())

@@ -25,12 +25,16 @@ from zsindex import (
     verify_witness,
 )
 
+from zsindex.harness import _minimal_tuples
+from zsindex.witness import _lead_image, _pipeline
+
 from oracles import (
     naive_index,
     naive_interval_members,
     naive_is_minimal,
     naive_k1,
     naive_l,
+    naive_orbit_reps,
     naive_units,
 )
 
@@ -208,14 +212,54 @@ class TestCandidatePool:
         assert all(math.gcd(m, 35) == 1 and 1 <= m < 35 for m in values)
 
 
+class TestLeadImage:
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_matches_oracle_on_every_minimal_tuple(self, k):
+        for n in range(2, 41):
+            tuples = list(_minimal_tuples(n, k))
+            rep_of = naive_orbit_reps(n, tuples)
+            units = naive_units(n)
+            for terms in tuples:
+                image, u = _lead_image(terms, n)
+                d = min(math.gcd(t, n) for t in terms)
+                assert u in units and u < n, (n, terms, u)
+                assert image == tuple(sorted((u * t) % n or n for t in terms))
+                assert image[0] == d, (n, terms, image)
+                assert rep_of[image] == rep_of[terms], (n, terms, image)
+                assert (u == 1) == (terms[0] == d), (n, terms, u)
+                # the smallest unit sending the first gcd-d term to d
+                t = next(t for t in terms if math.gcd(t, n) == d)
+                assert u == min(m for m in units if m * t % n == d), (n, terms)
+
+
 class TestFindWitness:
     def test_worked_pipeline_case(self):
         s = seq(35, (2, 3, 31, 34))
-        w = find_witness(s)
+        w = _pipeline(s)
         assert isinstance(w, Witness)
         assert w.rule == RULE_INTERVAL and w.k == 1
         assert w.m == 26  # interval unit 9 pulled back through the complement
         assert verify_witness(s, w)
+
+    def test_worked_transported_case(self):
+        s = seq(35, (2, 3, 31, 34))
+        # 18 = 2^-1 mod 35 sends the leading unit term 2 to 1
+        assert _lead_image(s.terms, 35) == ((1, 17, 19, 33), 18)
+        image = _pipeline(seq(35, (1, 17, 19, 33)))
+        w = find_witness(s)
+        assert isinstance(w, Witness)
+        assert (w.rule, w.k) == (image.rule, image.k) == (RULE_INTERVAL, 6)
+        assert w.m == image.m * 18 % 35 == 24
+        assert w.trail == ("orbit:18",) + image.trail
+        assert verify_witness(s, w)
+
+    def test_high_index_evidence_is_the_inputs_own(self):
+        # (2, 5, 6, 7) leads its image (1, 5, 6, 8) by the unit 3 over Z_10
+        assert _lead_image((2, 5, 6, 7), 10) == ((1, 5, 6, 8), 3)
+        assert find_witness(seq(10, (1, 5, 6, 8))).argmin_unit == 1
+        result = find_witness(seq(10, (2, 5, 6, 7)))
+        assert result == _pipeline(seq(10, (2, 5, 6, 7)))
+        assert result.argmin_unit == 1 and result.min_sum == 20
 
     def test_high_index_evidence(self):
         result = find_witness(seq(10, (2, 5, 6, 7)))
@@ -265,19 +309,23 @@ class TestFindWitness:
     def test_oracle_agreement_full_range_to_60(self):
         from zsindex import enumerate_minimal
 
+        # The staged pipeline on its own too: find_witness runs it on lead
+        # images only, which would leave some stages unexercised.
         for n in range(4, 61):
             group = factorize(n)
             units = naive_units(n)
             for s in enumerate_minimal(group, 4):
-                result = find_witness(s)
                 best = min(
                     sum((m * t - 1) % n + 1 for t in s.terms) for m in units
                 )
-                if best == n:
-                    assert isinstance(result, Witness), (n, s.terms)
-                else:
-                    assert isinstance(result, HighIndexEvidence), (n, s.terms)
-                    assert result.min_sum == best, (n, s.terms)
+                for engine in (find_witness, _pipeline):
+                    result = engine(s)
+                    if best == n:
+                        assert isinstance(result, Witness), (engine, n, s.terms)
+                        assert verify_witness(s, result), (engine, n, s.terms)
+                    else:
+                        assert isinstance(result, HighIndexEvidence), (engine, n, s.terms)
+                        assert result.min_sum == best, (engine, n, s.terms)
 
     def test_oracle_agreement_random_large_moduli(self):
         rng = random.Random(1225)
