@@ -230,17 +230,20 @@ class VerificationReport:
 class Checkpoint:
     """Append-only block-completion log.
 
-    Each completed block appends one fsynced JSONL record to ``path +
-    ".blocks"`` carrying its tallies, so a resumed run reproduces the
-    uninterrupted report exactly; records also carry the orbits flag, so
-    switching modes never reuses stale blocks, and ``CHECKPOINT_SCHEMA``,
-    so a log from another engine version is refused rather than merged.
-    Nothing is written at ``path`` itself.
+    Each completed block appends one JSONL record to ``path + ".blocks"``
+    carrying its tallies, so a resumed run reproduces the uninterrupted
+    report exactly; records also carry the orbits flag, so switching modes
+    never reuses stale blocks, and ``CHECKPOINT_SCHEMA``, so a log from
+    another engine version is refused rather than merged.  A record reaches
+    the operating system as its block completes, so it survives the process;
+    ``sync`` makes the records appended since the last sync durable with one
+    fsync.  Nothing is written at ``path`` itself.
     """
 
     def __init__(self, path: str | os.PathLike[str]):
         self.path = Path(path)
         self.data_path = self.path.with_name(self.path.name + ".blocks")
+        self._unsynced = False
 
     def load(self, n: int, k: int, orbits: bool) -> dict[int, BlockResult]:
         """Completed blocks of this (n, k, orbits) sweep.
@@ -304,8 +307,14 @@ class Checkpoint:
         }
         with open(self.data_path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(payload, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._unsynced = True
+
+    def sync(self) -> None:
+        """Fsync the log if records were appended since the last sync."""
+        if self._unsynced:
+            with open(self.data_path, "ab") as fh:
+                os.fsync(fh.fileno())
+            self._unsynced = False
 
 
 def verify_conjecture(n: GroupOrder, options: VerifyOptions | None = None) -> VerificationReport:
@@ -345,6 +354,8 @@ def verify_conjecture(n: GroupOrder, options: VerifyOptions | None = None) -> Ve
         interrupted = True
     finally:
         _MEMO.clear()
+        if checkpoint:
+            checkpoint.sync()  # one fsync per sweep, not one per block
     complete = not interrupted and len(results) == len(all_blocks)
     histogram: dict[str, int] = {}
     high: list[tuple[tuple[int, ...], int]] = []

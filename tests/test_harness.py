@@ -373,6 +373,19 @@ class TestCheckpointResume:
         assert not ckpt.exists()
         assert block_keys(blocks) == [(25, 4, i) for i in range(1, 25)]
 
+    def test_one_fsync_per_sweep_that_appends(self, monkeypatch, tmp_path):
+        ckpt = tmp_path / "sweep.ckpt"
+        synced = []
+        fsync = harness.os.fsync
+        monkeypatch.setattr(harness.os, "fsync", lambda fd: synced.append(fd) or fsync(fd))
+        sweep_interrupted_at_block_6(monkeypatch, ckpt)
+        assert len(synced) == 1  # the interrupted sweep's five records
+        opts = VerifyOptions(checkpoint_path=ckpt)
+        verify_conjecture(factorize(25), opts)
+        assert len(synced) == 2  # the remaining nineteen
+        verify_conjecture(factorize(25), opts)
+        assert len(synced) == 2  # nothing left to append, nothing to sync
+
     def test_stale_marker_file_is_ignored(self, monkeypatch, tmp_path):
         # Older releases also wrote one "n k n1" line per block at FILE itself.
         ckpt = tmp_path / "sweep.ckpt"
