@@ -77,8 +77,11 @@ def _minimal_tuples_generic(n: int, k: int, leading: SequenceABC[int]) -> Iterat
             yield from _extend(prefix, partial + t)
             prefix.pop()
 
-    if k == 1:
-        return  # the only zero-sum singleton is the zero element, excluded
+    if k == 1 or k > n:
+        # The only zero-sum singleton is the zero element, excluded; and no
+        # minimal zero-sum sequence over Z_n is longer than n (its Davenport
+        # constant), since n terms always hold a nonempty zero-sum subset.
+        return
     for t1 in leading:
         yield from _extend([t1], t1)
 
@@ -165,7 +168,7 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
             continue
         reps += 1
         seq = Sequence(group, terms)
-        result = find_witness(seq) if k == 4 else _exhaustive(seq, trail=())
+        result = find_witness(seq) if k == 4 else _exhaustive(seq)
         if isinstance(result, HighIndexEvidence):
             check = sequence_index(seq)
             if check.numerator != result.min_sum or check.argmin_unit != result.argmin_unit:
@@ -252,7 +255,8 @@ class Checkpoint:
         lacks its newline or does not decode (a crash mid-append) is dropped
         and truncated away, so the next record starts on a line of its own;
         an undecodable line anywhere before the last is corruption and raises,
-        and so does a record of another schema or none.
+        and so does a record of another schema or none, or one that decodes
+        but is not an object holding every field.
         """
         done: dict[int, BlockResult] = {}
         if not self.data_path.exists():
@@ -269,23 +273,29 @@ class Checkpoint:
                         raise
                     break
                 whole += len(line)
-                if rec.get("schema") != CHECKPOINT_SCHEMA:
-                    raise ValueError(
-                        f"{self.data_path} holds a record of checkpoint schema "
-                        f"{rec.get('schema')}, not {CHECKPOINT_SCHEMA}; "
-                        "start from a new checkpoint path"
+                try:
+                    if rec.get("schema") != CHECKPOINT_SCHEMA:
+                        raise ValueError(
+                            f"{self.data_path} holds a record of checkpoint schema "
+                            f"{rec.get('schema')}, not {CHECKPOINT_SCHEMA}; "
+                            "start from a new checkpoint path"
+                        )
+                    if rec["n"] != n or rec["k"] != k or rec["orbits"] != orbits:
+                        continue
+                    done[rec["n1"]] = BlockResult(
+                        n1=rec["n1"],
+                        sequences=rec["sequences"],
+                        orbit_reps=rec["orbit_reps"],
+                        histogram=dict(rec["histogram"]),
+                        high_index=[
+                            (tuple(terms), index) for terms, index in rec["high_index"]
+                        ],
                     )
-                if rec["n"] != n or rec["k"] != k or rec["orbits"] != orbits:
-                    continue
-                done[rec["n1"]] = BlockResult(
-                    n1=rec["n1"],
-                    sequences=rec["sequences"],
-                    orbit_reps=rec["orbit_reps"],
-                    histogram=dict(rec["histogram"]),
-                    high_index=[
-                        (tuple(terms), index) for terms, index in rec["high_index"]
-                    ],
-                )
+                except (KeyError, TypeError, AttributeError) as exc:
+                    raise ValueError(
+                        f"{self.data_path} holds a malformed checkpoint record "
+                        f"({type(exc).__name__}: {exc}); start from a new checkpoint path"
+                    ) from exc
             torn = fh.tell() > whole
         if torn:
             with open(self.data_path, "r+b") as fh:

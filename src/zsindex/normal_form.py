@@ -15,7 +15,6 @@ recomputation before it leaves the module; no derivation is trusted.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -83,11 +82,6 @@ class NormalForm:
         return (self.e, self.c, n - self.b, n - self.a)
 
     def represented(self) -> Sequence:
-        return self._represented
-
-    @functools.cached_property
-    def _represented(self) -> Sequence:
-        # Built once per form: every search stage certifies against it.
         return Sequence(self.modulus, self.represented_terms())
 
 

@@ -10,8 +10,10 @@ read from the gcds of the represented terms.  Every hit from every stage is
 validated by direct recomputation before it is emitted; a failed validation
 is logged and the search just continues, so soundness rests on the
 validation alone.  ``find_witness`` runs the stages once per lead image
-of a unit orbit and carries each certificate to the other sequences with
-that image, certifying it again on their own terms.
+of a unit orbit.  A certificate found on one sequence reaches another by a
+unit move (the lift out of content division, the normalization trail, the
+orbit transport), and each move certifies it again on the target's own
+terms through one helper, ``_carry``.
 """
 
 from __future__ import annotations
@@ -143,20 +145,15 @@ def candidate_multipliers(nf: NormalForm) -> list[tuple[int, str]]:
 
     Order: the divisibility-based formulas in construction order, then
     interval members ascending by (k, m), then the fixed small constants.
-    Each entry is reduced into [1, n-1] and tagged with its source.
+    Each entry is reduced into [1, n-1] and tagged with its first source.
     """
-    return list(_iter_candidates(nf))
-
-
-def _iter_candidates(nf: NormalForm) -> Iterator[tuple[int, str]]:
-    """candidate_multipliers' entries, in order, built only as far as read."""
     n = nf.modulus.n
-    seen: set[int] = set()
+    pool: dict[int, str] = {}
     for value, tag in _pool_sources(nf):
         m = reduce_value(value, n)
-        if m not in seen and math.gcd(m, n) == 1:
-            seen.add(m)
-            yield m, tag
+        if m not in pool and math.gcd(m, n) == 1:
+            pool[m] = tag
+    return list(pool.items())
 
 
 def _pool_sources(nf: NormalForm) -> Iterator[tuple[int, str]]:
@@ -208,7 +205,7 @@ def _q0(s: Sequence) -> int | None:
     return max(min(p_only), min(q_only))
 
 
-def _exhaustive(s: Sequence, trail: tuple[str, ...]) -> Witness | HighIndexEvidence:
+def _exhaustive(s: Sequence, trail: tuple[str, ...] = ()) -> Witness | HighIndexEvidence:
     """Ascending unit scan: first certificate, else the exact minimum."""
     n = s.n
     best, best_m = min_transform_sum(s.terms, n, units(s.modulus), stop_at=n)
@@ -220,29 +217,27 @@ def _exhaustive(s: Sequence, trail: tuple[str, ...]) -> Witness | HighIndexEvide
     return HighIndexEvidence(index=best // n, argmin_unit=best_m, min_sum=best)
 
 
-def _lift_by_content(inner: Witness, s: Sequence, u: int) -> Witness:
-    """Translate a witness for the content-reduced sequence back to s.
+def _unit_lift(x: int, n: int, step: int) -> int:
+    """Least unit of Z_n congruent to x modulo step, a divisor of n.
 
-    Any lift of the unit that stays coprime to n transforms the original
-    terms to exactly u times the reduced transforms, so the sum scales from
-    n/u back to n.
+    Needs gcd(x, step) = 1; every unit of Z_step then lifts to Z_n.
     """
-    n = s.n
-    step = n // u
-    for t in range(u):
-        candidate = inner.m + t * step
-        if math.gcd(candidate, n) == 1:
-            w = certify(
-                s,
-                candidate,
-                inner.rule,
-                k=inner.k,
-                case=inner.case,
-                trail=(f"content:{u}",) + inner.trail,
-            )
-            assert w is not None, "content lift must preserve the certificate"
-            return w
-    raise AssertionError(f"no coprime lift of {inner.m} modulo {n}")
+    u = x % step
+    while math.gcd(u, n) != 1:
+        u += step
+    return u
+
+
+def _carry(w: Witness, s: Sequence, m: int, steps: tuple[str, ...]) -> Witness:
+    """w carried onto s, where its multiplier becomes m.
+
+    The move (content division, the normalization trail, a unit along the
+    orbit) keeps the index, so m certifies s on its own terms; steps names
+    the move and goes before w's trail.
+    """
+    carried = certify(s, m, w.rule, k=w.k, case=w.case, trail=steps + w.trail)
+    assert carried is not None, f"{steps} must carry the certificate {w}"
+    return carried
 
 
 def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
@@ -253,16 +248,18 @@ def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
         return w
     u = content(s)
     if u > 1:
+        # Any unit of Z_n lifting the reduced certificate transforms the
+        # terms to u times the reduced transforms, so the sum scales from
+        # n/u back to n.  The index is equal too; high-index evidence is
+        # recomputed at n so its argmin follows the smallest-unit rule there.
         inner = _pipeline(reduce_by_content(s))
-        if isinstance(inner, Witness):
-            return _lift_by_content(inner, s, u)
-        # Recompute the evidence at the original modulus so the argmin
-        # follows the smallest-unit rule there; the index itself is equal.
-        return _exhaustive(s, trail=(f"content:{u}",))
+        if isinstance(inner, HighIndexEvidence):
+            return _exhaustive(s)
+        return _carry(inner, s, _unit_lift(inner.m, n, n // u), (f"content:{u}",))
     try:
         outcome = _normalize_validated(s)
     except UnbalancedSplit:
-        return _exhaustive(s, trail=())
+        return _exhaustive(s)
     if outcome.witness is not None:
         return outcome.witness
     nf = outcome.normal_form
@@ -274,13 +271,8 @@ def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
     for stage in (interval_witness, two_of_three_witness):
         w = stage(nf)
         if w is not None:
-            lifted = certify(
-                s, w.m * trail_product, w.rule, k=w.k, case=w.case,
-                trail=trail_strings,
-            )
-            assert lifted is not None, "trail lift must preserve the certificate"
-            return lifted
-    for m, tag in _iter_candidates(nf):
+            return _carry(w, s, w.m * trail_product, trail_strings)
+    for m, tag in candidate_multipliers(nf):
         w = certify(
             s, m * trail_product, RULE_CANDIDATE, case=tag, trail=trail_strings
         )
@@ -307,9 +299,7 @@ def _lead_image(terms: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
     if t == d:
         return terms, 1
     step = n // d
-    u = pow(t // d, -1, step)
-    while math.gcd(u, n) != 1:
-        u += step
+    u = _unit_lift(pow(t // d, -1, step), n, step)
     return tuple(sorted([(u * x - 1) % n + 1 for x in terms])), u
 
 
@@ -347,10 +337,5 @@ def find_witness(s: Sequence) -> Witness | HighIndexEvidence:
     if u == 1:
         return found
     if isinstance(found, HighIndexEvidence):
-        return _exhaustive(s, trail=())
-    w = certify(
-        s, found.m * u, found.rule, k=found.k, case=found.case,
-        trail=(f"orbit:{u}",) + found.trail,
-    )
-    assert w is not None, "a unit must carry the certificate along its orbit"
-    return w
+        return _exhaustive(s)
+    return _carry(found, s, found.m * u, (f"orbit:{u}",))

@@ -77,3 +77,17 @@ def test_traced_verify_matches_its_report(tmp_path):
     assert metrics["witness.find.calls"] == record["sequences_total"]
     assert metrics["certificates.recheck.calls"] == record["sequences_total"]
     assert metrics["harness.checkpoint.records_written"] == 34
+
+
+def test_traced_sweep_sees_the_pool(tmp_path):
+    t = tracer.Tracer()
+    installed = tracer.Installed(t)
+    try:
+        code = run(
+            ["verify", "--n", "30", "--all-moduli", "--report-path", str(tmp_path / "r")],
+            out=io.StringIO(),
+        )
+    finally:
+        installed.remove()
+    assert code == EXIT_OK
+    assert tracer.pipeline_metrics(t)["witness.candidates.calls"] > 0

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -217,6 +218,19 @@ class TestVerifyCommand:
         code, output = invoke(["verify", "--n", "11", "--k", "5"])
         assert code == EXIT_OK
         assert output == "n=11 sequences=82 high_index=12 complete=true ok\n"
+
+    def test_lengths_above_n_are_empty_at_once(self, tmp_path):
+        # No minimal zero-sum sequence over Z_14 has more than 14 terms.
+        report = tmp_path / "verify.jsonl"
+        start = time.perf_counter()
+        code, output = invoke(
+            ["verify", "--n", "14", "--k", "18", "--all-moduli",
+             "--report-path", str(report)]
+        )
+        assert time.perf_counter() - start < 10
+        assert code == EXIT_OK
+        assert output == "n=14 sequences=0 high_index=0 complete=true ok\n"
+        assert json.loads(report.read_text())["sequences_total"] == 0
 
     def test_incomplete_run_exits_interrupted(self, monkeypatch):
         import zsindex.cli as cli_mod

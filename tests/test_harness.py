@@ -65,6 +65,12 @@ class TestEnumerateMinimal:
     def test_length_five_against_oracle(self):
         assert terms_of(8, k=5) == naive_minimal_enumeration(8, 5)
 
+    def test_lengths_above_n_are_empty(self):
+        # The Davenport constant of Z_n is n: longer sequences are never minimal.
+        assert terms_of(4, k=5) == naive_minimal_enumeration(4, 5) == set()
+        assert terms_of(5, k=5) == naive_minimal_enumeration(5, 5)
+        assert terms_of(5, k=5) == {(g,) * 5 for g in range(1, 5)}
+
 
 class TestOrbitCanonical:
     def test_worked_example(self):
@@ -300,6 +306,20 @@ def test_golden_orbit_histogram(n):
     assert (report.orbits_total, report.rule_histogram) == GOLDEN_ORBITS[n]
 
 
+def test_sweep_reaches_the_pool(monkeypatch):
+    pools = []
+    build = witness.candidate_multipliers
+
+    def counting(nf):
+        pools.append(nf)
+        return build(nf)
+
+    monkeypatch.setattr(witness, "candidate_multipliers", counting)
+    report = verify_conjecture(factorize(30))
+    assert pools
+    assert report.rule_histogram == GOLDEN_TRANSPORTED[30]
+
+
 def test_every_sweep_starts_with_a_cold_memo(monkeypatch):
     images = []
     pipeline = witness._pipeline
@@ -453,6 +473,29 @@ class TestCheckpointResume:
         sweep_interrupted_at_block_6(monkeypatch, tmp_path / "sweep.ckpt")
         records = (tmp_path / "sweep.ckpt.blocks").read_text().splitlines()
         assert [json.loads(r)["schema"] for r in records] == [harness.CHECKPOINT_SCHEMA] * 5
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"schema": 2},
+            [1, 2],
+            {"schema": 2, "n": 25, "k": 4, "orbits": False, "n1": 1, "orbit_reps": 92,
+             "histogram": {}, "high_index": []},
+        ],
+        ids=["fields_missing", "not_an_object", "no_sequences"],
+    )
+    def test_malformed_record_is_refused(self, tmp_path, capsys, record):
+        ckpt = tmp_path / "sweep.ckpt"
+        blocks = tmp_path / "sweep.ckpt.blocks"
+        blocks.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match="malformed checkpoint record"):
+            verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
+        code = run(["verify", "--n", "25", "--checkpoint-path", str(ckpt)], out=io.StringIO())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+        assert str(blocks) in err
+        assert blocks.read_text() == json.dumps(record) + "\n"
 
     def test_orbit_mode_invalidates_blocks(self, monkeypatch, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -26,7 +27,7 @@ from zsindex import (
 )
 
 from zsindex.harness import _minimal_tuples
-from zsindex.witness import _lead_image, _pipeline
+from zsindex.witness import _lead_image, _pipeline, _unit_lift
 
 from oracles import (
     naive_index,
@@ -230,6 +231,47 @@ class TestLeadImage:
                 # the smallest unit sending the first gcd-d term to d
                 t = next(t for t in terms if math.gcd(t, n) == d)
                 assert u == min(m for m in units if m * t % n == d), (n, terms)
+
+
+class TestUnitLift:
+    def test_matches_least_unit_in_the_class(self):
+        for n in range(2, 61):
+            units = naive_units(n)
+            for step in (d for d in range(1, n + 1) if n % d == 0):
+                for x in range(n):
+                    if math.gcd(x, step) != 1:
+                        continue
+                    least = min(m for m in units if (m - x) % step == 0)
+                    assert _unit_lift(x, n, step) == least, (x, n, step)
+
+
+# SHA-256 of the repr of every result, one per line, over the minimal
+# quadruples in enumeration order: find_witness, then the staged pipeline on
+# the sequence itself.  Between them they pin content lifts, trail lifts
+# through a complement, orbit transports, pool hits and scan hits with their
+# whole provenance; find_witness alone reaches neither the pool nor the scan
+# at these moduli, nor a complement trail.
+GOLDEN_WITNESS_REPRS = {
+    45: (
+        "075881576bead17322782353fbe3b197e027f989db884b0433718b3387b8656a",
+        "0f5cbd83e94a2607ea978ff0db77e291c2caba28d77b5b494b01129012c9bda5",
+    ),
+    75: (
+        "5fdf3df60aee95e4ae35cee7f6c1970d045a6238af4f647cd078c81aaa561463",
+        "6f62cb7c39be47f4f1213c525941b6be20d9022a60a81724a575d2dc3f419fa7",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(GOLDEN_WITNESS_REPRS))
+def test_golden_witness_provenance(n):
+    from zsindex import enumerate_minimal
+
+    digests = (hashlib.sha256(), hashlib.sha256())
+    for s in enumerate_minimal(factorize(n), 4):
+        for digest, engine in zip(digests, (find_witness, _pipeline)):
+            digest.update((repr(engine(s)) + "\n").encode())
+    assert tuple(d.hexdigest() for d in digests) == GOLDEN_WITNESS_REPRS[n]
 
 
 class TestFindWitness:
