@@ -20,7 +20,7 @@ RULE_SUM_3N = "SUM_3N"  # the terms sum to 3n; the complement n - 1 is the witne
 RULE_ONE_SIDED = "ONE_SIDED"  # a transform left at most one term on one half
 RULE_INTERVAL = "INTERVAL"  # m in [kn/c, kn/b) with m*a < n, on a normal form
 RULE_TWO_OF_THREE = "TWO_OF_THREE"  # two of: |Ma|, |Mb| large, |Mc| small
-RULE_CANDIDATE = "CANDIDATE"  # structured candidate-pool hit (see case tag)
+RULE_CANDIDATE = "CANDIDATE"  # pool hit; the case tag is interval or const
 RULE_EXHAUSTIVE = "EXHAUSTIVE"  # ascending scan over all units
 
 

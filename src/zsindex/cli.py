@@ -25,8 +25,8 @@ from .certificates import HighIndexEvidence, Witness
 from .harness import (
     VerificationReport,
     VerifyOptions,
-    enumerate_minimal,
-    orbit_canonical,
+    _minimal_tuples,
+    _orbit_reps,
     search_high_index,
     verify_conjecture,
 )
@@ -263,12 +263,10 @@ def _cmd_minimal(config: RunConfig, out: TextIO) -> int:
 
 
 def _cmd_enumerate(config: RunConfig, out: TextIO) -> int:
-    group = factorize(config.moduli[0])
+    n, k = config.moduli[0], config.k
     count = 0
-    for seq in enumerate_minimal(group, config.k):
-        if config.orbits and orbit_canonical(seq).terms != seq.terms:
-            continue
-        out.write(",".join(str(t) for t in seq.terms) + "\n")
+    for terms in _orbit_reps(n, k) if config.orbits else _minimal_tuples(n, k):
+        out.write(",".join(str(t) for t in terms) + "\n")
         count += 1
     out.write(f"total {count}\n")
     return EXIT_OK

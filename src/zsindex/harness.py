@@ -132,6 +132,18 @@ def orbit_canonical(s: Sequence) -> Sequence:
     return Sequence(s.modulus, _canonical_terms(s.terms, s.n))
 
 
+def _orbit_reps(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Each unit orbit's least member, in enumeration order.
+
+    The least member leads with a divisor of n (see ``_canonical_terms``),
+    so only those blocks are enumerated.
+    """
+    leading = [d for d in range(1, n) if n % d == 0]
+    for terms in _minimal_tuples(n, k, leading):
+        if _canonical_terms(terms, n) == terms:
+            yield terms
+
+
 @dataclass
 class BlockResult:
     """Tallies for one leading-term block; merging is plain addition."""
@@ -230,6 +242,11 @@ class VerificationReport:
         return self.conjecture_applicable() and len(self.high_index) > 0
 
 
+def _ints(*values: object) -> bool:
+    """Whether every value is a JSON integer (bools are not)."""
+    return all(type(v) is int for v in values)
+
+
 class Checkpoint:
     """Append-only block-completion log.
 
@@ -256,7 +273,9 @@ class Checkpoint:
         and truncated away, so the next record starts on a line of its own;
         an undecodable line anywhere before the last is corruption and raises,
         and so does a record of another schema or none, or one that decodes
-        but is not an object holding every field.
+        but is not an object holding every field.  The fields of a record of
+        this sweep must also hold what ``record`` writes: ints, a leading term
+        in [1, n-1], a histogram of ints and [terms, index] pairs of ints.
         """
         done: dict[int, BlockResult] = {}
         if not self.data_path.exists():
@@ -282,6 +301,17 @@ class Checkpoint:
                         )
                     if rec["n"] != n or rec["k"] != k or rec["orbits"] != orbits:
                         continue
+                    if not (
+                        _ints(rec["n1"], rec["sequences"], rec["orbit_reps"])
+                        and 0 < rec["n1"] < n
+                        and _ints(*rec["histogram"].values())
+                        and all(
+                            type(pair) is list and len(pair) == 2
+                            and type(pair[0]) is list and _ints(*pair[0], pair[1])
+                            for pair in rec["high_index"]
+                        )
+                    ):
+                        raise TypeError("a field holds a value of the wrong type or range")
                     done[rec["n1"]] = BlockResult(
                         n1=rec["n1"],
                         sequences=rec["sequences"],
@@ -404,11 +434,9 @@ def search_high_index(
     """
     modulus = n.n
     unit_list = units(n)
-    leading = [d for d in range(1, modulus) if modulus % d == 0] if orbits else None
+    tuples = _orbit_reps(modulus, k) if orbits else _minimal_tuples(modulus, k)
     findings: list[tuple[Sequence, int]] = []
-    for terms in _minimal_tuples(modulus, k, leading):
-        if orbits and _canonical_terms(terms, modulus) != terms:
-            continue
+    for terms in tuples:
         min_sum, _ = min_transform_sum(terms, modulus, unit_list, stop_at=modulus)
         if min_sum > modulus:
             findings.append((Sequence(n, terms), min_sum // modulus))

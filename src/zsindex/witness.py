@@ -2,18 +2,18 @@
 
 The pipeline mirrors the reduction order: cheap sum checks, content
 division, normalization, then two interval-based sufficient conditions, a
-pool of structured candidate multipliers, and finally an exhaustive
-ascending scan over all units.  The interval stage and the pool's interval
-entries read the half-open intervals [kn/c, kn/b) from one function,
-``interval_integers``; the pool's two-prime formulas need one integer, q0,
-read from the gcds of the represented terms.  Every hit from every stage is
-validated by direct recomputation before it is emitted; a failed validation
-is logged and the search just continues, so soundness rests on the
-validation alone.  ``find_witness`` runs the stages once per lead image
-of a unit orbit.  A certificate found on one sequence reaches another by a
-unit move (the lift out of content division, the normalization trail, the
-orbit transport), and each move certifies it again on the target's own
-terms through one helper, ``_carry``.
+pool of candidate multipliers, and finally an exhaustive ascending scan
+over all units.  The interval stage and the pool's interval members read
+the half-open intervals [kn/c, kn/b) from one function,
+``interval_integers``; the rest of the pool is a fixed list of small
+constants.  Every hit from every stage is validated by direct recomputation
+before it is emitted; a failed validation is logged and the search just
+continues, so soundness rests on the validation alone.  ``find_witness``
+runs the stages once per lead image of a unit orbit.  A certificate found
+on one sequence reaches another by a unit move (the lift out of content
+division, the normalization trail, the orbit transport), and each move
+certifies it again on the target's own terms through one helper,
+``_carry``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from typing import Iterator
 
 from .certificates import (
     RULE_CANDIDATE,
@@ -47,8 +46,8 @@ from .sequences import Sequence, is_minimal_zero_sum, min_transform_sum
 
 logger = logging.getLogger(__name__)
 
-# Small multipliers that settle individual cases in the two-prime analysis;
-# kept as a last pool tier before the exhaustive scan.
+# Small multipliers tried after the interval members, as the pool's last
+# tier before the exhaustive scan.
 FIXED_CANDIDATES = (
     3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 22, 23, 24, 28,
 )
@@ -141,68 +140,25 @@ def two_of_three_witness(nf: NormalForm) -> Witness | None:
 
 
 def candidate_multipliers(nf: NormalForm) -> list[tuple[int, str]]:
-    """The structured multiplier pool, deduplicated and filtered to units.
+    """The candidate multiplier pool, deduplicated and filtered to units.
 
-    Order: the divisibility-based formulas in construction order, then
-    interval members ascending by (k, m), then the fixed small constants.
-    Each entry is reduced into [1, n-1] and tagged with its first source.
+    Order: interval members ascending by (k, m) for k up to max(7, k1), then
+    the fixed small constants.  Each entry is reduced into [1, n-1] and
+    tagged with its first source.
     """
     n = nf.modulus.n
     pool: dict[int, str] = {}
-    for value, tag in _pool_sources(nf):
+    sources = [
+        (m, "interval")
+        for k in range(1, max(7, compute_k1(nf)) + 1)
+        for m in interval_integers(k, nf)
+    ]
+    sources += [(m, "const") for m in FIXED_CANDIDATES]
+    for value, tag in sources:
         m = reduce_value(value, n)
         if m not in pool and math.gcd(m, n) == 1:
             pool[m] = tag
     return list(pool.items())
-
-
-def _pool_sources(nf: NormalForm) -> Iterator[tuple[int, str]]:
-    """Raw pool values with their tags, before reduction and deduplication."""
-    n = nf.modulus.n
-    e, a = nf.e, nf.a
-    structured: list[tuple[int, int, str]] = [
-        (n + a, a, "(n+a)/a"),
-        (n + 2 * a, a, "(n+2a)/a"),
-        (n + 3 * a, a, "(n+3a)/a"),
-        (n + 4 * a, a, "(n+4a)/a"),
-        (n - a, a, "(n-a)/a"),
-        (n - 2 * a, a, "(n-2a)/a"),
-        (n + 3 * a, 2 * a, "(n+3a)/(2a)"),
-        (n + 5 * a, 2 * a, "(n+5a)/(2a)"),
-        (n + a, 2 * a, "(n+a)/(2a)"),
-        (n - e, e, "(n-e)/e"),
-        (n - 2 * e, e, "(n-2e)/e"),
-    ]
-    q0 = _q0(nf.represented())
-    if q0 is not None:
-        structured.append((n - q0, 2 * q0, "(n-q0)/(2q0)"))
-        structured.append((3 * n - q0, 2 * q0, "(3n-q0)/(2q0)"))
-    for numerator, denominator, tag in structured:
-        if numerator > 0 and numerator % denominator == 0:
-            yield numerator // denominator, tag
-    for k in range(1, max(7, compute_k1(nf)) + 1):
-        for m in interval_integers(k, nf):
-            yield m, "interval"
-    for m in FIXED_CANDIDATES:
-        yield m, "const"
-
-
-def _q0(s: Sequence) -> int | None:
-    """The q0 of the two-prime formulas, or None where they do not apply.
-
-    They apply when n = p^alpha * q^beta and the terms split two and two:
-    two divisible by p only, two by q only.  Each class's least gcd(t, n)
-    is then a prime power, and q0 is the larger of the two.
-    """
-    if len(s.modulus.primes) != 2:
-        return None
-    p, q = s.modulus.primes
-    gcds = [math.gcd(t, s.n) for t in s.terms]
-    p_only = [g for g in gcds if g % p == 0 and g % q != 0]
-    q_only = [g for g in gcds if g % q == 0 and g % p != 0]
-    if len(p_only) != 2 or len(q_only) != 2:
-        return None
-    return max(min(p_only), min(q_only))
 
 
 def _exhaustive(s: Sequence, trail: tuple[str, ...] = ()) -> Witness | HighIndexEvidence:
@@ -316,10 +272,10 @@ def find_witness(s: Sequence) -> Witness | HighIndexEvidence:
     The staged pipeline runs once per lead image u*T (see ``_lead_image``):
     sum = n, content division, normalization (with its cheap certificates),
     the interval condition on [kn/c, kn/b), the half-plane condition, the
-    structured candidate pool, exhaustive scan.  The index is constant on
-    unit orbits and a certificate m of u*T gives m*u for T, which is
-    certified on T's own terms; high-index evidence is recomputed on T so
-    its argmin is T's smallest.  Requires a minimal zero-sum quadruple.
+    candidate pool, exhaustive scan.  The index is constant on unit orbits
+    and a certificate m of u*T gives m*u for T, which is certified on T's
+    own terms; high-index evidence is recomputed on T so its argmin is T's
+    smallest.  Requires a minimal zero-sum quadruple.
     """
     if len(s.terms) != 4:
         raise NotLength4(f"expected 4 terms, got {len(s.terms)}")

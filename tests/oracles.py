@@ -87,38 +87,6 @@ def naive_l(n: int, b: int, c: int) -> int | None:
     return None
 
 
-def naive_q0(terms: tuple[int, ...], n: int) -> int | None:
-    """q0 of the two-prime pool formulas, from prime valuations.
-
-    Defined when n has exactly two prime factors and each of them divides
-    exactly two terms, no term carrying both: q0 is then the larger of the
-    two classes' least p^min(v_p(t), v_p(n)).  None otherwise.
-    """
-    primes = [
-        p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))
-    ]
-    if len(primes) != 2:
-        return None
-
-    def valuation(x: int, p: int) -> int:
-        v = 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        return v
-
-    classes: dict[int, list[int]] = {p: [] for p in primes}
-    for t in terms:
-        carried = [p for p in primes if t % p == 0]
-        if len(carried) != 1:
-            return None
-        p = carried[0]
-        classes[p].append(p ** min(valuation(t, p), valuation(n, p)))
-    if any(len(powers) != 2 for powers in classes.values()):
-        return None
-    return max(min(powers) for powers in classes.values())
-
-
 def naive_orbit_canonical(terms: tuple[int, ...], n: int) -> tuple[int, ...]:
     best = tuple(sorted(terms))
     for m in naive_units(n):

@@ -13,6 +13,7 @@ from zsindex import (
     HighIndexEvidence,
     Sequence,
     UnbalancedSplit,
+    VerifyOptions,
     Witness,
     apply_unit,
     compute_k1,
@@ -234,3 +235,14 @@ def test_criterion_9_orbit_invariance():
             moved = apply_unit(s, m)
             assert sequence_index(moved).value == sequence_index(s).value, (n, terms, m)
             assert orbit_canonical(moved).terms == orbit_canonical(s).terms, (n, terms, m)
+
+
+def test_criterion_10_long_sequences_have_index_one():
+    # Savchev-Chen (Discrete Math. 307, 2007) and Yuan (JCTA 114, 2007): a
+    # minimal zero-sum sequence over Z_n of length >= n/2 + 2 has index 1.
+    with criterion("10 long sequences: length floor(n/2) + 2 has index 1, n in 4..16"):
+        for n in range(4, 17):
+            options = VerifyOptions(k=n // 2 + 2, orbits=True)
+            report = verify_conjecture(factorize(n), options)
+            assert report.complete and report.high_index == (), n
+            assert report.orbits_total > 0, n

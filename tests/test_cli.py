@@ -23,7 +23,9 @@ from zsindex.cli import (
     verify_csv_row,
     verify_record,
 )
-from zsindex.harness import VerificationReport
+from zsindex.harness import VerificationReport, _minimal_tuples
+
+from oracles import naive_orbit_reps
 
 
 def invoke(argv):
@@ -68,6 +70,17 @@ class TestEnumerateCommand:
         code, output = invoke(["enumerate", "--n", "5", "--orbits"])
         lines = output.strip().splitlines()
         assert lines == ["1,1,1,2", "total 1"]
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_orbit_listing_matches_naive_reps(self, k):
+        for n in range(2, 31):
+            tuples = list(_minimal_tuples(n, k))
+            rep_of = naive_orbit_reps(n, tuples)
+            reps = sorted({rep_of[terms] for terms in tuples})
+            code, output = invoke(["enumerate", "--n", str(n), "--k", str(k), "--orbits"])
+            assert code == EXIT_OK
+            listed = "".join(",".join(map(str, rep)) + "\n" for rep in reps)
+            assert output == listed + f"total {len(reps)}\n", (n, k)
 
 
 class TestWitnessCommand:

@@ -23,12 +23,9 @@ from zsindex import (
     verify_witness,
 )
 
-from zsindex.witness import _q0
-
 from oracles import (
     naive_index,
     naive_is_minimal,
-    naive_q0,
     naive_transform_sum,
     naive_units,
 )
@@ -238,36 +235,3 @@ class TestNormalFormType:
         rep = nf.represented_terms()
         assert sum(rep) == 70
         assert naive_is_minimal(rep, 35)
-
-
-class TestMinPrimePowers:
-    """q0 of the candidate pool's two-prime formulas: of the two prime
-    classes' least gcd(t, n), a prime power each, the larger."""
-
-    def test_worked_example(self):
-        assert _q0(seq(175, (10, 50, 21, 49))) == 7
-
-    def test_coprime_term_rejected(self):
-        assert _q0(seq(35, (2, 3, 31, 34))) is None
-
-    def test_min_over_each_class(self):
-        assert _q0(seq(245, (5, 10, 49, 7))) == 7
-
-    def test_roles_swap_to_enforce_order(self):
-        # the p-class minimum 25 exceeds the q-class minimum 7
-        assert _q0(seq(175, (25, 50, 7, 14))) == 25
-
-    def test_unbalanced_pattern_rejected(self):
-        assert _q0(seq(175, (5, 10, 15, 7))) is None
-
-    def test_wrong_modulus_shape_rejected(self):
-        assert _q0(seq(30, (2, 3, 10, 15))) is None
-
-    @pytest.mark.parametrize("n", [45, 75])
-    def test_matches_naive_q0_on_every_minimal_quadruple(self, n):
-        found = 0
-        for s in enumerate_minimal(factorize(n), 4):
-            expected = naive_q0(s.terms, n)
-            assert _q0(s) == expected, s.terms
-            found += expected is not None
-        assert found > 0
