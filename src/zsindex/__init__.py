@@ -26,6 +26,7 @@ from .harness import (
     orbit_canonical,
     search_high_index,
     verify_conjecture,
+    verify_moduli,
 )
 from .normal_form import (
     ContentNotOne,
@@ -115,5 +116,6 @@ __all__ = [
     "two_of_three_witness",
     "units",
     "verify_conjecture",
+    "verify_moduli",
     "verify_witness",
 ]

@@ -19,16 +19,18 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
 from .certificates import HighIndexEvidence, Witness
 from .harness import (
+    Checkpoint,
     VerificationReport,
     VerifyOptions,
     _minimal_tuples,
     _orbit_reps,
     search_high_index,
-    verify_conjecture,
+    verify_moduli,
 )
 from .normal_form import (
     ContentNotOne,
@@ -245,6 +247,24 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _check_output_paths(config: RunConfig) -> None:
+    """Refuse a report or checkpoint path in a missing directory or naming one.
+
+    Checked before the command does any work, so a bad path costs no sweep
+    and leaves no checkpoint record behind.
+    """
+    targets = []
+    if config.report_path:
+        targets.append(("--report-path", Path(config.report_path)))
+    if config.checkpoint_path:
+        targets.append(("--checkpoint-path", Checkpoint(config.checkpoint_path).data_path))
+    for flag, path in targets:
+        if not path.parent.is_dir():
+            raise UsageError(f"{flag}: {path.parent} is not an existing directory")
+        if path.is_dir():
+            raise UsageError(f"{flag}: {path} is a directory")
+
+
 def _cmd_index(config: RunConfig, out: TextIO) -> int:
     result = sequence_index(config.sequence())
     value = result.value
@@ -330,18 +350,15 @@ def _cmd_reduce(config: RunConfig, out: TextIO) -> int:
 def _cmd_verify(config: RunConfig, out: TextIO) -> int:
     if not config.moduli:
         raise UsageError("one of --n or --n-range is required")
+    options = VerifyOptions(
+        k=config.k,
+        orbits=config.orbits,
+        jobs=config.jobs,
+        checkpoint_path=config.checkpoint_path,
+    )
     reports: list[VerificationReport] = []
     interrupted = False
-    for n in config.moduli:
-        report = verify_conjecture(
-            factorize(n),
-            VerifyOptions(
-                k=config.k,
-                orbits=config.orbits,
-                jobs=config.jobs,
-                checkpoint_path=config.checkpoint_path,
-            ),
-        )
+    for report in verify_moduli(map(factorize, config.moduli), options):
         reports.append(report)
         flag = "violation" if report.conjecture_violated() else "ok"
         out.write(
@@ -484,6 +501,7 @@ def run(argv: list[str] | None = None, out: TextIO | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
+        _check_output_paths(config)
         with _stderr_logging(args.log_level):
             return _COMMANDS[config.command](config, out)
     except ValueError as exc:  # UsageError and InvalidModulus included

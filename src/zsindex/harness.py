@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Iterator, Sequence as SequenceABC
+from typing import Iterable, Iterator, Sequence as SequenceABC
 
 from .certificates import HighIndexEvidence, verify_witness
 from .residues import GroupOrder, factorize, units
@@ -207,7 +207,7 @@ def effective_jobs(jobs: int, cpu_count: int | None, pending: int) -> int:
 
 @dataclass
 class VerifyOptions:
-    """Knobs for a verification sweep over one modulus."""
+    """Knobs for a verification run, shared by the sweep of every modulus."""
 
     k: int = 4
     orbits: bool = False
@@ -257,7 +257,8 @@ class Checkpoint:
     another engine version is refused rather than merged.  A record reaches
     the operating system as its block completes, so it survives the process;
     ``sync`` makes the records appended since the last sync durable with one
-    fsync.  Nothing is written at ``path`` itself.
+    fsync.  Nothing is written at ``path`` itself.  ``load`` decodes the
+    whole log in one pass, so a run over many moduli reads it once.
     """
 
     def __init__(self, path: str | os.PathLike[str]):
@@ -265,21 +266,22 @@ class Checkpoint:
         self.data_path = self.path.with_name(self.path.name + ".blocks")
         self._unsynced = False
 
-    def load(self, n: int, k: int, orbits: bool) -> dict[int, BlockResult]:
-        """Completed blocks of this (n, k, orbits) sweep.
+    def load(self) -> dict[tuple[int, int, bool], dict[int, BlockResult]]:
+        """Every completed block in the log, by (n, k, orbits) sweep, then by leading term.
 
         A record is complete once its newline is written.  A final line that
         lacks its newline or does not decode (a crash mid-append) is dropped
         and truncated away, so the next record starts on a line of its own;
         an undecodable line anywhere before the last is corruption and raises,
         and so does a record of another schema or none, or one that decodes
-        but is not an object holding every field.  The fields of a record of
-        this sweep must also hold what ``record`` writes: ints, a leading term
-        in [1, n-1], a histogram of ints and [terms, index] pairs of ints.
+        but is not an object holding every field.  Every record's fields,
+        whichever sweep it belongs to, must also hold what ``record`` writes:
+        ints, an orbits flag, a leading term in [1, n-1] for the record's own
+        n, a histogram of ints and [terms, index] pairs of ints.
         """
-        done: dict[int, BlockResult] = {}
+        sweeps: dict[tuple[int, int, bool], dict[int, BlockResult]] = {}
         if not self.data_path.exists():
-            return done
+            return sweeps
         whole = 0  # bytes up to the end of the last complete record
         with open(self.data_path, "rb") as fh:
             for line in fh:
@@ -299,11 +301,11 @@ class Checkpoint:
                             f"{rec.get('schema')}, not {CHECKPOINT_SCHEMA}; "
                             "start from a new checkpoint path"
                         )
-                    if rec["n"] != n or rec["k"] != k or rec["orbits"] != orbits:
-                        continue
+                    n, n1 = rec["n"], rec["n1"]
                     if not (
-                        _ints(rec["n1"], rec["sequences"], rec["orbit_reps"])
-                        and 0 < rec["n1"] < n
+                        _ints(n, rec["k"], n1, rec["sequences"], rec["orbit_reps"])
+                        and type(rec["orbits"]) is bool
+                        and 0 < n1 < n
                         and _ints(*rec["histogram"].values())
                         and all(
                             type(pair) is list and len(pair) == 2
@@ -312,8 +314,8 @@ class Checkpoint:
                         )
                     ):
                         raise TypeError("a field holds a value of the wrong type or range")
-                    done[rec["n1"]] = BlockResult(
-                        n1=rec["n1"],
+                    sweeps.setdefault((n, rec["k"], rec["orbits"]), {})[n1] = BlockResult(
+                        n1=n1,
                         sequences=rec["sequences"],
                         orbit_reps=rec["orbit_reps"],
                         histogram=dict(rec["histogram"]),
@@ -331,7 +333,7 @@ class Checkpoint:
             with open(self.data_path, "r+b") as fh:
                 fh.truncate(whole)
                 os.fsync(fh.fileno())
-        return done
+        return sweeps
 
     def record(self, n: int, k: int, orbits: bool, block: BlockResult) -> None:
         payload = {
@@ -357,22 +359,47 @@ class Checkpoint:
             self._unsynced = False
 
 
-def verify_conjecture(n: GroupOrder, options: VerifyOptions | None = None) -> VerificationReport:
-    """Sweep every minimal zero-sum length-k sequence over Z_n.
+def verify_moduli(
+    moduli: Iterable[GroupOrder], options: VerifyOptions | None = None
+) -> Iterator[VerificationReport]:
+    """Sweep each modulus in turn, yielding its report as the sweep ends.
 
-    Witnesses are rechecked independently and high-index evidence is
-    cross-checked against the exhaustive index, so a returned report is
-    sound by construction.  ``complete`` is False when the run was
-    interrupted; a checkpoint makes such runs resumable.
+    Every minimal zero-sum length-k sequence over Z_n is swept.  Witnesses
+    are rechecked independently and high-index evidence is cross-checked
+    against the exhaustive index, so a yielded report is sound by
+    construction.  An interrupted sweep yields a report with ``complete``
+    False and ends the run; a checkpoint makes such runs resumable.
+
+    The checkpoint log is read once, before the first sweep, and each sweep
+    takes its own blocks out of that index as it starts: memory holds only
+    the records of moduli not yet swept, never those this run writes.  So a
+    modulus listed twice is swept in full the second time.
     """
     opts = options or VerifyOptions()
+    checkpoint = Checkpoint(opts.checkpoint_path) if opts.checkpoint_path else None
+    sweeps = checkpoint.load() if checkpoint else {}
+    for n in moduli:
+        report = _sweep(n, opts, checkpoint, sweeps.pop((n.n, opts.k, opts.orbits), {}))
+        yield report
+        if not report.complete:
+            return
+
+
+def verify_conjecture(n: GroupOrder, options: VerifyOptions | None = None) -> VerificationReport:
+    """The report of one modulus: ``verify_moduli`` over ``[n]``."""
+    return next(verify_moduli([n], options))
+
+
+def _sweep(
+    n: GroupOrder,
+    opts: VerifyOptions,
+    checkpoint: Checkpoint | None,
+    results: dict[int, BlockResult],
+) -> VerificationReport:
+    """Run the blocks of n missing from ``results`` and merge all of them."""
     start = time.perf_counter()
     modulus = n.n
     all_blocks = list(range(1, modulus))
-    checkpoint = Checkpoint(opts.checkpoint_path) if opts.checkpoint_path else None
-    results: dict[int, BlockResult] = (
-        checkpoint.load(modulus, opts.k, opts.orbits) if checkpoint else {}
-    )
     pending = [b for b in all_blocks if b not in results]
     jobs = effective_jobs(opts.jobs, os.cpu_count(), len(pending))
     args = (repeat(modulus), repeat(opts.k), pending, repeat(opts.orbits))

@@ -261,7 +261,7 @@ def _lead_image(terms: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
 
 # _pipeline's result per (n, lead image).  find_witness reads the same
 # result for every sequence with that image, so the memo changes no output;
-# verify_conjecture empties it at both ends so every sweep starts cold.
+# harness._sweep empties it at both ends so every modulus sweep starts cold.
 _MEMO_CAP = 1 << 15
 _MEMO: dict[tuple[int, tuple[int, ...]], Witness | HighIndexEvidence] = {}
 

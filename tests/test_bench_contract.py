@@ -91,3 +91,22 @@ def test_traced_sweep_sees_the_pool(tmp_path):
         installed.remove()
     assert code == EXIT_OK
     assert tracer.pipeline_metrics(t)["witness.candidates.calls"] > 0
+
+
+def test_a_range_run_reads_its_checkpoint_once(tmp_path):
+    argv = ["verify", "--n-range", "7:30", "--all-moduli",
+            "--checkpoint-path", str(tmp_path / "ckpt")]
+    log = tmp_path / "ckpt.blocks"
+    for resume in (False, True):
+        t = tracer.Tracer()
+        installed = tracer.Installed(t)
+        try:
+            code = run(argv, out=io.StringIO())
+        finally:
+            installed.remove()
+        assert code == EXIT_OK
+        assert len(t.durations("checkpoint.load")) == 1
+        if resume:
+            lines = len(log.read_bytes().splitlines())
+            assert lines == sum(range(6, 30))  # one record per block of n in 7..30
+            assert tracer.pipeline_metrics(t)["harness.checkpoint.lines_parsed"] == lines

@@ -11,7 +11,7 @@ import pytest
 
 import zsindex
 
-from zsindex import Sequence, Witness, verify_witness
+from zsindex import Sequence, Witness, harness, verify_witness
 from zsindex.cli import (
     CSV_HEADER,
     EXIT_INTERRUPTED,
@@ -222,7 +222,7 @@ class TestVerifyCommand:
             orbits_total=0, rule_histogram={"HIGH_INDEX": 1},
             high_index=(((1, 2, 3, 19), 2),), elapsed=0.0, complete=True,
         )
-        monkeypatch.setattr(cli_mod, "verify_conjecture", lambda n, opts: fake)
+        monkeypatch.setattr(cli_mod, "verify_moduli", lambda moduli, opts: iter([fake]))
         code, output = invoke(["verify", "--n", "25"])
         assert code == EXIT_VIOLATION
         assert "violation" in output
@@ -253,9 +253,79 @@ class TestVerifyCommand:
             orbits_total=0, rule_histogram={}, high_index=(),
             elapsed=0.0, complete=False,
         )
-        monkeypatch.setattr(cli_mod, "verify_conjecture", lambda n, opts: fake)
+        monkeypatch.setattr(cli_mod, "verify_moduli", lambda moduli, opts: iter([fake]))
         code, _ = invoke(["verify", "--n", "25"])
         assert code == EXIT_INTERRUPTED
+
+
+    def test_range_interrupt_resumes_to_the_uninterrupted_report(self, monkeypatch, tmp_path):
+        ckpt = tmp_path / "sweep.ckpt"
+        report = tmp_path / "verify.jsonl"
+        fresh = tmp_path / "fresh.jsonl"
+        argv = ["verify", "--n-range", "7:20", "--all-moduli", "--checkpoint-path", str(ckpt),
+                "--report-path", str(report)]
+        scan = harness._scan_block_impl
+
+        def interrupting(n, k, n1, orbits):
+            if (n, n1) == (13, 5):
+                raise KeyboardInterrupt
+            return scan(n, k, n1, orbits)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_scan_block_impl", interrupting)
+            code, output = invoke(argv)
+        assert code == EXIT_INTERRUPTED
+        assert output.splitlines()[-1].startswith("n=13 ") and "complete=false" in output
+        assert invoke(argv)[0] == EXIT_OK
+        assert invoke(["verify", "--n-range", "7:20", "--all-moduli",
+                       "--report-path", str(fresh)])[0] == EXIT_OK
+
+        def records(path):
+            return [{**json.loads(line), "elapsed_ms": 0} for line in path.read_text().splitlines()]
+
+        assert records(report) == records(fresh)
+        lines = (tmp_path / "sweep.ckpt.blocks").read_text().splitlines()
+        keys = [(r["n"], r["n1"]) for r in map(json.loads, lines)]
+        assert sorted(keys) == [(n, n1) for n in range(7, 21) for n1 in range(1, n)]
+
+
+class TestOutputPaths:
+    """A path that cannot be written is refused before any block runs."""
+
+    def assert_usage_error(self, capsys, argv):
+        code, output = invoke(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE and output == ""
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+
+    def test_checkpoint_in_a_missing_directory(self, capsys, tmp_path):
+        missing = tmp_path / "missing"
+        self.assert_usage_error(
+            capsys, ["verify", "--n", "11", "--checkpoint-path", str(missing / "ck")])
+        assert not missing.exists()
+
+    def test_checkpoint_log_that_is_a_directory(self, capsys, tmp_path):
+        (tmp_path / "ck.blocks").mkdir()
+        self.assert_usage_error(
+            capsys, ["verify", "--n", "11", "--checkpoint-path", str(tmp_path / "ck")])
+        assert list((tmp_path / "ck.blocks").iterdir()) == []
+
+    @pytest.mark.parametrize("bad", ["missing/r.jsonl", "."])
+    def test_verify_report_path(self, capsys, tmp_path, bad):
+        self.assert_usage_error(
+            capsys, ["verify", "--n-range", "7:11", "--checkpoint-path", str(tmp_path / "ck"),
+                     "--report-path", str(tmp_path / bad)])
+        assert not (tmp_path / "ck.blocks").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["search", "--n", "10"], ["witness", "--n", "35", "--terms", "2,3,31,34"]],
+        ids=["search", "witness"],
+    )
+    def test_search_and_witness_report_path(self, capsys, tmp_path, argv):
+        missing = tmp_path / "missing"
+        self.assert_usage_error(capsys, argv + ["--report-path", str(missing / "r.jsonl")])
+        assert not missing.exists()
 
 
 class TestSearchCommand:

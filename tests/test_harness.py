@@ -380,6 +380,19 @@ def sweep_interrupted_at_block_6(monkeypatch, ckpt):
         return verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
 
 
+def test_an_interrupted_sweep_ends_the_run(monkeypatch):
+    scan = harness._scan_block_impl
+
+    def interrupting(n, k, n1, orbits):
+        if (n, n1) == (11, 3):
+            raise KeyboardInterrupt
+        return scan(n, k, n1, orbits)
+
+    monkeypatch.setattr(harness, "_scan_block_impl", interrupting)
+    reports = list(harness.verify_moduli(map(factorize, [7, 11, 13])))
+    assert [(r.n, r.complete) for r in reports] == [(7, True), (11, False)]
+
+
 class TestCheckpointResume:
     def test_resume_reproduces_full_report(self, monkeypatch, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"
@@ -488,9 +501,12 @@ class TestCheckpointResume:
              "orbit_reps": 0, "histogram": {}, "high_index": [[[1, 1, 1, 22]]]},
             {"schema": 2, "n": 25, "k": 4, "orbits": False, "n1": 999, "sequences": 5,
              "orbit_reps": 0, "histogram": {}, "high_index": []},
+            {"schema": 2, "n": 49, "k": 4, "orbits": False, "n1": 999, "sequences": 5,
+             "orbit_reps": 0, "histogram": {}, "high_index": []},
         ],
         ids=["fields_missing", "not_an_object", "no_sequences", "count_not_int",
-             "high_index_not_a_pair", "leading_term_out_of_range"],
+             "high_index_not_a_pair", "leading_term_out_of_range",
+             "another_modulus_leading_term_out_of_range"],
     )
     def test_malformed_record_is_refused(self, tmp_path, capsys, record):
         ckpt = tmp_path / "sweep.ckpt"
