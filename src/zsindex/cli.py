@@ -357,7 +357,8 @@ def _cmd_verify(config: RunConfig, out: TextIO) -> int:
         checkpoint_path=config.checkpoint_path,
     )
     reports: list[VerificationReport] = []
-    interrupted = False
+    # verify_moduli ends the run after an incomplete report and shuts its
+    # worker pool down as it ends, so the loop runs to its end.
     for report in verify_moduli(map(factorize, config.moduli), options):
         reports.append(report)
         flag = "violation" if report.conjecture_violated() else "ok"
@@ -366,15 +367,12 @@ def _cmd_verify(config: RunConfig, out: TextIO) -> int:
             f"high_index={len(report.high_index)} "
             f"complete={str(report.complete).lower()} {flag}\n"
         )
-        if not report.complete:
-            interrupted = True
-            break
     if config.report_path:
         if config.format == "csv":
             _write_csv(config.report_path, reports)
         else:
             _write_jsonl(config.report_path, (verify_record(r) for r in reports))
-    if interrupted:
+    if not all(r.complete for r in reports):
         return EXIT_INTERRUPTED
     if any(r.conjecture_violated() for r in reports):
         return EXIT_VIOLATION
@@ -453,7 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("--k", type=int, default=4)
     p_verify.add_argument("--orbits", action="store_true")
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_verify.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes in the one pool that serves the whole run (at most the cores)",
+    )
     p_verify.add_argument("--report-path", type=str, default=None)
     p_verify.add_argument("--checkpoint-path", type=str, default=None)
     p_verify.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")

@@ -2,8 +2,9 @@
 
 The sequence space of one modulus is partitioned into blocks by leading
 term, so blocks can run on parallel workers and completed blocks can be
-checkpointed.  Block results merge by plain counter addition and sorted
-list union, so the final report is independent of worker scheduling.
+checkpointed.  One worker pool serves a whole ``verify_moduli`` run, however
+many moduli it sweeps.  Block results merge by plain counter addition and
+sorted list union, so the final report is independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -12,10 +13,10 @@ import contextlib
 import json
 import math
 import os
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence as SequenceABC
 
@@ -374,56 +375,133 @@ def verify_moduli(
     takes its own blocks out of that index as it starts: memory holds only
     the records of moduli not yet swept, never those this run writes.  So a
     modulus listed twice is swept in full the second time.
+
+    With ``jobs`` above 1, one worker pool serves the whole run.  It starts
+    at the first modulus with more than one pending block, with as many
+    workers as ``jobs`` and the cores allow, and it is shut down when the
+    run ends, is interrupted or is closed by its caller.  Its workers ignore
+    SIGINT: the run alone turns Ctrl-C into an incomplete report.
     """
     opts = options or VerifyOptions()
     checkpoint = Checkpoint(opts.checkpoint_path) if opts.checkpoint_path else None
     sweeps = checkpoint.load() if checkpoint else {}
-    for n in moduli:
-        report = _sweep(n, opts, checkpoint, sweeps.pop((n.n, opts.k, opts.orbits), {}))
-        yield report
-        if not report.complete:
-            return
+    workers = min(opts.jobs, os.cpu_count() or 1)
+    pool = None
+    try:
+        for n in moduli:
+            start = time.perf_counter()
+            results = sweeps.pop((n.n, opts.k, opts.orbits), {})
+            interrupted = False
+            try:
+                pending = [n1 for n1 in range(1, n.n) if n1 not in results]
+                if pool is None and effective_jobs(opts.jobs, os.cpu_count(), len(pending)) > 1:
+                    pool = ProcessPoolExecutor(max_workers=workers, initializer=_ignore_sigint)
+                _run_blocks(n.n, opts, checkpoint, results, pending, pool, workers)
+            except KeyboardInterrupt:
+                interrupted = True
+            report = _merge(n.n, opts, results, interrupted, time.perf_counter() - start)
+            yield report
+            if not report.complete:
+                return
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def verify_conjecture(n: GroupOrder, options: VerifyOptions | None = None) -> VerificationReport:
     """The report of one modulus: ``verify_moduli`` over ``[n]``."""
-    return next(verify_moduli([n], options))
+    (report,) = verify_moduli([n], options)  # runs on to the pool's shutdown
+    return report
 
 
-def _sweep(
-    n: GroupOrder,
+def _ignore_sigint() -> None:
+    """Pool worker initializer: Ctrl-C reaches the run, never a block."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if hasattr(signal, "pthread_sigmask"):
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+
+
+@contextlib.contextmanager
+def _sigint_deferred() -> Iterator[None]:
+    """Hold SIGINT back while workers may fork, so none starts without the ignore.
+
+    A forked worker inherits the blocked signal until ``_ignore_sigint`` has
+    run; the parent takes a Ctrl-C that arrived meanwhile once this exits.
+    """
+    if not hasattr(signal, "pthread_sigmask"):
+        yield
+        return
+    try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        yield
+    finally:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+
+
+# Each pooled sweep deals its pending blocks round-robin into this many tasks
+# per worker: the tasks cost about the same, and their pickling and wake-ups
+# are paid a few times per modulus rather than once per block.
+_TASKS_PER_WORKER = 4
+_worker_modulus = 0  # the modulus whose lead images a pool worker's memo holds
+
+
+def _pooled_blocks(n: int, k: int, leading: list[int], orbits: bool) -> list[BlockResult]:
+    """``_scan_block_impl`` in a pool worker, whose memo starts cold at each modulus."""
+    global _worker_modulus
+    if n != _worker_modulus:
+        _MEMO.clear()
+        _worker_modulus = n
+    return [_scan_block_impl(n, k, n1, orbits) for n1 in leading]
+
+
+def _run_blocks(
+    modulus: int,
     opts: VerifyOptions,
     checkpoint: Checkpoint | None,
     results: dict[int, BlockResult],
-) -> VerificationReport:
-    """Run the blocks of n missing from ``results`` and merge all of them."""
-    start = time.perf_counter()
-    modulus = n.n
-    all_blocks = list(range(1, modulus))
-    pending = [b for b in all_blocks if b not in results]
-    jobs = effective_jobs(opts.jobs, os.cpu_count(), len(pending))
-    args = (repeat(modulus), repeat(opts.k), pending, repeat(opts.orbits))
-    interrupted = False
-    _MEMO.clear()  # cold start: forked workers inherit the empty memo
+    pending: list[int],
+    pool: ProcessPoolExecutor | None,
+    workers: int,
+) -> None:
+    """Run the ``pending`` blocks of a modulus into ``results``, on ``pool`` if given.
+
+    Each block is recorded as soon as the parent holds it: in-process as it
+    completes, pooled as its task completes, so a pooled sweep logs blocks
+    in completion order.  The merge does not depend on that order.
+    """
+    futures = []
+    _MEMO.clear()  # cold start, as in every pool worker
     try:
-        executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext()
-        with executor as pool:
-            if pool is None:
-                blocks = map(_scan_block_impl, *args)
-            else:
-                chunk = max(1, len(pending) // (jobs * 8))
-                blocks = pool.map(_scan_block_impl, *args, chunksize=chunk)
-            for block in blocks:
-                results[block.n1] = block
-                if checkpoint:
-                    checkpoint.record(modulus, opts.k, opts.orbits, block)
-    except KeyboardInterrupt:
-        interrupted = True
+        if pool is None:
+            blocks = (_scan_block_impl(modulus, opts.k, n1, opts.orbits) for n1 in pending)
+        else:
+            with _sigint_deferred():
+                tasks = min(len(pending), workers * _TASKS_PER_WORKER)
+                futures = [
+                    pool.submit(_pooled_blocks, modulus, opts.k, pending[i::tasks], opts.orbits)
+                    for i in range(tasks)
+                ]
+            blocks = (block for future in as_completed(futures) for block in future.result())
+        for block in blocks:
+            results[block.n1] = block
+            if checkpoint:
+                checkpoint.record(modulus, opts.k, opts.orbits, block)
     finally:
+        for future in futures:
+            future.cancel()  # queued tasks only; a running task finishes
         _MEMO.clear()
         if checkpoint:
             checkpoint.sync()  # one fsync per sweep, not one per block
-    complete = not interrupted and len(results) == len(all_blocks)
+
+
+def _merge(
+    modulus: int,
+    opts: VerifyOptions,
+    results: dict[int, BlockResult],
+    interrupted: bool,
+    elapsed: float,
+) -> VerificationReport:
+    """The report of a modulus from its block results: complete unless interrupted or short."""
     histogram: dict[str, int] = {}
     high: list[tuple[tuple[int, ...], int]] = []
     sequences_total = 0
@@ -445,8 +523,8 @@ def _sweep(
         orbits_total=orbit_total if opts.orbits else 0,
         rule_histogram=histogram,
         high_index=tuple(high),
-        elapsed=time.perf_counter() - start,
-        complete=complete,
+        elapsed=elapsed,
+        complete=not interrupted and len(results) == modulus - 1,
     )
 
 

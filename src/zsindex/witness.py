@@ -261,7 +261,8 @@ def _lead_image(terms: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
 
 # _pipeline's result per (n, lead image).  find_witness reads the same
 # result for every sequence with that image, so the memo changes no output;
-# harness._sweep empties it at both ends so every modulus sweep starts cold.
+# harness._run_blocks empties it at both ends so every modulus sweep starts
+# cold, and a pool worker empties it when it starts a task of another modulus.
 _MEMO_CAP = 1 << 15
 _MEMO: dict[tuple[int, tuple[int, ...]], Witness | HighIndexEvidence] = {}
 

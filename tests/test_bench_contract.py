@@ -9,8 +9,11 @@ import ast
 import importlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -110,3 +113,19 @@ def test_a_range_run_reads_its_checkpoint_once(tmp_path):
             lines = len(log.read_bytes().splitlines())
             assert lines == sum(range(6, 30))  # one record per block of n in 7..30
             assert tracer.pipeline_metrics(t)["harness.checkpoint.lines_parsed"] == lines
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a worker pool needs two cores")
+def test_a_range_run_starts_one_pool(tmp_path):
+    argv = ["verify", "--n-range", "7:30", "--all-moduli", "--jobs", "2",
+            "--checkpoint-path", str(tmp_path / "ckpt")]
+    for starts in (1, 0):  # the fresh run, then its resume with nothing pending
+        t = tracer.Tracer()
+        installed = tracer.Installed(t)
+        try:
+            code = run(argv, out=io.StringIO())
+        finally:
+            installed.remove()
+        assert code == EXIT_OK
+        assert tracer.pipeline_metrics(t)["harness.pool.starts"] == starts
+        assert all(d > 0 for d in t.durations("pool"))  # the run shut its pool down

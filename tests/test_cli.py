@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -32,6 +33,11 @@ def invoke(argv):
     out = io.StringIO()
     code = run(argv, out=out)
     return code, out.getvalue()
+
+
+def _records(path):
+    """A verify report's JSONL records with ``elapsed_ms`` zeroed."""
+    return [{**json.loads(line), "elapsed_ms": 0} for line in path.read_text().splitlines()]
 
 
 class TestIndexCommand:
@@ -279,11 +285,7 @@ class TestVerifyCommand:
         assert invoke(argv)[0] == EXIT_OK
         assert invoke(["verify", "--n-range", "7:20", "--all-moduli",
                        "--report-path", str(fresh)])[0] == EXIT_OK
-
-        def records(path):
-            return [{**json.loads(line), "elapsed_ms": 0} for line in path.read_text().splitlines()]
-
-        assert records(report) == records(fresh)
+        assert _records(report) == _records(fresh)
         lines = (tmp_path / "sweep.ckpt.blocks").read_text().splitlines()
         keys = [(r["n"], r["n1"]) for r in map(json.loads, lines)]
         assert sorted(keys) == [(n, n1) for n in range(7, 21) for n1 in range(1, n)]
@@ -423,3 +425,90 @@ class TestLogLevel:
         )
         assert proc.returncode == EXIT_USAGE
         assert "--log-level" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _logged_blocks(log):
+    """The (n, n1) of every record in a checkpoint log, which must end on a whole line."""
+    text = log.read_text()
+    assert text.endswith("\n")
+    return [(r["n"], r["n1"]) for r in map(json.loads, text.splitlines())]
+
+
+class TestPooledVerify:
+    """``--jobs 2`` runs: one pool per run, Ctrl-C exits 3, reports equal serial ones."""
+
+    @pytest.mark.parametrize("mode", [[], ["--orbits"]], ids=["full", "orbits"])
+    def test_parallel_report_equals_serial(self, tmp_path, mode):
+        runs = []
+        for jobs in ("1", "2"):
+            report = tmp_path / f"jobs{jobs}.jsonl"
+            code, output = invoke(["verify", "--n-range", "7:40", "--all-moduli", "--jobs", jobs,
+                                   "--report-path", str(report)] + mode)
+            assert code == EXIT_OK
+            runs.append((output, _records(report)))
+        assert runs[0] == runs[1]
+
+    def test_interrupt_while_recording_resumes_to_the_full_report(self, monkeypatch, tmp_path):
+        ckpt = tmp_path / "sweep.ckpt"
+        report = tmp_path / "verify.jsonl"
+        fresh = tmp_path / "fresh.jsonl"
+        argv = ["verify", "--n-range", "7:30", "--all-moduli", "--jobs", "2",
+                "--checkpoint-path", str(ckpt), "--report-path", str(report)]
+        record = harness.Checkpoint.record
+        calls = []
+
+        def interrupting(self, *args):
+            calls.append(args)
+            if len(calls) == 10:
+                raise KeyboardInterrupt
+            return record(self, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness.Checkpoint, "record", interrupting)
+            code, output = invoke(argv)
+        assert code == EXIT_INTERRUPTED
+        assert "complete=false" in output.splitlines()[-1]
+        assert len(set(_logged_blocks(tmp_path / "sweep.ckpt.blocks"))) == 9
+        assert invoke(argv)[0] == EXIT_OK
+        assert invoke(["verify", "--n-range", "7:30", "--all-moduli",
+                       "--report-path", str(fresh)])[0] == EXIT_OK
+        assert _records(report) == _records(fresh)
+        keys = _logged_blocks(tmp_path / "sweep.ckpt.blocks")
+        assert sorted(keys) == [(n, n1) for n in range(7, 31) for n1 in range(1, n)]
+
+    @pytest.mark.skipif(
+        os.name != "posix" or (os.cpu_count() or 1) < 2,
+        reason="needs POSIX process groups and two cores for a worker pool",
+    )
+    def test_ctrl_c_exits_interrupted_without_a_traceback(self, tmp_path):
+        ckpt = tmp_path / "sweep.ckpt"
+        log = tmp_path / "sweep.ckpt.blocks"
+        report = tmp_path / "verify.jsonl"
+        fresh = tmp_path / "fresh.jsonl"
+        argv = ["verify", "--n-range", "7:60", "--all-moduli", "--jobs", "2",
+                "--checkpoint-path", str(ckpt), "--report-path", str(report)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "zsindex"] + argv, env=_module_env(), text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while proc.poll() is None and time.monotonic() < deadline:
+                if log.exists() and log.stat().st_size:
+                    # Ctrl-C at a terminal signals the whole process group.
+                    os.killpg(proc.pid, signal.SIGINT)
+                    break
+                time.sleep(0.005)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == EXIT_INTERRUPTED, err
+        assert "Traceback" not in err
+        assert invoke(argv)[0] == EXIT_OK
+        assert invoke(["verify", "--n-range", "7:60", "--all-moduli",
+                       "--report-path", str(fresh)])[0] == EXIT_OK
+        assert _records(report) == _records(fresh)
+        keys = _logged_blocks(log)
+        assert sorted(keys) == [(n, n1) for n in range(7, 61) for n1 in range(1, n)]

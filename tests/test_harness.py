@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import random
 
 import pytest
@@ -353,6 +354,28 @@ def test_every_sweep_starts_with_a_cold_memo(monkeypatch):
 )
 def test_effective_jobs(jobs, cpu_count, pending, expected):
     assert effective_jobs(jobs, cpu_count, pending) == expected
+
+
+def test_a_pool_worker_empties_its_memo_at_each_new_modulus(monkeypatch):
+    monkeypatch.setattr(harness, "_worker_modulus", 0)
+    witness._MEMO.clear()
+    try:
+        harness._pooled_blocks(77, 4, [1], False)
+        kept = next(iter(witness._MEMO))
+        assert kept[0] == 77
+        harness._pooled_blocks(77, 4, [2], False)  # same modulus: the memo is kept
+        assert kept in witness._MEMO
+        harness._pooled_blocks(35, 4, [2], False)
+        assert witness._MEMO and not any(n == 77 for n, _ in witness._MEMO)
+    finally:
+        witness._MEMO.clear()
+
+
+def test_closing_a_run_early_stops_its_workers():
+    run = harness.verify_moduli(map(factorize, [30, 31, 32]), VerifyOptions(jobs=2))
+    assert next(run).complete
+    run.close()
+    assert multiprocessing.active_children() == []
 
 
 def block_keys(blocks):
