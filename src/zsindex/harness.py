@@ -2,9 +2,13 @@
 
 The sequence space of one modulus is partitioned into blocks by leading
 term, so blocks can run on parallel workers and completed blocks can be
-checkpointed.  One worker pool serves a whole ``verify_moduli`` run, however
-many moduli it sweeps.  Block results merge by plain counter addition and
-sorted list union, so the final report is independent of worker scheduling.
+checkpointed.  A full sweep has one block per term in [1, n-1].  An orbit
+sweep has one per proper divisor of n, because every unit orbit's least
+member leads with one, and it counts each orbit's members from that member's
+stabilizer (|orbit(R)| = phi(n) / |Stab(R)|) rather than by enumerating them.
+One worker pool serves a whole ``verify_moduli`` run, however many moduli it
+sweeps.  Block results merge by plain counter addition and sorted list union,
+so the final report is independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from .witness import _MEMO, _exhaustive, find_witness
 HIGH_INDEX_KEY = "HIGH_INDEX"
 # Version of the FILE.blocks records.  Records without it were written
 # before full sweeps carried each sequence's lead-image label, so their
-# histograms cannot merge with this engine's.
-CHECKPOINT_SCHEMA = 2
+# histograms cannot merge with this engine's; schema 2 orbit records counted
+# the tuples of their own block, where schema 3 ones count whole orbits.
+CHECKPOINT_SCHEMA = 3
 
 
 def _minimal_quadruples(n: int, leading: SequenceABC[int]) -> Iterator[tuple[int, int, int, int]]:
@@ -106,18 +111,24 @@ def enumerate_minimal(n: GroupOrder, k: int = 4) -> Iterator[Sequence]:
         yield Sequence(n, terms)
 
 
-def _canonical_terms(terms: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Lexicographically smallest sorted image of sorted terms under the units of Z_n.
+def _canonical_terms(terms: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
+    """(least image, stabilizer size) of sorted terms under the units of Z_n.
 
     A unit preserves gcd(t, n), and the smallest residue in [1, n] with gcd d
     is d itself, so the smallest image leads with d = min gcd(t_i, n).  The
     only units sending a gcd-d term t to d are the lifts of (t/d)^-1 mod n/d,
     so only those are tried: for d = 1, one modular inverse per term.
+
+    The second value counts the tried units that fix the terms.  When the
+    terms lead with d, as a least image does, that is |Stab(terms)|: a unit u
+    that fixes them sends the gcd-d term u^-1 * d to d, so it is tried, and
+    only once, since u sends no other residue to d.
     """
     gcds = [math.gcd(t, n) for t in terms]
     d = min(gcds)
     step = n // d
     best = terms
+    fixed = 0
     for t in {t for t, g in zip(terms, gcds) if g == d}:
         for m in range(pow(t // d, -1, step), n, step):
             if math.gcd(m, n) != 1:
@@ -125,23 +136,33 @@ def _canonical_terms(terms: tuple[int, ...], n: int) -> tuple[int, ...]:
             candidate = tuple(sorted([(m * x - 1) % n + 1 for x in terms]))
             if candidate < best:
                 best = candidate
-    return best
+            elif candidate == terms:
+                fixed += 1
+    return best, fixed
 
 
 def orbit_canonical(s: Sequence) -> Sequence:
     """Lexicographically smallest sorted sequence in the unit orbit of s."""
-    return Sequence(s.modulus, _canonical_terms(s.terms, s.n))
+    return Sequence(s.modulus, _canonical_terms(s.terms, s.n)[0])
+
+
+def _leading_terms(n: int, orbits: bool) -> list[int]:
+    """The blocks of a sweep: every term in [1, n-1], or for orbits its proper divisors.
+
+    An orbit's least member leads with a divisor of n (see ``_canonical_terms``).
+    """
+    if orbits:
+        return [d for d in range(1, n) if n % d == 0]
+    return list(range(1, n))
 
 
 def _orbit_reps(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Each unit orbit's least member, in enumeration order.
 
-    The least member leads with a divisor of n (see ``_canonical_terms``),
-    so only those blocks are enumerated.
+    Only the blocks led by a divisor of n are enumerated (``_leading_terms``).
     """
-    leading = [d for d in range(1, n) if n % d == 0]
-    for terms in _minimal_tuples(n, k, leading):
-        if _canonical_terms(terms, n) == terms:
+    for terms in _minimal_tuples(n, k, _leading_terms(n, orbits=True)):
+        if _canonical_terms(terms, n)[0] == terms:
             yield terms
 
 
@@ -159,26 +180,29 @@ class BlockResult:
 def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
     """Run the witness engine over one leading-term block.
 
+    In orbit mode only the block's orbit representatives are certified, and
+    each adds its whole orbit, phi(n) / |Stab(R)| sequences, to the count;
+    ``n1`` is then a divisor of n, and the divisor blocks together count
+    every sequence of the modulus.
+
     Every witness is rechecked with the independent verifier; every piece of
     high-index evidence is cross-checked against the exhaustive index.  A
     failure of either check is a soundness bug and raises immediately.
     """
-    tuples = _minimal_tuples(n, k, leading=(n1,))
-    if orbits and n % n1:
-        # An orbit's least member leads with a divisor of n (see
-        # _canonical_terms), so this block only counts toward the total.
-        return BlockResult(
-            n1=n1, sequences=sum(1 for _ in tuples), orbit_reps=0, histogram={}, high_index=[]
-        )
     group = factorize(n)
+    phi = len(units(group))
     histogram: dict[str, int] = {}
     high: list[tuple[tuple[int, ...], int]] = []
     sequences = 0
     reps = 0
-    for terms in tuples:
-        sequences += 1
-        if orbits and _canonical_terms(terms, n) != terms:
-            continue
+    for terms in _minimal_tuples(n, k, leading=(n1,)):
+        if orbits:
+            image, fixed = _canonical_terms(terms, n)
+            if image != terms:
+                continue
+            sequences += phi // fixed
+        else:
+            sequences += 1
         reps += 1
         seq = Sequence(group, terms)
         result = find_witness(seq) if k == 4 else _exhaustive(seq)
@@ -278,7 +302,8 @@ class Checkpoint:
         but is not an object holding every field.  Every record's fields,
         whichever sweep it belongs to, must also hold what ``record`` writes:
         ints, an orbits flag, a leading term in [1, n-1] for the record's own
-        n, a histogram of ints and [terms, index] pairs of ints.
+        n (a divisor of n if the record is an orbit sweep's), a histogram of
+        ints and [terms, index] pairs of ints.
         """
         sweeps: dict[tuple[int, int, bool], dict[int, BlockResult]] = {}
         if not self.data_path.exists():
@@ -307,6 +332,7 @@ class Checkpoint:
                         _ints(n, rec["k"], n1, rec["sequences"], rec["orbit_reps"])
                         and type(rec["orbits"]) is bool
                         and 0 < n1 < n
+                        and (n % n1 == 0 or not rec["orbits"])
                         and _ints(*rec["histogram"].values())
                         and all(
                             type(pair) is list and len(pair) == 2
@@ -393,7 +419,7 @@ def verify_moduli(
             results = sweeps.pop((n.n, opts.k, opts.orbits), {})
             interrupted = False
             try:
-                pending = [n1 for n1 in range(1, n.n) if n1 not in results]
+                pending = [n1 for n1 in _leading_terms(n.n, opts.orbits) if n1 not in results]
                 if pool is None and effective_jobs(opts.jobs, os.cpu_count(), len(pending)) > 1:
                     pool = ProcessPoolExecutor(max_workers=workers, initializer=_ignore_sigint)
                 _run_blocks(n.n, opts, checkpoint, results, pending, pool, workers)
@@ -524,7 +550,8 @@ def _merge(
         rule_histogram=histogram,
         high_index=tuple(high),
         elapsed=elapsed,
-        complete=not interrupted and len(results) == modulus - 1,
+        complete=not interrupted
+        and all(n1 in results for n1 in _leading_terms(modulus, opts.orbits)),
     )
 
 

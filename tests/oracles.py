@@ -98,6 +98,13 @@ def naive_orbit_canonical(terms: tuple[int, ...], n: int) -> tuple[int, ...]:
     return best
 
 
+def naive_stabilizer_size(terms: tuple[int, ...], n: int) -> int:
+    """How many units of Z_n map the sorted terms onto themselves."""
+    return sum(
+        1 for m in naive_units(n) if tuple(sorted((m * t) % n or n for t in terms)) == terms
+    )
+
+
 def naive_orbit_reps(n: int, tuples) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Each tuple's naive canonical form, asking the oracle once per orbit.
 

@@ -57,14 +57,15 @@ def test_checkpoint_paths(tmp_path):
     assert checkpoint.data_path == tmp_path / "sweep.ckpt.blocks"
 
 
-def test_traced_verify_matches_its_report(tmp_path):
+def traced_verify(tmp_path, *flags):
+    """Trace ``verify --n 35`` with a checkpoint; the tracer and the report record."""
     report = tmp_path / "report.jsonl"
     t = tracer.Tracer()
     installed = tracer.Installed(t)
     try:
         code = run(
             ["verify", "--n", "35", "--checkpoint-path", str(tmp_path / "ckpt"),
-             "--report-path", str(report)],
+             "--report-path", str(report), *flags],
             out=io.StringIO(),
         )
     finally:
@@ -76,10 +77,23 @@ def test_traced_verify_matches_its_report(tmp_path):
         rule = label.split(":")[0]  # CANDIDATE:<tag> labels carry the pool tag
         by_rule[rule] = by_rule.get(rule, 0) + count
     assert tracer.rule_tally(t) == by_rule
+    return t, record
+
+
+def test_traced_verify_matches_its_report(tmp_path):
+    t, record = traced_verify(tmp_path)
     metrics = tracer.pipeline_metrics(t)
     assert metrics["witness.find.calls"] == record["sequences_total"]
     assert metrics["certificates.recheck.calls"] == record["sequences_total"]
     assert metrics["harness.checkpoint.records_written"] == 34
+
+
+def test_traced_orbit_verify_matches_its_report(tmp_path):
+    t, record = traced_verify(tmp_path, "--orbits")
+    metrics = tracer.pipeline_metrics(t)
+    assert metrics["witness.find.calls"] == record["orbits_total"]
+    assert metrics["certificates.recheck.calls"] == record["orbits_total"]
+    assert metrics["harness.checkpoint.records_written"] == 3  # blocks 1, 5 and 7
 
 
 def test_traced_sweep_sees_the_pool(tmp_path):

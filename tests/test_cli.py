@@ -404,6 +404,28 @@ class TestModuleEntryPoint:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout == "index 1 argmin 24\n"
 
+    def test_ctrl_c_while_the_front_end_loads_exits_interrupted(self, tmp_path):
+        # A sitecustomize on the path runs at interpreter start and installs an
+        # import hook that raises KeyboardInterrupt, as a Ctrl-C would, when
+        # ``python -m zsindex`` loads ``zsindex.cli``.
+        (tmp_path / "sitecustomize.py").write_text(
+            "import sys\n"
+            "class Interrupt:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'zsindex.cli':\n"
+            "            raise KeyboardInterrupt\n"
+            "sys.meta_path.insert(0, Interrupt())\n"
+        )
+        env = _module_env()
+        env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+        proc = subprocess.run(
+            [sys.executable, "-m", "zsindex", "index", "--n", "35", "--terms", "2,3,31,34"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_INTERRUPTED, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestLogLevel:
     def test_debug_leaves_report_unchanged(self, tmp_path, capsys):

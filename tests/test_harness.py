@@ -27,6 +27,7 @@ from zsindex.harness import (
     VerificationReport,
     _canonical_terms,
     _minimal_tuples,
+    _orbit_reps,
     effective_jobs,
 )
 
@@ -35,7 +36,11 @@ from oracles import (
     naive_minimal_enumeration,
     naive_orbit_canonical,
     naive_orbit_reps,
+    naive_stabilizer_size,
 )
+
+
+SCHEMA = harness.CHECKPOINT_SCHEMA
 
 
 def terms_of(n, k=4):
@@ -105,7 +110,7 @@ class TestOrbitCanonical:
             rep_of = naive_orbit_reps(n, tuples)
             assert set(rep_of) == set(tuples)  # orbits stay inside the minimal set
             for terms in tuples:
-                assert _canonical_terms(terms, n) == rep_of[terms], (n, terms)
+                assert _canonical_terms(terms, n)[0] == rep_of[terms], (n, terms)
 
     def test_kernel_matches_oracle_with_zero_term(self):
         rng = random.Random(7)
@@ -113,20 +118,51 @@ class TestOrbitCanonical:
             n = rng.randint(2, 90)
             terms = tuple(sorted([rng.randint(1, n) for _ in range(rng.randint(0, 5))] + [n]))
             expected = naive_orbit_canonical(terms, n)
-            assert _canonical_terms(terms, n) == expected, (n, terms)
+            assert _canonical_terms(terms, n)[0] == expected, (n, terms)
             assert orbit_canonical(Sequence.over(n, terms)).terms == expected
 
+    @pytest.mark.parametrize("k, top", [(4, 60), (5, 30)])
+    def test_stabilizer_size_matches_oracle(self, k, top):
+        for n in range(2, top + 1):
+            for rep in _orbit_reps(n, k):
+                assert _canonical_terms(rep, n)[1] == naive_stabilizer_size(rep, n), (n, rep)
+
     def test_orbits_total_counts_naive_classes(self, tmp_path):
+        # Orbit sweeps count sequences from stabilizers, so the total is checked
+        # against enumeration up to 100; the naive orbit classes up to 50.
         report = tmp_path / "orbits.jsonl"
-        argv = ["verify", "--orbits", "--n-range", "2:50", "--all-moduli",
+        argv = ["verify", "--orbits", "--n-range", "2:100", "--all-moduli",
                 "--report-path", str(report)]
         assert run(argv, out=io.StringIO()) == 0
         records = [json.loads(line) for line in report.read_text().splitlines()]
-        assert [r["n"] for r in records] == list(range(2, 51))
+        assert [r["n"] for r in records] == list(range(2, 101))
         for r in records:
             tuples = list(_minimal_tuples(r["n"], 4))
-            assert r["sequences_total"] == len(tuples)
-            assert r["orbits_total"] == len(set(naive_orbit_reps(r["n"], tuples).values())), r["n"]
+            assert r["sequences_total"] == len(tuples), r["n"]
+            if r["n"] <= 50:
+                classes = set(naive_orbit_reps(r["n"], tuples).values())
+                assert r["orbits_total"] == len(classes), r["n"]
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_orbit_sweep_counts_every_sequence(self, k):
+        for n in range(2, 31):
+            report = verify_conjecture(factorize(n), VerifyOptions(k=k, orbits=True))
+            assert report.sequences_total == sum(1 for _ in _minimal_tuples(n, k)), (n, k)
+
+    def test_orbit_sweep_enumerates_only_divisor_led_blocks(self, monkeypatch, tmp_path):
+        leading_terms = []
+        tuples = harness._minimal_tuples
+
+        def recording(n, k, leading=None):
+            leading_terms.extend(leading)
+            return tuples(n, k, leading)
+
+        monkeypatch.setattr(harness, "_minimal_tuples", recording)
+        ckpt = tmp_path / "sweep.ckpt"
+        argv = ["verify", "--orbits", "--n", "77", "--checkpoint-path", str(ckpt)]
+        assert run(argv, out=io.StringIO()) == 0
+        assert sorted(leading_terms) == [1, 7, 11]
+        assert block_keys(tmp_path / "sweep.ckpt.blocks") == [(77, 4, 1), (77, 4, 7), (77, 4, 11)]
 
 
 
@@ -484,7 +520,7 @@ class TestCheckpointResume:
         with pytest.raises(json.JSONDecodeError):
             verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
 
-    @pytest.mark.parametrize("schema", [None, 1, harness.CHECKPOINT_SCHEMA + 1])
+    @pytest.mark.parametrize("schema", [None, 1, 2, SCHEMA + 1])
     def test_record_of_another_schema_is_refused(self, tmp_path, capsys, schema):
         # A record as releases before the schema field wrote it: full-sweep
         # labels came from the staged pipeline on every sequence then.
@@ -506,6 +542,23 @@ class TestCheckpointResume:
         assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
         assert blocks.read_text() == json.dumps(record, sort_keys=True) + "\n"
 
+    def test_schema_2_orbit_log_is_refused(self, tmp_path, capsys):
+        # Schema 2 orbit records counted the tuples of their own block, one
+        # block per leading term; schema 3 ones count whole orbits.
+        record = {
+            "high_index": [], "histogram": {"INTERVAL": 2, "SUM_N": 29}, "k": 4, "n": 25,
+            "n1": 1, "orbit_reps": 31, "orbits": True, "schema": 2, "sequences": 92,
+        }
+        ckpt = tmp_path / "sweep.ckpt"
+        blocks = tmp_path / "sweep.ckpt.blocks"
+        blocks.write_text(json.dumps(record, sort_keys=True) + "\n")
+        argv = ["verify", "--orbits", "--n", "25", "--checkpoint-path", str(ckpt)]
+        code = run(argv, out=io.StringIO())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and "schema 2" in err
+        assert blocks.read_text() == json.dumps(record, sort_keys=True) + "\n"
+
     def test_records_carry_the_schema(self, monkeypatch, tmp_path):
         sweep_interrupted_at_block_6(monkeypatch, tmp_path / "sweep.ckpt")
         records = (tmp_path / "sweep.ckpt.blocks").read_text().splitlines()
@@ -514,22 +567,24 @@ class TestCheckpointResume:
     @pytest.mark.parametrize(
         "record",
         [
-            {"schema": 2},
+            {"schema": SCHEMA},
             [1, 2],
-            {"schema": 2, "n": 25, "k": 4, "orbits": False, "n1": 1, "orbit_reps": 92,
+            {"schema": SCHEMA, "n": 25, "k": 4, "orbits": False, "n1": 1, "orbit_reps": 92,
              "histogram": {}, "high_index": []},
-            {"schema": 2, "n": 25, "k": 4, "orbits": False, "n1": 1, "sequences": 92,
+            {"schema": SCHEMA, "n": 25, "k": 4, "orbits": False, "n1": 1, "sequences": 92,
              "orbit_reps": 0, "histogram": {"SUM_N": "x"}, "high_index": []},
-            {"schema": 2, "n": 25, "k": 4, "orbits": False, "n1": 1, "sequences": 92,
+            {"schema": SCHEMA, "n": 25, "k": 4, "orbits": False, "n1": 1, "sequences": 92,
              "orbit_reps": 0, "histogram": {}, "high_index": [[[1, 1, 1, 22]]]},
-            {"schema": 2, "n": 25, "k": 4, "orbits": False, "n1": 999, "sequences": 5,
+            {"schema": SCHEMA, "n": 25, "k": 4, "orbits": False, "n1": 999, "sequences": 5,
              "orbit_reps": 0, "histogram": {}, "high_index": []},
-            {"schema": 2, "n": 49, "k": 4, "orbits": False, "n1": 999, "sequences": 5,
+            {"schema": SCHEMA, "n": 49, "k": 4, "orbits": False, "n1": 999, "sequences": 5,
+             "orbit_reps": 0, "histogram": {}, "high_index": []},
+            {"schema": SCHEMA, "n": 25, "k": 4, "orbits": True, "n1": 2, "sequences": 5,
              "orbit_reps": 0, "histogram": {}, "high_index": []},
         ],
         ids=["fields_missing", "not_an_object", "no_sequences", "count_not_int",
              "high_index_not_a_pair", "leading_term_out_of_range",
-             "another_modulus_leading_term_out_of_range"],
+             "another_modulus_leading_term_out_of_range", "orbit_leading_term_not_a_divisor"],
     )
     def test_malformed_record_is_refused(self, tmp_path, capsys, record):
         ckpt = tmp_path / "sweep.ckpt"
