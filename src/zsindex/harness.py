@@ -21,12 +21,13 @@ import signal
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence as SequenceABC
 
 from .certificates import HighIndexEvidence, verify_witness
 from .residues import GroupOrder, factorize, units
-from .sequences import Sequence, is_minimal_terms, min_transform_sum, sequence_index
+from .sequences import Sequence, min_transform_sum, sequence_index
 from .witness import _MEMO, _exhaustive, find_witness
 
 HIGH_INDEX_KEY = "HIGH_INDEX"
@@ -37,67 +38,55 @@ HIGH_INDEX_KEY = "HIGH_INDEX"
 CHECKPOINT_SCHEMA = 3
 
 
-def _minimal_quadruples(n: int, leading: SequenceABC[int]) -> Iterator[tuple[int, int, int, int]]:
-    """Sorted minimal zero-sum quadruples over [1, n-1], leading term fixed.
+def _minimal_tuples(
+    n: int, k: int, leading: SequenceABC[int] | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Sorted minimal zero-sum k-tuples over [1, n-1], in lexicographic order.
 
-    For zero-sum quadruples with no zero term, minimality is exactly the
-    absence of a pair summing to n (singletons are nonzero by range and
-    triples are complements of singletons); the six pair checks are inlined.
+    The first term is drawn from ``leading`` (default: every term).  A DFS
+    keeps every prefix zero-sum free.  It tracks ``closing``, the residues
+    n - s for the prefix's nonempty subset sums s, so a term t may follow
+    only if it is not in ``closing``.  The k-th term is forced to minus the
+    sum of the first k - 1, and the tuple is kept only if that term is at
+    least the one before it; the frame that picks the (k-1)-th term walks
+    only the terms that pass.  The forced term is never 0, since the whole
+    prefix is one of its own subsets.
+
+    No minimality test is needed afterwards.  A proper nonempty subset with
+    sum 0 either misses the last term, and so lies inside the prefix, or
+    holds it, and then its complement is nonempty, lies inside the prefix and
+    also sums to 0; either way the prefix would hold a zero-sum subset.
     """
-    for t1 in leading:
-        for t2 in range(t1, n):
-            if t1 + t2 == n:
-                continue
-            base = t1 + t2
-            for t3 in range(t2, n):
-                if t1 + t3 == n or t2 + t3 == n:
-                    continue
-                t4 = -(base + t3) % n
-                if t4 < t3:  # covers t4 == 0 as well
-                    continue
-                if t1 + t4 == n or t2 + t4 == n or t3 + t4 == n:
-                    continue
-                yield (t1, t2, t3, t4)
 
-
-def _minimal_tuples_generic(n: int, k: int, leading: SequenceABC[int]) -> Iterator[tuple[int, ...]]:
-    """Sorted minimal zero-sum k-tuples, by DFS with multiple-of-n pruning."""
-
-    def _extend(prefix: list[int], partial: int) -> Iterator[tuple[int, ...]]:
-        remaining = k - len(prefix)
-        low = prefix[-1]
-        if remaining == 1:
-            t = -partial % n
-            if t == 0 or t < low:
-                return
-            candidate = tuple(prefix) + (t,)
-            if is_minimal_terms(candidate, n):
-                yield candidate
+    def extend(
+        prefix: tuple[int, ...], closing: set[int], need: int, low: int, high: int
+    ) -> Iterator[tuple[int, ...]]:
+        # need = -sum(prefix) mod n; this frame picks term len(prefix) + 1 in [low, high)
+        if len(prefix) == k - 2:
+            # and closes: the forced term is need - t up to t = need, need + n - t
+            # above it, and it must be at least t
+            for t in range(low, min(high, need // 2 + 1)):
+                if t not in closing:
+                    yield prefix + (t, need - t)
+            for t in range(max(low, need + 1), min(high, (need + n) // 2 + 1)):
+                if t not in closing:
+                    yield prefix + (t, need + n - t)
             return
-        lo = partial + remaining * low
-        hi = partial + remaining * (n - 1)
-        if hi // n < -(-lo // n):  # no multiple of n is reachable
-            return
-        for t in range(low, n):
-            prefix.append(t)
-            yield from _extend(prefix, partial + t)
-            prefix.pop()
+        for t in range(low, high):
+            if t not in closing:
+                grown = {(c - t) % n for c in closing}
+                grown |= closing
+                grown.add(n - t)
+                yield from extend(prefix + (t,), grown, (need - t) % n, t, n)
 
-    if k == 1 or k > n:
+    if k < 2 or k > n:
         # The only zero-sum singleton is the zero element, excluded; and no
         # minimal zero-sum sequence over Z_n is longer than n (its Davenport
         # constant), since n terms always hold a nonempty zero-sum subset.
-        return
-    for t1 in leading:
-        yield from _extend([t1], t1)
-
-
-def _minimal_tuples(n: int, k: int, leading: SequenceABC[int] | None = None) -> Iterator[tuple[int, ...]]:
+        return iter(())
     if leading is None:
         leading = range(1, n)
-    if k == 4:
-        return _minimal_quadruples(n, leading)
-    return _minimal_tuples_generic(n, k, leading)
+    return chain.from_iterable(extend((), set(), 0, t, t + 1) for t in leading)
 
 
 def enumerate_minimal(n: GroupOrder, k: int = 4) -> Iterator[Sequence]:
@@ -223,11 +212,6 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
     return BlockResult(
         n1=n1, sequences=sequences, orbit_reps=reps, histogram=histogram, high_index=high
     )
-
-
-def effective_jobs(jobs: int, cpu_count: int | None, pending: int) -> int:
-    """Worker processes worth starting: no more than cores or pending blocks."""
-    return min(jobs, cpu_count or 1, pending)
 
 
 @dataclass
@@ -420,7 +404,7 @@ def verify_moduli(
             interrupted = False
             try:
                 pending = [n1 for n1 in _leading_terms(n.n, opts.orbits) if n1 not in results]
-                if pool is None and effective_jobs(opts.jobs, os.cpu_count(), len(pending)) > 1:
+                if pool is None and workers > 1 and len(pending) > 1:
                     pool = ProcessPoolExecutor(max_workers=workers, initializer=_ignore_sigint)
                 _run_blocks(n.n, opts, checkpoint, results, pending, pool, workers)
             except KeyboardInterrupt:

@@ -47,11 +47,6 @@ class GroupOrder:
                 f"factorization {self.factors!r} does not multiply to {self.n}"
             )
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-
 
 def factorize(n: int) -> GroupOrder:
     """Factor n by trial division.  Intended for desk-scale moduli."""

@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import random
+from concurrent.futures import Future
 
 import pytest
 
@@ -28,7 +29,6 @@ from zsindex.harness import (
     _canonical_terms,
     _minimal_tuples,
     _orbit_reps,
-    effective_jobs,
 )
 
 from oracles import (
@@ -70,6 +70,18 @@ class TestEnumerateMinimal:
 
     def test_length_five_against_oracle(self):
         assert terms_of(8, k=5) == naive_minimal_enumeration(8, 5)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_every_block_matches_naive_oracle(self, k):
+        for n in range(k, 17):
+            expected = sorted(naive_minimal_enumeration(n, k))
+            for n1 in range(1, n):
+                block = list(_minimal_tuples(n, k, leading=(n1,)))
+                assert block == [t for t in expected if t[0] == n1], (n, n1)
+
+    def test_quadruples_match_naive_oracle_up_to_40(self):
+        for n in range(2, 41):
+            assert list(_minimal_tuples(n, 4)) == sorted(naive_minimal_enumeration(n, 4)), n
 
     def test_lengths_above_n_are_empty(self):
         # The Davenport constant of Z_n is n: longer sequences are never minimal.
@@ -385,11 +397,48 @@ def test_every_sweep_starts_with_a_cold_memo(monkeypatch):
         (8, 16, 3, 3),
         (2, 2, 1, 1),
         (2, 2, 0, 0),
-        (10**6, 4, 10**6, 4),
+        (10**6, 4, 1000, 4),
     ],
 )
-def test_effective_jobs(jobs, cpu_count, pending, expected):
-    assert effective_jobs(jobs, cpu_count, pending) == expected
+def test_pool_workers(monkeypatch, jobs, cpu_count, pending, expected):
+    """The pool gets at most ``jobs`` and the cores; its tasks, at most one per pending block.
+
+    ``expected`` is how many processes the run can keep busy: at most 1 means
+    the blocks run in-process and no pool starts.
+    """
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer):
+            self.max_workers = max_workers
+            self.tasks = 0
+            pools.append(self)
+
+        def submit(self, fn, *args):
+            self.tasks += 1
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    def scan(n, k, n1, orbits):
+        return harness.BlockResult(n1=n1, sequences=1, orbit_reps=1, histogram={}, high_index=[])
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpu_count)
+    monkeypatch.setattr(harness, "_leading_terms", lambda n, orbits: list(range(1, pending + 1)))
+    monkeypatch.setattr(harness, "_scan_block_impl", scan)
+    monkeypatch.setattr(harness, "_worker_modulus", 0)
+    (report,) = harness.verify_moduli([factorize(7)], VerifyOptions(jobs=jobs))
+    assert report.complete and report.sequences_total == pending
+    if expected <= 1:
+        assert pools == []
+    else:
+        (pool,) = pools
+        assert pool.max_workers == min(jobs, cpu_count or 1)
+        assert min(pool.max_workers, pool.tasks) == expected
 
 
 def test_a_pool_worker_empties_its_memo_at_each_new_modulus(monkeypatch):

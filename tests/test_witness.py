@@ -229,6 +229,16 @@ class TestLeadImage:
                 t = next(t for t in terms if math.gcd(t, n) == d)
                 assert u == min(m for m in units if m * t % n == d), (n, terms)
 
+    def test_no_lead_image_sums_to_3n(self):
+        # A lead image leads with d = min gcd(t, n), and n - t has the same gcd
+        # with n as t, so every term is at most n - d and the sum at most
+        # 3n - 2d: find_witness never reaches the SUM_3N rule.
+        for n in range(2, 61):
+            for terms in _minimal_tuples(n, 4):
+                image, _ = _lead_image(terms, n)
+                d = image[0]
+                assert image[-1] <= n - d and sum(image) <= 3 * n - 2 * d, (n, terms)
+
 
 class TestUnitLift:
     def test_matches_least_unit_in_the_class(self):
