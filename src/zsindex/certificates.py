@@ -24,7 +24,7 @@ RULE_CANDIDATE = "CANDIDATE"  # pool hit; the case tag is interval or const
 RULE_EXHAUSTIVE = "EXHAUSTIVE"  # ascending scan over all units
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Witness:
     """A unit multiplier certifying index 1, with provenance.
 

@@ -155,7 +155,7 @@ def _orbit_reps(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield terms
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockResult:
     """Tallies for one leading-term block; merging is plain addition."""
 

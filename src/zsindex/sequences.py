@@ -16,7 +16,7 @@ from typing import Iterable
 from .residues import GroupOrder, NotAUnit, factorize, reduce_value, units
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sequence:
     """A multiset of k >= 1 residues in [1, n], stored sorted ascending."""
 

@@ -277,16 +277,22 @@ def find_witness(s: Sequence) -> Witness | HighIndexEvidence:
     and a certificate m of u*T gives m*u for T, which is certified on T's
     own terms; high-index evidence is recomputed on T so its argmin is T's
     smallest.  Requires a minimal zero-sum quadruple.
+
+    Minimality is tested only on a memo miss.  A unit multiplies a zero-sum
+    subset into a zero-sum subset and back, so T is minimal zero-sum exactly
+    when u*T is; and an image enters the memo only after the sequence that
+    put it there passed the test.  A hit therefore proves T minimal, and
+    NotMinimalZeroSum is raised for exactly the inputs that fail the test.
     """
     if len(s.terms) != 4:
         raise NotLength4(f"expected 4 terms, got {len(s.terms)}")
-    if not is_minimal_zero_sum(s):
-        raise NotMinimalZeroSum(f"{s.terms} over {s.n} is not minimal zero-sum")
     n = s.n
     image, u = _lead_image(s.terms, n)
     key = (n, image)
     found = _MEMO.get(key)
     if found is None:
+        if not is_minimal_zero_sum(s):
+            raise NotMinimalZeroSum(f"{s.terms} over {n} is not minimal zero-sum")
         found = _pipeline(s if u == 1 else Sequence(s.modulus, image))
         if len(_MEMO) >= _MEMO_CAP:
             _MEMO.clear()  # a bound on memory; a sweep past it restarts cold

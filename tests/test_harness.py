@@ -388,6 +388,31 @@ def test_every_sweep_starts_with_a_cold_memo(monkeypatch):
     assert witness._MEMO == {}
 
 
+def test_a_full_sweep_tests_minimality_once_per_memo_miss(monkeypatch, tmp_path):
+    """A memo hit proves minimality (see ``find_witness``), so only misses pay the test."""
+    staged = []
+    tested = []
+    pipeline = witness._pipeline
+    is_minimal = witness.is_minimal_zero_sum
+
+    def counting_pipeline(s):
+        if s.n == 35:  # content division recurses at smaller moduli
+            staged.append(s.terms)
+        return pipeline(s)
+
+    def counting_is_minimal(s):
+        tested.append(s.terms)
+        return is_minimal(s)
+
+    monkeypatch.setattr(witness, "_pipeline", counting_pipeline)
+    monkeypatch.setattr(witness, "is_minimal_zero_sum", counting_is_minimal)
+    report = tmp_path / "report.jsonl"
+    assert run(["verify", "--n", "35", "--report-path", str(report)], out=io.StringIO()) == 0
+    sequences = json.loads(report.read_text())["sequences_total"]
+    assert len(tested) == len(staged) == len(set(staged)) == 194
+    assert sequences == 1734
+
+
 @pytest.mark.parametrize(
     "jobs, cpu_count, pending, expected",
     [

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -27,7 +28,7 @@ from zsindex import (
 )
 
 from zsindex.harness import _minimal_tuples
-from zsindex.witness import FIXED_CANDIDATES, _lead_image, _pipeline, _unit_lift
+from zsindex.witness import FIXED_CANDIDATES, _MEMO, _lead_image, _pipeline, _unit_lift
 
 from oracles import (
     naive_index,
@@ -339,6 +340,39 @@ class TestFindWitness:
             find_witness(seq(10, (1, 9)))
         with pytest.raises(NotMinimalZeroSum):
             find_witness(seq(10, (2, 4, 6, 8)))
+
+    def test_warm_memo_keeps_the_minimality_precondition(self):
+        """Minimality is tested on memo misses only: every 4-multiset over
+        [1, n], n <= 24, against the oracle, after a sweep of each n."""
+        moduli = range(2, 25)
+        multisets = {
+            n: [seq(n, c) for c in combinations_with_replacement(range(1, n + 1), 4)]
+            for n in moduli
+        }
+        cold = {}
+        _MEMO.clear()
+        try:
+            for n in moduli:
+                for s in multisets[n]:
+                    if naive_is_minimal(s.terms, n):
+                        _MEMO.clear()
+                        cold[s] = find_witness(s)
+            _MEMO.clear()
+            for n in moduli:
+                for terms in _minimal_tuples(n, 4):
+                    find_witness(seq(n, terms))
+            for n in moduli:
+                for s in multisets[n]:
+                    key = (n, _lead_image(s.terms, n)[0])
+                    if s in cold:
+                        assert key in _MEMO, s  # the hit path is the one under test
+                        assert find_witness(s) == cold[s], s
+                    else:
+                        assert key not in _MEMO, s
+                        with pytest.raises(NotMinimalZeroSum):
+                            find_witness(s)
+        finally:
+            _MEMO.clear()
 
     @pytest.mark.parametrize("n", [9, 10, 25, 35])
     def test_oracle_agreement_exhaustive(self, n):
