@@ -455,7 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes in the one pool that serves the whole run (at most the cores)",
+        help=(
+            "worker processes in the one pool that serves the whole run (at most the "
+            "cores); a range deals each modulus into fewer tasks the more moduli it "
+            "holds, down to one task per modulus, and queues them across moduli"
+        ),
     )
     p_verify.add_argument("--report-path", type=str, default=None)
     p_verify.add_argument("--checkpoint-path", type=str, default=None)

@@ -7,8 +7,9 @@ sweep has one per proper divisor of n, because every unit orbit's least
 member leads with one, and it counts each orbit's members from that member's
 stabilizer (|orbit(R)| = phi(n) / |Stab(R)|) rather than by enumerating them.
 One worker pool serves a whole ``verify_moduli`` run, however many moduli it
-sweeps.  Block results merge by plain counter addition and sorted list union,
-so the final report is independent of worker scheduling.
+sweeps, and its task queue runs across moduli.  Block results merge by plain
+counter addition and sorted list union, so the final report is independent
+of worker scheduling.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import math
 import os
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence as SequenceABC
 
@@ -48,9 +49,11 @@ def _minimal_tuples(
     n - s for the prefix's nonempty subset sums s, so a term t may follow
     only if it is not in ``closing``.  The k-th term is forced to minus the
     sum of the first k - 1, and the tuple is kept only if that term is at
-    least the one before it; the frame that picks the (k-1)-th term walks
-    only the terms that pass.  The forced term is never 0, since the whole
-    prefix is one of its own subsets.
+    least the one before it.  The frame that picks the (k-2)-th term also
+    closes the tuple in its own loop, with no frame of its own for the last
+    two terms: it walks only the (k-1)-th terms that pass, and skips a
+    (k-2)-th term that leaves none.  The forced term is never 0, since the
+    whole prefix is one of its own subsets.
 
     No minimality test is needed afterwards.  A proper nonempty subset with
     sum 0 either misses the last term, and so lies inside the prefix, or
@@ -62,22 +65,36 @@ def _minimal_tuples(
         prefix: tuple[int, ...], closing: set[int], need: int, low: int, high: int
     ) -> Iterator[tuple[int, ...]]:
         # need = -sum(prefix) mod n; this frame picks term len(prefix) + 1 in [low, high)
-        if len(prefix) == k - 2:
-            # and closes: the forced term is need - t up to t = need, need + n - t
-            # above it, and it must be at least t
-            for t in range(low, min(high, need // 2 + 1)):
-                if t not in closing:
-                    yield prefix + (t, need - t)
-            for t in range(max(low, need + 1), min(high, (need + n) // 2 + 1)):
-                if t not in closing:
-                    yield prefix + (t, need + n - t)
-            return
-        for t in range(low, high):
-            if t not in closing:
-                grown = {(c - t) % n for c in closing}
-                grown |= closing
-                grown.add(n - t)
-                yield from extend(prefix + (t,), grown, (need - t) % n, t, n)
+        last = len(prefix) == k - 3
+        if last:
+            # The term t leaves rest = need - t (mod n), and the closing term
+            # u >= t needs u <= rest / 2 (forced term rest - u) or
+            # rest < u <= (rest + n) / 2 (forced term rest + n - u).  One of
+            # the two exists only for t < need with 3t <= need + n, or for
+            # t > need with 3t <= need + 2n.
+            picks = chain(
+                range(low, min(high, need, (need + n) // 3 + 1)),
+                range(max(low, need + 1), min(high, (need + 2 * n) // 3 + 1)),
+            )
+        else:
+            picks = range(low, high)
+        for t in picks:
+            if t in closing:
+                continue
+            grown = {(c - t) % n for c in closing}
+            grown |= closing
+            grown.add(n - t)
+            rest = (need - t) % n
+            if not last:
+                yield from extend(prefix + (t,), grown, rest, t, n)
+                continue
+            head = prefix + (t,)
+            for u in range(t, rest // 2 + 1):
+                if u not in grown:
+                    yield head + (u, rest - u)
+            for u in range(max(t, rest + 1), (rest + n) // 2 + 1):
+                if u not in grown:
+                    yield head + (u, rest + n - u)
 
     if k < 2 or k > n:
         # The only zero-sum singleton is the zero element, excluded; and no
@@ -86,6 +103,8 @@ def _minimal_tuples(
         return iter(())
     if leading is None:
         leading = range(1, n)
+    if k == 2:
+        return ((t, n - t) for t in leading if 2 * t <= n)
     return chain.from_iterable(extend((), set(), 0, t, t + 1) for t in leading)
 
 
@@ -373,49 +392,69 @@ class Checkpoint:
 def verify_moduli(
     moduli: Iterable[GroupOrder], options: VerifyOptions | None = None
 ) -> Iterator[VerificationReport]:
-    """Sweep each modulus in turn, yielding its report as the sweep ends.
+    """Sweep each modulus, yielding the reports in input order as each sweep ends.
 
     Every minimal zero-sum length-k sequence over Z_n is swept.  Witnesses
     are rechecked independently and high-index evidence is cross-checked
     against the exhaustive index, so a yielded report is sound by
-    construction.  An interrupted sweep yields a report with ``complete``
-    False and ends the run; a checkpoint makes such runs resumable.
+    construction.  An interrupted run yields a report with ``complete``
+    False for its earliest unfinished modulus and ends; a checkpoint makes
+    such runs resumable.
 
-    The checkpoint log is read once, before the first sweep, and each sweep
-    takes its own blocks out of that index as it starts: memory holds only
-    the records of moduli not yet swept, never those this run writes.  So a
-    modulus listed twice is swept in full the second time.
+    ``moduli`` is read in full before the first sweep, and so is the
+    checkpoint log: each modulus takes its own blocks out of the log's index
+    (so a modulus listed twice is swept in full the second time), records of
+    other moduli are dropped, and a modulus's block results are released once
+    its report is out.  Each block is recorded as the parent receives it (see
+    ``_run_blocks``), whatever its modulus; the log is fsynced before each
+    report is yielded, so a yielded report's blocks are durable.
 
-    With ``jobs`` above 1, one worker pool serves the whole run.  It starts
-    at the first modulus with more than one pending block, with as many
-    workers as ``jobs`` and the cores allow, and it is shut down when the
-    run ends, is interrupted or is closed by its caller.  Its workers ignore
-    SIGINT: the run alone turns Ctrl-C into an incomplete report.
+    With ``jobs`` above 1 and more than one task to deal, one worker pool,
+    with as many workers as ``jobs`` and the cores allow, serves the whole
+    run; it is shut down when the run ends, is interrupted or is closed by
+    its caller.  Its workers ignore SIGINT: the run alone turns Ctrl-C into
+    an incomplete report.  Sweeps then overlap, so a report's ``elapsed`` is
+    the run's wall time since it handed out the previous report (since its
+    first sweep began, for the first report), not the time spent on that
+    modulus alone; serially the two are the same.
     """
     opts = options or VerifyOptions()
     checkpoint = Checkpoint(opts.checkpoint_path) if opts.checkpoint_path else None
     sweeps = checkpoint.load() if checkpoint else {}
-    workers = min(opts.jobs, os.cpu_count() or 1)
-    pool = None
+    run = [n.n for n in moduli]
+    results = [sweeps.pop((n, opts.k, opts.orbits), {}) for n in run]
+    del sweeps
+    pending = [
+        [n1 for n1 in _leading_terms(n, opts.orbits) if n1 not in done]
+        for n, done in zip(run, results)
+    ]
+    remaining = [len(blocks) for blocks in pending]
+    blocks = _run_blocks(run, opts, pending, min(opts.jobs, os.cpu_count() or 1))
     try:
-        for n in moduli:
-            start = time.perf_counter()
-            results = sweeps.pop((n.n, opts.k, opts.orbits), {})
+        start = time.perf_counter()
+        for i, n in enumerate(run):
             interrupted = False
             try:
-                pending = [n1 for n1 in _leading_terms(n.n, opts.orbits) if n1 not in results]
-                if pool is None and workers > 1 and len(pending) > 1:
-                    pool = ProcessPoolExecutor(max_workers=workers, initializer=_ignore_sigint)
-                _run_blocks(n.n, opts, checkpoint, results, pending, pool, workers)
+                while remaining[i]:
+                    j, block = next(blocks)
+                    results[j][block.n1] = block
+                    if checkpoint:
+                        checkpoint.record(run[j], opts.k, opts.orbits, block)
+                    remaining[j] -= 1
             except KeyboardInterrupt:
                 interrupted = True
-            report = _merge(n.n, opts, results, interrupted, time.perf_counter() - start)
+            if checkpoint:
+                checkpoint.sync()
+            report = _merge(n, opts, results[i], interrupted, time.perf_counter() - start)
+            results[i] = {}
             yield report
             if not report.complete:
                 return
+            start = time.perf_counter()
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        blocks.close()  # drops the queued tasks and shuts the pool down
+        if checkpoint:
+            checkpoint.sync()
 
 
 def verify_conjecture(n: GroupOrder, options: VerifyOptions | None = None) -> VerificationReport:
@@ -448,15 +487,21 @@ def _sigint_deferred() -> Iterator[None]:
         signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
 
 
-# Each pooled sweep deals its pending blocks round-robin into this many tasks
-# per worker: the tasks cost about the same, and their pickling and wake-ups
-# are paid a few times per modulus rather than once per block.
+# A pooled run deals its pending blocks into this many tasks per worker, and
+# keeps at most that many outstanding: enough to keep every worker busy
+# across modulus boundaries, few enough that pickling and wake-ups are paid
+# a few times per modulus rather than once per block.
 _TASKS_PER_WORKER = 4
 _worker_modulus = 0  # the modulus whose lead images a pool worker's memo holds
 
 
 def _pooled_blocks(n: int, k: int, leading: list[int], orbits: bool) -> list[BlockResult]:
-    """``_scan_block_impl`` in a pool worker, whose memo starts cold at each modulus."""
+    """One pool task: ``_scan_block_impl`` over some blocks of modulus n, in a worker.
+
+    The worker's memo starts cold at each new modulus and then serves every
+    block of that modulus the worker runs; a run over several moduli gives
+    each modulus one task, so one memo serves all of its blocks.
+    """
     global _worker_modulus
     if n != _worker_modulus:
         _MEMO.clear()
@@ -465,43 +510,63 @@ def _pooled_blocks(n: int, k: int, leading: list[int], orbits: bool) -> list[Blo
 
 
 def _run_blocks(
-    modulus: int,
-    opts: VerifyOptions,
-    checkpoint: Checkpoint | None,
-    results: dict[int, BlockResult],
-    pending: list[int],
-    pool: ProcessPoolExecutor | None,
-    workers: int,
-) -> None:
-    """Run the ``pending`` blocks of a modulus into ``results``, on ``pool`` if given.
+    moduli: list[int], opts: VerifyOptions, pending: list[list[int]], workers: int
+) -> Iterator[tuple[int, BlockResult]]:
+    """Run every pending block of a run, yielding (modulus index, result) as each arrives.
 
-    Each block is recorded as soon as the parent holds it: in-process as it
-    completes, pooled as its task completes, so a pooled sweep logs blocks
-    in completion order.  The merge does not depend on that order.
+    ``pending[i]`` lists the blocks of ``moduli[i]`` still to run.  With w
+    workers and M moduli that have pending blocks, each such modulus's
+    blocks are dealt round-robin into min(pending, max(1, w *
+    ``_TASKS_PER_WORKER`` // M)) tasks: a lone modulus gets up to that many
+    tasks, and a run over many moduli gets one task per modulus.
+
+    With more than one worker and more than one task, a pool starts at the
+    first request for a block, never before.  Tasks are queued in modulus
+    order, at most w * ``_TASKS_PER_WORKER`` outstanding, and refilled as
+    they complete, so the pool never drains at a modulus boundary; a task's
+    blocks arrive when it completes, in completion order, whatever their
+    modulus.  Otherwise every block runs in-process, modulus by modulus and
+    in leading-term order, and arrives as it completes; the memo is emptied
+    as each modulus starts and when the run ends.  Closing the generator
+    cancels the queued tasks, lets the running ones finish and shuts the
+    pool down.
     """
-    futures = []
-    _MEMO.clear()  # cold start, as in every pool worker
+    share = max(1, workers * _TASKS_PER_WORKER // max(1, sum(map(bool, pending))))
+    tasks = [
+        (i, blocks[j::count])
+        for i, blocks in enumerate(pending)
+        for count in (min(len(blocks), share),)
+        for j in range(count)
+    ]
+    if workers < 2 or len(tasks) < 2:
+        try:
+            for i, blocks in enumerate(pending):
+                _MEMO.clear()  # cold start, as in every pool worker
+                for n1 in blocks:
+                    yield i, _scan_block_impl(moduli[i], opts.k, n1, opts.orbits)
+        finally:
+            _MEMO.clear()
+        return
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_ignore_sigint)
+    queue = iter(tasks)
+    running: dict[Future[list[BlockResult]], int] = {}
     try:
-        if pool is None:
-            blocks = (_scan_block_impl(modulus, opts.k, n1, opts.orbits) for n1 in pending)
-        else:
+        while True:
             with _sigint_deferred():
-                tasks = min(len(pending), workers * _TASKS_PER_WORKER)
-                futures = [
-                    pool.submit(_pooled_blocks, modulus, opts.k, pending[i::tasks], opts.orbits)
-                    for i in range(tasks)
-                ]
-            blocks = (block for future in as_completed(futures) for block in future.result())
-        for block in blocks:
-            results[block.n1] = block
-            if checkpoint:
-                checkpoint.record(modulus, opts.k, opts.orbits, block)
+                for i, blocks in islice(queue, workers * _TASKS_PER_WORKER - len(running)):
+                    future = pool.submit(_pooled_blocks, moduli[i], opts.k, blocks, opts.orbits)
+                    running[future] = i
+            if not running:
+                return
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in [future for future in running if future in done]:
+                i = running.pop(future)
+                for block in future.result():
+                    yield i, block
     finally:
-        for future in futures:
+        for future in running:
             future.cancel()  # queued tasks only; a running task finishes
-        _MEMO.clear()
-        if checkpoint:
-            checkpoint.sync()  # one fsync per sweep, not one per block
+        pool.shutdown(cancel_futures=True)
 
 
 def _merge(

@@ -26,6 +26,7 @@ from zsindex import (
     sequence_index,
     to_normal_form,
     verify_conjecture,
+    verify_moduli,
     verify_witness,
 )
 from zsindex.normal_form import NormalForm, content
@@ -73,19 +74,14 @@ def _sample_minimal_quadruple(rng, n):
         return terms
 
 
-def _sweep_one(n):
-    report = verify_conjecture(factorize(n))
-    return n, report.sequences_total, len(report.high_index), report.complete
-
-
 def test_criterion_1_desk_scale_conjecture_sweep():
     moduli = [n for n in range(7, 201) if math.gcd(n, 6) == 1]
     with criterion("1 desk-scale sweep: no high-index sequences for gcd(n,6)=1, n in [7,200]"):
-        with ProcessPoolExecutor(max_workers=JOBS) as pool:
-            for n, total, high_count, complete in pool.map(_sweep_one, moduli):
-                assert complete, f"sweep incomplete at n={n}"
-                assert total > 0, f"empty enumeration at n={n}"
-                assert high_count == 0, f"high-index sequence found at n={n}"
+        reports = verify_moduli(map(factorize, moduli), VerifyOptions(jobs=JOBS))
+        for n, report in zip(moduli, reports, strict=True):
+            assert report.n == n and report.complete, f"sweep incomplete at n={n}"
+            assert report.sequences_total > 0, f"empty enumeration at n={n}"
+            assert not report.high_index, f"high-index sequence found at n={n}"
 
 
 def test_criterion_2_witness_oracle_equivalence():

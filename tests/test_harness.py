@@ -413,6 +413,67 @@ def test_a_full_sweep_tests_minimality_once_per_memo_miss(monkeypatch, tmp_path)
     assert sequences == 1734
 
 
+class ReadFuture(Future):
+    """A future that counts, on its pool, the reads of its result."""
+
+    def __init__(self, pool):
+        super().__init__()
+        self.pool = pool
+
+    def result(self, timeout=None):
+        self.pool.read += 1
+        return super().result(timeout)
+
+
+class RecordingPool:
+    """Stands in for ``ProcessPoolExecutor`` and runs each task in-process as it is submitted.
+
+    It keeps each task's arguments and the most tasks outstanding at once, a
+    task being outstanding from its submission until its result is read.
+    """
+
+    def __init__(self, max_workers, initializer):
+        self.max_workers = max_workers
+        self.calls = []
+        self.read = 0
+        self.peak = 0
+
+    @property
+    def tasks(self):
+        return len(self.calls)
+
+    def submit(self, fn, *args):
+        self.calls.append(args)
+        self.peak = max(self.peak, len(self.calls) - self.read)
+        future = ReadFuture(self)
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures):
+        pass
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every ``RecordingPool`` a run starts, with the cores fixed at 2 unless a test says otherwise."""
+    started = []
+
+    class Recording(RecordingPool):
+        def __init__(self, max_workers, initializer):
+            super().__init__(max_workers, initializer)
+            started.append(self)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_worker_modulus", 0)
+    yield started
+    witness._MEMO.clear()  # the in-process tasks filled it
+
+
+def fake_scan(n, k, n1, orbits):
+    return harness.BlockResult(n1=n1, sequences=1, orbit_reps=1, histogram={}, high_index=[])
+
+
 @pytest.mark.parametrize(
     "jobs, cpu_count, pending, expected",
     [
@@ -425,37 +486,15 @@ def test_a_full_sweep_tests_minimality_once_per_memo_miss(monkeypatch, tmp_path)
         (10**6, 4, 1000, 4),
     ],
 )
-def test_pool_workers(monkeypatch, jobs, cpu_count, pending, expected):
+def test_pool_workers(monkeypatch, pools, jobs, cpu_count, pending, expected):
     """The pool gets at most ``jobs`` and the cores; its tasks, at most one per pending block.
 
     ``expected`` is how many processes the run can keep busy: at most 1 means
     the blocks run in-process and no pool starts.
     """
-    pools = []
-
-    class RecordingPool:
-        def __init__(self, max_workers, initializer):
-            self.max_workers = max_workers
-            self.tasks = 0
-            pools.append(self)
-
-        def submit(self, fn, *args):
-            self.tasks += 1
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-        def shutdown(self, cancel_futures):
-            pass
-
-    def scan(n, k, n1, orbits):
-        return harness.BlockResult(n1=n1, sequences=1, orbit_reps=1, histogram={}, high_index=[])
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpu_count)
     monkeypatch.setattr(harness, "_leading_terms", lambda n, orbits: list(range(1, pending + 1)))
-    monkeypatch.setattr(harness, "_scan_block_impl", scan)
-    monkeypatch.setattr(harness, "_worker_modulus", 0)
+    monkeypatch.setattr(harness, "_scan_block_impl", fake_scan)
     (report,) = harness.verify_moduli([factorize(7)], VerifyOptions(jobs=jobs))
     assert report.complete and report.sequences_total == pending
     if expected <= 1:
@@ -464,6 +503,147 @@ def test_pool_workers(monkeypatch, jobs, cpu_count, pending, expected):
         (pool,) = pools
         assert pool.max_workers == min(jobs, cpu_count or 1)
         assert min(pool.max_workers, pool.tasks) == expected
+
+
+@pytest.mark.parametrize("jobs, pending", [(2, 100), (2, 5), (3, 30), (4, 9)])
+def test_a_lone_modulus_is_dealt_into_tasks_per_worker(monkeypatch, pools, jobs, pending):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: jobs)
+    monkeypatch.setattr(harness, "_leading_terms", lambda n, orbits: list(range(1, pending + 1)))
+    monkeypatch.setattr(harness, "_scan_block_impl", fake_scan)
+    (report,) = harness.verify_moduli([factorize(7)], VerifyOptions(jobs=jobs))
+    assert report.complete and report.sequences_total == pending
+    (pool,) = pools
+    tasks = min(pending, jobs * harness._TASKS_PER_WORKER)
+    assert [blocks for _, _, blocks, _ in pool.calls] == [
+        list(range(1 + i, pending + 1, tasks)) for i in range(tasks)
+    ]
+
+
+def test_a_range_run_deals_one_task_per_modulus(pools, tmp_path):
+    """Each modulus goes to one worker whole, so one memo serves all of its blocks."""
+    moduli = list(range(7, 20))
+    ckpt = tmp_path / "sweep.ckpt"
+    # A resumed first modulus: only its unlogged blocks are dealt, and no task for n = 8.
+    partial = harness.verify_moduli(map(factorize, [7, 8]), VerifyOptions(checkpoint_path=ckpt))
+    assert [r.complete for r in partial] == [True, True]
+    blocks = tmp_path / "sweep.ckpt.blocks"
+    blocks.write_text("".join(blocks.read_text().splitlines(keepends=True)[:4]))  # n = 7, blocks 1-4
+    reports = list(harness.verify_moduli(
+        map(factorize, moduli), VerifyOptions(jobs=2, checkpoint_path=ckpt)
+    ))
+    (pool,) = pools
+    assert pool.calls == [(7, 4, [5, 6], False)] + [
+        (n, 4, list(range(1, n)), False) for n in moduli[1:]
+    ]
+    assert pool.peak == 2 * harness._TASKS_PER_WORKER
+    serial = list(harness.verify_moduli(map(factorize, moduli)))
+    assert [r.n for r in reports] == moduli
+    for resumed, fresh in zip(reports, serial):
+        assert_same_report(resumed, fresh)
+
+
+@pytest.mark.parametrize("count, tasks", [(3, 6), (20, 20)])  # 8 // 3 = 2 tasks per modulus
+def test_a_pooled_run_keeps_at_most_tasks_per_worker_outstanding(monkeypatch, pools, count, tasks):
+    monkeypatch.setattr(harness, "_scan_block_impl", fake_scan)
+    moduli = list(range(7, 7 + count))
+    reports = list(harness.verify_moduli(map(factorize, moduli), VerifyOptions(jobs=2)))
+    assert [(r.n, r.complete, r.sequences_total) for r in reports] == [
+        (n, True, n - 1) for n in moduli
+    ]
+    (pool,) = pools
+    assert pool.tasks == tasks
+    assert pool.peak == min(tasks, 2 * harness._TASKS_PER_WORKER)
+
+
+def test_an_orbit_run_over_primes_starts_the_pool(pools):
+    primes = [11, 13, 17, 19, 23]
+    opts = VerifyOptions(orbits=True, jobs=2)
+    reports = list(harness.verify_moduli(map(factorize, primes), opts))
+    (pool,) = pools
+    assert pool.calls == [(n, 4, [1], True) for n in primes]
+    serial = harness.verify_moduli(map(factorize, primes), VerifyOptions(orbits=True))
+    for pooled, fresh in zip(reports, serial, strict=True):
+        assert_same_report(pooled, fresh)
+
+
+def deferred_pool(monkeypatch, pick):
+    """Patch in a two-worker pool whose tasks run only as the run waits for one.
+
+    ``pick`` gets the outstanding futures, in submission order, and returns
+    the one to complete (or raises).  Returns every submitted future.
+    """
+    submitted = {}
+
+    class DeferredPool:
+        def __init__(self, max_workers, initializer):
+            pass
+
+        def submit(self, fn, *args):
+            future = Future()
+            submitted[future] = (fn, args)
+            return future
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    def wait(futures, return_when):
+        future = pick(list(futures))
+        fn, args = submitted[future]
+        future.set_result(fn(*args))
+        return {future}, set(futures) - {future}
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", DeferredPool)
+    monkeypatch.setattr(harness, "wait", wait)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(harness, "_worker_modulus", 0)
+    return submitted
+
+
+def test_a_pooled_run_refills_its_queue_as_each_task_completes(monkeypatch):
+    """The queue is topped up after every completion, so it never drains at a modulus boundary."""
+    outstanding = []
+
+    def oldest(futures):
+        outstanding.append(len(futures))
+        return futures[0]
+
+    deferred_pool(monkeypatch, oldest)
+    monkeypatch.setattr(harness, "_scan_block_impl", fake_scan)
+    moduli = list(range(7, 27))
+    reports = list(harness.verify_moduli(map(factorize, moduli), VerifyOptions(jobs=2)))
+    assert [(r.n, r.complete) for r in reports] == [(n, True) for n in moduli]
+    limit = 2 * harness._TASKS_PER_WORKER
+    assert outstanding == [min(limit, len(moduli) - i) for i in range(len(moduli))]
+
+
+def test_an_interrupt_keeps_the_blocks_of_a_later_modulus(monkeypatch, tmp_path):
+    """Ctrl-C after a later modulus's task completed: its blocks stay logged for the resume."""
+    moduli = [7, 8, 9, 10, 11]
+
+    def latest_then_interrupt(futures):
+        if any(future.done() for future in submitted):
+            raise KeyboardInterrupt  # while the run waits for its next task
+        return futures[-1]  # n = 11's task completes first
+
+    submitted = deferred_pool(monkeypatch, latest_then_interrupt)
+    ckpt = tmp_path / "sweep.ckpt"
+    try:
+        reports = list(harness.verify_moduli(
+            map(factorize, moduli), VerifyOptions(jobs=2, checkpoint_path=ckpt)
+        ))
+    finally:
+        witness._MEMO.clear()  # the in-process task filled it
+    assert [(r.n, r.complete) for r in reports] == [(7, False)]
+    assert [future.cancelled() for future in submitted] == [True] * 4 + [False]
+    blocks = tmp_path / "sweep.ckpt.blocks"
+    assert block_keys(blocks) == [(11, 4, n1) for n1 in range(1, 11)]
+    monkeypatch.undo()
+    resumed = list(harness.verify_moduli(map(factorize, moduli), VerifyOptions(checkpoint_path=ckpt)))
+    fresh = list(harness.verify_moduli(map(factorize, moduli)))
+    for report, serial in zip(resumed, fresh, strict=True):
+        assert report.complete
+        assert_same_report(report, serial)
+    assert sorted(block_keys(blocks)) == [(n, 4, n1) for n in moduli for n1 in range(1, n)]
 
 
 def test_a_pool_worker_empties_its_memo_at_each_new_modulus(monkeypatch):
