@@ -3,9 +3,14 @@
 The sequence space of one modulus is partitioned into blocks by leading
 term, so blocks can run on parallel workers and completed blocks can be
 checkpointed.  A full sweep has one block per term in [1, n-1].  An orbit
-sweep has one per proper divisor of n, because every unit orbit's least
-member leads with one, and it counts each orbit's members from that member's
-stabilizer (|orbit(R)| = phi(n) / |Stab(R)|) rather than by enumerating them.
+sweep has one per proper divisor d of n, because every unit orbit's least
+member leads with d = min gcd(t_i, n).  Block d is admissible: it builds only
+the tuples whose every term has gcd(t, n) >= d, since no other can be a
+least member.  Each tuple built is tested for leastness by trying the units
+that send one of its gcd-d terms to d, and the test stops at the first
+image that sorts below the tuple.  A least member's test also counts its
+stabilizer, so the sweep counts each orbit's members (|orbit(R)| =
+phi(n) / |Stab(R)|) rather than enumerating them.
 One worker pool serves a whole ``verify_moduli`` run, however many moduli it
 sweeps, and its task queue runs across moduli.  Block results merge by plain
 counter addition and sorted list union, so the final report is independent
@@ -40,7 +45,7 @@ CHECKPOINT_SCHEMA = 3
 
 
 def _minimal_tuples(
-    n: int, k: int, leading: SequenceABC[int] | None = None
+    n: int, k: int, leading: SequenceABC[int] | None = None, floor: int = 1
 ) -> Iterator[tuple[int, ...]]:
     """Sorted minimal zero-sum k-tuples over [1, n-1], in lexicographic order.
 
@@ -59,7 +64,22 @@ def _minimal_tuples(
     sum 0 either misses the last term, and so lies inside the prefix, or
     holds it, and then its complement is nonempty, lies inside the prefix and
     also sums to 0; either way the prefix would hold a zero-sum subset.
+
+    ``floor`` admits only the terms t with gcd(t, n) >= floor, the leading
+    and the forced term included, so no tuple holding another is built.  An
+    orbit sweep passes its block's divisor d: an orbit's least member leads
+    with d = min gcd(t_i, n) (see ``_representative_stabilizer``), so every
+    one of its terms, the forced one too, has gcd at least d, and a tuple
+    with a term of smaller gcd can never be one.  Each frame's picks, and each
+    closing term together with the forced term it leaves, are filtered
+    before the loop that walks them; the filters run only when ``floor`` is
+    above 1, so a full sweep's kernel does no extra work per tuple.  For
+    k = 2 the forced term n - t has the leading term's gcd, so filtering
+    ``leading`` suffices.
     """
+    gated = floor > 1
+    if gated:
+        admissible = [math.gcd(t, n) >= floor for t in range(n)]
 
     def extend(
         prefix: tuple[int, ...], closing: set[int], need: int, low: int, high: int
@@ -72,12 +92,14 @@ def _minimal_tuples(
             # rest < u <= (rest + n) / 2 (forced term rest + n - u).  One of
             # the two exists only for t < need with 3t <= need + n, or for
             # t > need with 3t <= need + 2n.
-            picks = chain(
+            picks: Iterable[int] = chain(
                 range(low, min(high, need, (need + n) // 3 + 1)),
                 range(max(low, need + 1), min(high, (need + 2 * n) // 3 + 1)),
             )
         else:
             picks = range(low, high)
+        if gated:
+            picks = [t for t in picks if admissible[t]]
         for t in picks:
             if t in closing:
                 continue
@@ -89,10 +111,15 @@ def _minimal_tuples(
                 yield from extend(prefix + (t,), grown, rest, t, n)
                 continue
             head = prefix + (t,)
-            for u in range(t, rest // 2 + 1):
+            below: Iterable[int] = range(t, rest // 2 + 1)
+            above: Iterable[int] = range(max(t, rest + 1), (rest + n) // 2 + 1)
+            if gated:
+                below = [u for u in below if admissible[u] and admissible[rest - u]]
+                above = [u for u in above if admissible[u] and admissible[rest + n - u]]
+            for u in below:
                 if u not in grown:
                     yield head + (u, rest - u)
-            for u in range(max(t, rest + 1), (rest + n) // 2 + 1):
+            for u in above:
                 if u not in grown:
                     yield head + (u, rest + n - u)
 
@@ -103,6 +130,8 @@ def _minimal_tuples(
         return iter(())
     if leading is None:
         leading = range(1, n)
+    if gated:
+        leading = [t for t in leading if admissible[t]]
     if k == 2:
         return ((t, n - t) for t in leading if 2 * t <= n)
     return chain.from_iterable(extend((), set(), 0, t, t + 1) for t in leading)
@@ -119,24 +148,21 @@ def enumerate_minimal(n: GroupOrder, k: int = 4) -> Iterator[Sequence]:
         yield Sequence(n, terms)
 
 
-def _canonical_terms(terms: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
-    """(least image, stabilizer size) of sorted terms under the units of Z_n.
+def _canonical_terms(terms: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The least image of sorted terms under the units of Z_n.
 
     A unit preserves gcd(t, n), and the smallest residue in [1, n] with gcd d
     is d itself, so the smallest image leads with d = min gcd(t_i, n).  The
     only units sending a gcd-d term t to d are the lifts of (t/d)^-1 mod n/d,
-    so only those are tried: for d = 1, one modular inverse per term.
-
-    The second value counts the tried units that fix the terms.  When the
-    terms lead with d, as a least image does, that is |Stab(terms)|: a unit u
-    that fixes them sends the gcd-d term u^-1 * d to d, so it is tried, and
-    only once, since u sends no other residue to d.
+    so only those are tried: for d = 1, one modular inverse per term.  It
+    serves ``orbit_canonical``, and accepts any terms in [1, n]; sweeps only
+    ask whether terms are least, which ``_representative_stabilizer``
+    answers without finishing the scan.
     """
     gcds = [math.gcd(t, n) for t in terms]
     d = min(gcds)
     step = n // d
     best = terms
-    fixed = 0
     for t in {t for t, g in zip(terms, gcds) if g == d}:
         for m in range(pow(t // d, -1, step), n, step):
             if math.gcd(m, n) != 1:
@@ -144,14 +170,44 @@ def _canonical_terms(terms: tuple[int, ...], n: int) -> tuple[tuple[int, ...], i
             candidate = tuple(sorted([(m * x - 1) % n + 1 for x in terms]))
             if candidate < best:
                 best = candidate
-            elif candidate == terms:
-                fixed += 1
-    return best, fixed
+    return best
+
+
+def _representative_stabilizer(terms: tuple[int, ...], n: int) -> int:
+    """|Stab(terms)| if sorted terms over [1, n-1] are their orbit's least member, else 0.
+
+    The least member leads with d = min gcd(t_i, n) (see ``_canonical_terms``),
+    so terms that lead with anything else get 0 at once.  Otherwise only the
+    lifts that send a gcd-d term to d are tried, the only units whose image
+    leads with d, and the test returns 0 at the first lift whose sorted image
+    is smaller than the terms, without finishing the scan.  If no image is
+    smaller, the terms are the least member, and the lifts that fix them
+    count |Stab(terms)|: a unit u that fixes them sends the gcd-d term
+    u^-1 * d to d, so it is tried, and only once, since u sends no other
+    residue to d.  The identity is one of them, a lift for the leading term,
+    so it is counted without being tried.
+    """
+    gcds = [math.gcd(t, n) for t in terms]
+    d = terms[0]
+    if min(gcds) != d:
+        return 0
+    step = n // d
+    target = list(terms)
+    fixed = 1  # the identity
+    for t in {t for t, g in zip(terms, gcds) if g == d}:
+        for m in range(pow(t // d, -1, step), n, step):
+            if m == 1 or math.gcd(m, n) != 1:
+                continue
+            image = sorted([m * x % n for x in terms])
+            if image < target:
+                return 0
+            fixed += image == target
+    return fixed
 
 
 def orbit_canonical(s: Sequence) -> Sequence:
     """Lexicographically smallest sorted sequence in the unit orbit of s."""
-    return Sequence(s.modulus, _canonical_terms(s.terms, s.n)[0])
+    return Sequence(s.modulus, _canonical_terms(s.terms, s.n))
 
 
 def _leading_terms(n: int, orbits: bool) -> list[int]:
@@ -167,11 +223,15 @@ def _leading_terms(n: int, orbits: bool) -> list[int]:
 def _orbit_reps(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Each unit orbit's least member, in enumeration order.
 
-    Only the blocks led by a divisor of n are enumerated (``_leading_terms``).
+    Only the blocks led by a divisor d of n are enumerated
+    (``_leading_terms``), each with d as its floor, so a block builds only
+    the tuples whose every term has gcd at least d; each survivor is kept if
+    ``_representative_stabilizer`` finds it least in its orbit.
     """
-    for terms in _minimal_tuples(n, k, _leading_terms(n, orbits=True)):
-        if _canonical_terms(terms, n)[0] == terms:
-            yield terms
+    for d in _leading_terms(n, orbits=True):
+        for terms in _minimal_tuples(n, k, (d,), d):
+            if _representative_stabilizer(terms, n):
+                yield terms
 
 
 @dataclass(slots=True)
@@ -188,10 +248,11 @@ class BlockResult:
 def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
     """Run the witness engine over one leading-term block.
 
-    In orbit mode only the block's orbit representatives are certified, and
-    each adds its whole orbit, phi(n) / |Stab(R)| sequences, to the count;
-    ``n1`` is then a divisor of n, and the divisor blocks together count
-    every sequence of the modulus.
+    In orbit mode ``n1`` is a divisor of n and doubles as the block's floor:
+    only tuples whose every term has gcd at least n1 are built, and of those
+    only the orbit representatives are certified.  Each adds its whole orbit,
+    phi(n) / |Stab(R)| sequences, to the count, so the divisor blocks together
+    count every sequence of the modulus.
 
     Every witness is rechecked with the independent verifier; every piece of
     high-index evidence is cross-checked against the exhaustive index.  A
@@ -203,10 +264,10 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
     high: list[tuple[tuple[int, ...], int]] = []
     sequences = 0
     reps = 0
-    for terms in _minimal_tuples(n, k, leading=(n1,)):
+    for terms in _minimal_tuples(n, k, (n1,), n1 if orbits else 1):
         if orbits:
-            image, fixed = _canonical_terms(terms, n)
-            if image != terms:
+            fixed = _representative_stabilizer(terms, n)
+            if not fixed:
                 continue
             sequences += phi // fixed
         else:

@@ -57,6 +57,24 @@ def naive_minimal_enumeration(n: int, k: int) -> set[tuple[int, ...]]:
     return out
 
 
+def naive_floor_block(n: int, k: int, d: int) -> list[tuple[int, ...]]:
+    """The sorted minimal zero-sum k-tuples that lead with d and whose every
+    term t has gcd(t, n) >= d, in lexicographic order.
+
+    The tuples are those of naive_minimal_enumeration kept by that filter;
+    the later terms are drawn only from the residues it admits, so the scan
+    stays small.
+    """
+    if math.gcd(d, n) < d:
+        return []
+    admissible = [t for t in range(d, n) if math.gcd(t, n) >= d]
+    return [
+        (d,) + rest
+        for rest in combinations_with_replacement(admissible, k - 1)
+        if naive_is_minimal((d,) + rest, n)
+    ]
+
+
 def naive_interval_members(k: int, n: int, b: int, c: int) -> list[int]:
     """Integers in [kn/c, kn/b) by cross-multiplied comparisons.
 

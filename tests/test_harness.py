@@ -27,11 +27,14 @@ from zsindex.harness import (
     HIGH_INDEX_KEY,
     VerificationReport,
     _canonical_terms,
+    _leading_terms,
     _minimal_tuples,
     _orbit_reps,
+    _representative_stabilizer,
 )
 
 from oracles import (
+    naive_floor_block,
     naive_index,
     naive_minimal_enumeration,
     naive_orbit_canonical,
@@ -122,7 +125,7 @@ class TestOrbitCanonical:
             rep_of = naive_orbit_reps(n, tuples)
             assert set(rep_of) == set(tuples)  # orbits stay inside the minimal set
             for terms in tuples:
-                assert _canonical_terms(terms, n)[0] == rep_of[terms], (n, terms)
+                assert _canonical_terms(terms, n) == rep_of[terms], (n, terms)
 
     def test_kernel_matches_oracle_with_zero_term(self):
         rng = random.Random(7)
@@ -130,14 +133,45 @@ class TestOrbitCanonical:
             n = rng.randint(2, 90)
             terms = tuple(sorted([rng.randint(1, n) for _ in range(rng.randint(0, 5))] + [n]))
             expected = naive_orbit_canonical(terms, n)
-            assert _canonical_terms(terms, n)[0] == expected, (n, terms)
+            assert _canonical_terms(terms, n) == expected, (n, terms)
             assert orbit_canonical(Sequence.over(n, terms)).terms == expected
 
-    @pytest.mark.parametrize("k, top", [(4, 60), (5, 30)])
+    @pytest.mark.parametrize("k, top", [(2, 60), (3, 60), (4, 60), (5, 30), (6, 30)])
     def test_stabilizer_size_matches_oracle(self, k, top):
+        # Every tuple of every divisor block, unfloored, so tuples holding a
+        # term of smaller gcd than their lead are offered too.
         for n in range(2, top + 1):
-            for rep in _orbit_reps(n, k):
-                assert _canonical_terms(rep, n)[1] == naive_stabilizer_size(rep, n), (n, rep)
+            tuples = [
+                terms
+                for d in _leading_terms(n, orbits=True)
+                for terms in _minimal_tuples(n, k, (d,))
+            ]
+            rep_of = naive_orbit_reps(n, tuples)
+            for terms in tuples:
+                expected = naive_stabilizer_size(terms, n) if rep_of[terms] == terms else 0
+                assert _representative_stabilizer(terms, n) == expected, (n, terms)
+
+    @pytest.mark.parametrize("k, top", [(2, 60), (3, 60), (4, 60), (5, 60), (6, 40)])
+    def test_floor_blocks_match_naive_oracle(self, k, top):
+        # Block 1's floor admits every term, so it is the full sweep's block 1,
+        # which TestEnumerateMinimal checks; the floor acts on the others.
+        for n in range(2, top + 1):
+            for d in _leading_terms(n, orbits=True)[1:]:
+                block = list(_minimal_tuples(n, k, (d,), d))
+                assert block == naive_floor_block(n, k, d), (n, d)
+
+    def test_orbit_reps_floor_each_divisor_block(self, monkeypatch):
+        calls = []
+        tuples = harness._minimal_tuples
+
+        def recording(n, k, leading=None, floor=1):
+            calls.append((list(leading), floor))
+            return tuples(n, k, leading, floor)
+
+        monkeypatch.setattr(harness, "_minimal_tuples", recording)
+        reps = list(_orbit_reps(77, 4))
+        assert calls == [([1], 1), ([7], 7), ([11], 11)]
+        assert reps == sorted(set(naive_orbit_reps(77, list(tuples(77, 4))).values()))
 
     def test_orbits_total_counts_naive_classes(self, tmp_path):
         # Orbit sweeps count sequences from stabilizers, so the total is checked
@@ -162,19 +196,21 @@ class TestOrbitCanonical:
             assert report.sequences_total == sum(1 for _ in _minimal_tuples(n, k)), (n, k)
 
     def test_orbit_sweep_enumerates_only_divisor_led_blocks(self, monkeypatch, tmp_path):
-        leading_terms = []
+        blocks = []
         tuples = harness._minimal_tuples
 
-        def recording(n, k, leading=None):
-            leading_terms.extend(leading)
-            return tuples(n, k, leading)
+        def recording(n, k, leading=None, floor=1):
+            blocks.extend((n1, floor) for n1 in leading)
+            return tuples(n, k, leading, floor)
 
         monkeypatch.setattr(harness, "_minimal_tuples", recording)
         ckpt = tmp_path / "sweep.ckpt"
         argv = ["verify", "--orbits", "--n", "77", "--checkpoint-path", str(ckpt)]
         assert run(argv, out=io.StringIO()) == 0
-        assert sorted(leading_terms) == [1, 7, 11]
+        assert sorted(n1 for n1, _ in blocks) == [1, 7, 11]
         assert block_keys(tmp_path / "sweep.ckpt.blocks") == [(77, 4, 1), (77, 4, 7), (77, 4, 11)]
+        # Each block is enumerated with its own divisor as the floor.
+        assert all(floor == n1 for n1, floor in blocks)
 
 
 
