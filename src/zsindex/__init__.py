@@ -11,7 +11,6 @@ from .certificates import (
     RULE_EXHAUSTIVE,
     RULE_INTERVAL,
     RULE_ONE_SIDED,
-    RULE_SUM_3N,
     RULE_SUM_N,
     RULE_TWO_OF_THREE,
     HighIndexEvidence,
@@ -31,10 +30,8 @@ from .harness import (
 from .normal_form import (
     ContentNotOne,
     NormalForm,
-    NormalizationOutcome,
     NotLength4,
     NotMinimalZeroSum,
-    Trail,
     TrivialContent,
     UnbalancedSplit,
     content,
@@ -76,7 +73,6 @@ __all__ = [
     "IndexValue",
     "InvalidModulus",
     "NormalForm",
-    "NormalizationOutcome",
     "NotAUnit",
     "NotLength4",
     "NotMinimalZeroSum",
@@ -84,11 +80,9 @@ __all__ = [
     "RULE_EXHAUSTIVE",
     "RULE_INTERVAL",
     "RULE_ONE_SIDED",
-    "RULE_SUM_3N",
     "RULE_SUM_N",
     "RULE_TWO_OF_THREE",
     "Sequence",
-    "Trail",
     "TrivialContent",
     "UnbalancedSplit",
     "VerificationReport",

@@ -16,7 +16,6 @@ from .residues import reduce_value
 from .sequences import Sequence
 
 RULE_SUM_N = "SUM_N"  # the term sum itself equals n (multiplier 1)
-RULE_SUM_3N = "SUM_3N"  # the terms sum to 3n; the complement n - 1 is the witness
 RULE_ONE_SIDED = "ONE_SIDED"  # a transform left at most one term on one half
 RULE_INTERVAL = "INTERVAL"  # m in [kn/c, kn/b) with m*a < n, on a normal form
 RULE_TWO_OF_THREE = "TWO_OF_THREE"  # two of: |Ma|, |Mb| large, |Mc| small

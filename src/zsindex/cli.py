@@ -33,13 +33,13 @@ from .harness import (
     verify_moduli,
 )
 from .normal_form import (
-    ContentNotOne,
     NotLength4,
     NotMinimalZeroSum,
     UnbalancedSplit,
+    _check_quadruple,
+    _normalize_validated,
     content,
     reduce_by_content,
-    to_normal_form,
 )
 from .residues import factorize
 from .sequences import Sequence, is_minimal_zero_sum, is_zero_sum, sequence_index
@@ -248,7 +248,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def _check_output_paths(config: RunConfig) -> None:
-    """Refuse a report or checkpoint path in a missing directory or naming one.
+    """Refuse a report or checkpoint path in a missing directory or naming
+    one, and a report path that is the checkpoint's log.
 
     Checked before the command does any work, so a bad path costs no sweep
     and leaves no checkpoint record behind.
@@ -263,6 +264,10 @@ def _check_output_paths(config: RunConfig) -> None:
             raise UsageError(f"{flag}: {path.parent} is not an existing directory")
         if path.is_dir():
             raise UsageError(f"{flag}: {path} is a directory")
+    if len(targets) == 2 and targets[0][1].resolve() == targets[1][1].resolve():
+        raise UsageError(
+            f"--report-path: {targets[0][1]} is the checkpoint log of --checkpoint-path"
+        )
 
 
 def _cmd_index(config: RunConfig, out: TextIO) -> int:
@@ -315,30 +320,24 @@ def _cmd_witness(config: RunConfig, out: TextIO) -> int:
 
 def _cmd_reduce(config: RunConfig, out: TextIO) -> int:
     s = config.sequence()
+    # Content division keeps the length and minimality, so the input itself
+    # is checked before anything is divided or printed.
+    _check_quadruple(s)
     u = content(s)
     if u > 1:
-        reduced = reduce_by_content(s)
-        out.write(
-            f"content {u} reduced {','.join(map(str, reduced.terms))} "
-            f"over {reduced.n}\n"
-        )
-        s = reduced
+        s = reduce_by_content(s)
+        out.write(f"content {u} reduced {','.join(map(str, s.terms))} over {s.n}\n")
     else:
         out.write("content 1\n")
     try:
-        outcome = to_normal_form(s)
-    except (NotLength4, NotMinimalZeroSum, ContentNotOne) as exc:
-        raise UsageError(str(exc)) from exc
+        nf = _normalize_validated(s)
     except UnbalancedSplit as exc:
         out.write(f"no normal form: {exc}\n")
         return EXIT_OK
-    if outcome.witness is not None:
-        w = outcome.witness
-        out.write(f"witness {w.m} rule {w.label} sum {w.achieved_sum}\n")
+    if isinstance(nf, Witness):
+        out.write(f"witness {nf.m} rule {nf.label} sum {nf.achieved_sum}\n")
         return EXIT_OK
-    nf = outcome.normal_form
-    assert nf is not None
-    trail = ",".join(outcome.trail.as_strings()) or "identity"
+    trail = ",".join(nf.steps) or "identity"
     out.write(
         f"normal form e={nf.e} a={nf.a} b={nf.b} c={nf.c} over {nf.modulus.n} "
         f"trail {trail}\n"

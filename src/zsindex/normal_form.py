@@ -5,12 +5,12 @@ The normal form stores parameters (e, a, b, c) over modulus n with
     e < a <= b < c < n/2   and   e + c = a + b,
 
 and represents the sequence (e, c, n-b, n-a), which sums to 2n and is always
-minimal zero-sum.  Normalization either reaches that shape (recording the
-multipliers it applied as a trail) or certifies index 1 outright along the
-way.  Replaying the trail on the input gives the represented sequence, so m
-certifies the represented sequence exactly when m times the composed trail
-certifies the input.  Any certificate emitted here is validated by direct
-recomputation before it leaves the module; no derivation is trusted.
+minimal zero-sum.  Normalization either reaches that shape or certifies
+index 1 outright along the way.  A form reached from an input records the
+unit that moves the input onto the represented sequence, so m certifies the
+represented sequence exactly when m times that unit certifies the input.
+Any certificate emitted here is validated by direct recomputation before it
+leaves the module; no derivation is trusted.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 from .certificates import (
     RULE_ONE_SIDED,
-    RULE_SUM_3N,
     RULE_SUM_N,
     Witness,
     certify,
@@ -56,13 +55,20 @@ class UnbalancedSplit(RuntimeError):
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Parameters (e, a, b, c) of the two-sided shape over a modulus."""
+    """Parameters (e, a, b, c) of the two-sided shape over a modulus.
+
+    ``unit`` moves the normalized input onto ``represented_terms()``, and
+    ``steps`` names that move for provenance; a form built directly is its
+    own input.
+    """
 
     modulus: GroupOrder
     e: int
     a: int
     b: int
     c: int
+    unit: int = 1
+    steps: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         n = self.modulus.n
@@ -83,52 +89,6 @@ class NormalForm:
 
     def represented(self) -> Sequence:
         return Sequence(self.modulus, self.represented_terms())
-
-
-@dataclass(frozen=True)
-class Trail:
-    """Unit multipliers applied during normalization, in application order."""
-
-    multipliers: tuple[int, ...] = ()
-    complemented: bool = False
-
-    def replay(self, s: Sequence) -> Sequence:
-        out = s
-        for m in self.multipliers:
-            out = apply_unit(out, m)
-        return out
-
-    def composed(self, n: int) -> int:
-        """Single unit equivalent to the whole trail, in [1, n-1]."""
-        product = 1
-        for m in self.multipliers:
-            product = product * m % n
-        return product
-
-    def as_strings(self) -> tuple[str, ...]:
-        out = []
-        for m in self.multipliers:
-            out.append(f"mul:{m}")
-        if self.complemented:
-            out = out[:-1] + ["complement"]
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class NormalizationOutcome:
-    """Either an index-1 witness or a normal form, plus the transform trail.
-
-    Exactly one of ``witness`` / ``normal_form`` is set.  Replaying the trail
-    on the input reproduces the normal form's represented sequence.
-    """
-
-    witness: Witness | None
-    normal_form: NormalForm | None
-    trail: Trail
-
-    def __post_init__(self) -> None:
-        if (self.witness is None) == (self.normal_form is None):
-            raise ValueError("outcome must hold exactly one of witness/normal form")
 
 
 def content(s: Sequence) -> int:
@@ -201,8 +161,14 @@ def _strict_split(terms: tuple[int, ...], n: int) -> tuple[int, int]:
     return below, above
 
 
-def _oriented_form(s: Sequence, trail: Trail) -> NormalizationOutcome | None:
-    """Build the normal form from a sum-2n sequence with a strict 2-2 split."""
+def _oriented_form(
+    s: Sequence, unit: int = 1, steps: tuple[str, ...] = ()
+) -> NormalForm | None:
+    """Build the normal form when two terms sit strictly on each side of n/2.
+
+    Such a split forces the sum 2n.  s is the input moved by unit, which
+    steps names; complementing extends the move.
+    """
     n = s.n
     below, above = _strict_split(s.terms, n)
     if below != 2 or above != 2:
@@ -210,66 +176,71 @@ def _oriented_form(s: Sequence, trail: Trail) -> NormalizationOutcome | None:
     n1, _, _, n4 = s.terms
     # n1 + n4 = n would be a zero-sum pair, ruled out by minimality upstream.
     assert n1 + n4 != n, "zero-sum pair survived the minimality check"
-    oriented = s
     if n1 + n4 > n:
-        oriented = apply_unit(s, n - 1)
-        trail = Trail(trail.multipliers + (n - 1,), complemented=True)
-    t1, t2, t3, t4 = oriented.terms
-    form = NormalForm(s.modulus, e=t1, a=n - t4, b=n - t3, c=t2)
-    return NormalizationOutcome(witness=None, normal_form=form, trail=trail)
+        s = apply_unit(s, n - 1)
+        unit = unit * (n - 1) % n
+        steps += ("complement",)
+    t1, t2, t3, t4 = s.terms
+    return NormalForm(
+        s.modulus, e=t1, a=n - t4, b=n - t3, c=t2, unit=unit, steps=steps
+    )
 
 
-def to_normal_form(s: Sequence) -> NormalizationOutcome:
-    """Reduce a content-1 minimal zero-sum quadruple to the two-sided shape.
-
-    Cheap certificates are taken when available: sum n is a witness at
-    multiplier 1, sum 3n at the complement.  With sum 2n the sequence is
-    oriented so two terms sit strictly on each side of n/2 (complementing if
-    the outer pair sums beyond n) and the normal form is read off.  When the
-    identity orientation is lopsided, one-sided handling tries to convert
-    the situation into a direct certificate, then any unit transform with a
-    proper split is normalized instead.  Raises UnbalancedSplit when no unit
-    transform splits, which can only happen when a term equals n/2.
-    """
+def _check_quadruple(s: Sequence) -> None:
+    """Raise unless s is a minimal zero-sum sequence of length 4."""
     if len(s.terms) != 4:
         raise NotLength4(f"expected 4 terms, got {len(s.terms)}")
     if not is_minimal_zero_sum(s):
         raise NotMinimalZeroSum(f"{s.terms} over {s.n} is not minimal zero-sum")
+
+
+def to_normal_form(s: Sequence) -> Witness | NormalForm:
+    """Reduce a content-1 minimal zero-sum quadruple to the two-sided shape.
+
+    Returns an index-1 certificate when a cheap one turns up, else the
+    normal form together with the unit that reaches it.  Sum n is a witness
+    at multiplier 1.  With sum 2n the sequence is oriented so two terms sit
+    strictly on each side of n/2 (complementing if the outer pair sums
+    beyond n) and the normal form is read off.  When the identity
+    orientation is lopsided, one-sided handling tries to convert the
+    situation into a direct certificate, then any unit transform with a
+    proper split is normalized instead.  A sum of 3n leaves at most one term
+    at or below n/2 (two would cap the sum at 3n - 2), so it is always
+    lopsided and one-sided handling certifies it at the complement n - 1.
+    Raises UnbalancedSplit when no unit transform splits, which can only
+    happen when a term equals n/2.
+    """
+    _check_quadruple(s)
     if content(s) != 1:
         raise ContentNotOne(f"content {content(s)} must be divided out first")
     return _normalize_validated(s)
 
 
-def _normalize_validated(s: Sequence) -> NormalizationOutcome:
+def _normalize_validated(s: Sequence) -> Witness | NormalForm:
     """to_normal_form body for callers that already hold the preconditions."""
     n = s.n
     total = sum(s.terms)
     if total == n:
         w = certify(s, 1, RULE_SUM_N)
         assert w is not None
-        return NormalizationOutcome(witness=w, normal_form=None, trail=Trail())
-    if total == 3 * n:
-        w = certify(s, n - 1, RULE_SUM_3N)
-        assert w is not None  # complement of a 3n sum is exactly n
-        return NormalizationOutcome(witness=w, normal_form=None, trail=Trail())
-    assert total == 2 * n, "minimal zero-sum quadruple sums to n, 2n or 3n"
+        return w
+    assert total in (2 * n, 3 * n), "minimal zero-sum quadruple sums to n, 2n or 3n"
 
-    outcome = _oriented_form(s, Trail())
-    if outcome is not None:
-        return outcome
+    nf = _oriented_form(s)
+    if nf is not None:
+        return nf
 
     # Lopsided identity orientation: at most one term on one strict side, or
     # a term sits exactly on n/2.  Index 1, if true, yields a direct witness.
     w = one_sided_witness(s)
     if w is not None:
-        return NormalizationOutcome(witness=w, normal_form=None, trail=Trail())
+        return w
     for m in units(s.modulus):
         if m == 1:
             continue
-        transformed = apply_unit(s, m)
-        outcome = _oriented_form(transformed, Trail(multipliers=(m,)))
-        if outcome is not None:
-            return outcome
+        nf = _oriented_form(apply_unit(s, m), m, (f"mul:{m}",))
+        if nf is not None:
+            return nf
     raise UnbalancedSplit(
         f"no unit transform of {s.terms} over {n} splits two-and-two"
     )

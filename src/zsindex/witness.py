@@ -11,9 +11,8 @@ before it is emitted; a failed validation is logged and the search just
 continues, so soundness rests on the validation alone.  ``find_witness``
 runs the stages once per lead image of a unit orbit.  A certificate found
 on one sequence reaches another by a unit move (the lift out of content
-division, the normalization trail, the orbit transport), and each move
-certifies it again on the target's own terms through one helper,
-``_carry``.
+division, normalization, the orbit transport), and each move certifies it
+again on the target's own terms through one helper, ``_carry``.
 """
 
 from __future__ import annotations
@@ -187,9 +186,9 @@ def _unit_lift(x: int, n: int, step: int) -> int:
 def _carry(w: Witness, s: Sequence, m: int, steps: tuple[str, ...]) -> Witness:
     """w carried onto s, where its multiplier becomes m.
 
-    The move (content division, the normalization trail, a unit along the
-    orbit) keeps the index, so m certifies s on its own terms; steps names
-    the move and goes before w's trail.
+    The move (content division, normalization, a unit along the orbit)
+    keeps the index, so m certifies s on its own terms; steps names the move
+    and goes before w's trail.
     """
     carried = certify(s, m, w.rule, k=w.k, case=w.case, trail=steps + w.trail)
     assert carried is not None, f"{steps} must carry the certificate {w}"
@@ -213,28 +212,22 @@ def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
             return _exhaustive(s)
         return _carry(inner, s, _unit_lift(inner.m, n, n // u), (f"content:{u}",))
     try:
-        outcome = _normalize_validated(s)
+        nf = _normalize_validated(s)
     except UnbalancedSplit:
         return _exhaustive(s)
-    if outcome.witness is not None:
-        return outcome.witness
-    nf = outcome.normal_form
-    assert nf is not None
-    trail_product = outcome.trail.composed(n)
-    trail_strings = outcome.trail.as_strings()
-    # The trail maps s onto the represented sequence, so m certifies that
-    # sequence exactly when m times the trail certifies s.
+    if isinstance(nf, Witness):
+        return nf
+    # nf.unit maps s onto the represented sequence, so m certifies that
+    # sequence exactly when m times the unit certifies s.
     for stage in (interval_witness, two_of_three_witness):
         w = stage(nf)
         if w is not None:
-            return _carry(w, s, w.m * trail_product, trail_strings)
+            return _carry(w, s, w.m * nf.unit, nf.steps)
     for m, tag in candidate_multipliers(nf):
-        w = certify(
-            s, m * trail_product, RULE_CANDIDATE, case=tag, trail=trail_strings
-        )
+        w = certify(s, m * nf.unit, RULE_CANDIDATE, case=tag, trail=nf.steps)
         if w is not None:
             return w
-    return _exhaustive(s, trail=trail_strings)
+    return _exhaustive(s, trail=nf.steps)
 
 
 def _lead_image(terms: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:

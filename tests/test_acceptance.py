@@ -143,7 +143,7 @@ def test_criterion_6_normal_form_soundness():
             checked += 1
             units = naive_units(n)
             try:
-                outcome = to_normal_form(s)
+                nf = to_normal_form(s)
             except UnbalancedSplit:
                 # allowed only when provably impossible: no witness and no
                 # unit transform splitting two-and-two strictly around n/2
@@ -156,10 +156,9 @@ def test_criterion_6_normal_form_soundness():
                     above = sum(1 for t in moved if 2 * t > n)
                     assert not (below == 2 and above == 2), (n, terms, m)
                 continue
-            if outcome.witness is not None:
-                assert verify_witness(s, outcome.witness), (n, terms)
+            if isinstance(nf, Witness):
+                assert verify_witness(s, nf), (n, terms)
                 continue
-            nf = outcome.normal_form
             assert nf.e < nf.a <= nf.b < nf.c and 2 * nf.c < n, (n, terms)
             assert nf.e + nf.c == nf.a + nf.b, (n, terms)
             rep = nf.represented_terms()

@@ -143,6 +143,19 @@ class TestReduceCommand:
         assert code == EXIT_OK
         assert "no normal form" in output
 
+    def test_sum_3n_is_one_sided_at_the_complement(self):
+        code, output = invoke(["reduce", "--n", "5", "--terms", "4,4,4,3"])
+        assert code == EXIT_OK
+        assert output == "content 1\nwitness 4 rule ONE_SIDED sum 5\n"
+
+    @pytest.mark.parametrize("terms", ["10,10,10,10", "2,4,6,8"])
+    def test_input_is_checked_before_content_division(self, capsys, terms):
+        code, output = invoke(["reduce", "--n", "10", "--terms", terms])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE and output == ""
+        shown = tuple(int(t) for t in terms.split(","))
+        assert err == f"error: {shown} over 10 is not minimal zero-sum\n"
+
 
 class TestVerifyCommand:
     def test_single_clean_modulus(self, tmp_path):
@@ -318,6 +331,17 @@ class TestOutputPaths:
             capsys, ["verify", "--n-range", "7:11", "--checkpoint-path", str(tmp_path / "ck"),
                      "--report-path", str(tmp_path / bad)])
         assert not (tmp_path / "ck.blocks").exists()
+
+    def test_report_path_that_is_the_checkpoint_log(self, capsys, tmp_path):
+        checkpoint = ["verify", "--n", "11", "--checkpoint-path", str(tmp_path / "run")]
+        colliding = checkpoint + ["--report-path", str(tmp_path / "run.blocks")]
+        self.assert_usage_error(capsys, colliding)
+        assert list(tmp_path.iterdir()) == []
+        assert invoke(checkpoint)[0] == EXIT_OK
+        log = (tmp_path / "run.blocks").read_bytes()
+        self.assert_usage_error(capsys, colliding)
+        assert (tmp_path / "run.blocks").read_bytes() == log
+        assert invoke(checkpoint)[0] == EXIT_OK
 
     @pytest.mark.parametrize(
         "argv",

@@ -291,37 +291,38 @@ class TestVerifyConjecture:
 
 # Proof-rule labels as the staged pipeline produces them on every sequence.
 # A hot-path change must not relabel a single sequence, and a change to the
-# candidate pool may only move CANDIDATE:* tags.  The index-2 findings of
+# candidate pool may only move CANDIDATE:* tags.  Every sum-3n sequence is
+# ONE_SIDED at the complement n - 1.  The index-2 findings of
 # n = 30 (140) and n = 75 (32) are pinned by count and by the SHA-256 of
 # their JSON list.
 GOLDEN_HISTOGRAMS = {
     30: {
         "CANDIDATE:const": 6, "CANDIDATE:interval": 228, "HIGH_INDEX": 140,
-        "INTERVAL": 76, "ONE_SIDED": 198, "SUM_3N": 206, "SUM_N": 206,
+        "INTERVAL": 76, "ONE_SIDED": 404, "SUM_N": 206,
         "TWO_OF_THREE": 22,
     },
     35: {
         "CANDIDATE:const": 32, "CANDIDATE:interval": 304, "EXHAUSTIVE": 12,
-        "INTERVAL": 388, "ONE_SIDED": 348, "SUM_3N": 321, "SUM_N": 321,
+        "INTERVAL": 388, "ONE_SIDED": 669, "SUM_N": 321,
         "TWO_OF_THREE": 8,
     },
     49: {
         "CANDIDATE:const": 38, "CANDIDATE:interval": 786, "EXHAUSTIVE": 12,
-        "INTERVAL": 1320, "ONE_SIDED": 916, "SUM_3N": 864, "SUM_N": 864,
+        "INTERVAL": 1320, "ONE_SIDED": 1780, "SUM_N": 864,
     },
     55: {
         "CANDIDATE:const": 94, "CANDIDATE:interval": 1196, "EXHAUSTIVE": 72,
-        "INTERVAL": 1722, "ONE_SIDED": 1280, "SUM_3N": 1215, "SUM_N": 1215,
+        "INTERVAL": 1722, "ONE_SIDED": 2495, "SUM_N": 1215,
         "TWO_OF_THREE": 10,
     },
     75: {
         "CANDIDATE:const": 444, "CANDIDATE:interval": 4250, "EXHAUSTIVE": 614,
-        "HIGH_INDEX": 32, "INTERVAL": 2462, "ONE_SIDED": 3162, "SUM_3N": 3042,
-        "SUM_N": 3042, "TWO_OF_THREE": 292,
+        "HIGH_INDEX": 32, "INTERVAL": 2462, "ONE_SIDED": 6204, "SUM_N": 3042,
+        "TWO_OF_THREE": 292,
     },
     77: {
         "CANDIDATE:const": 244, "CANDIDATE:interval": 3116, "EXHAUSTIVE": 230,
-        "INTERVAL": 5186, "ONE_SIDED": 3416, "SUM_3N": 3289, "SUM_N": 3289,
+        "INTERVAL": 5186, "ONE_SIDED": 6705, "SUM_N": 3289,
         "TWO_OF_THREE": 2,
     },
 }

@@ -9,11 +9,12 @@ from zsindex import (
     NotLength4,
     NotMinimalZeroSum,
     RULE_ONE_SIDED,
-    RULE_SUM_3N,
     RULE_SUM_N,
     Sequence,
     TrivialContent,
     UnbalancedSplit,
+    Witness,
+    apply_unit,
     content,
     enumerate_minimal,
     factorize,
@@ -129,40 +130,31 @@ class TestOneSided:
 
 class TestToNormalForm:
     def test_worked_complement_case(self):
-        outcome = to_normal_form(seq(35, (2, 3, 31, 34)))
-        nf = outcome.normal_form
-        assert nf is not None
+        nf = to_normal_form(seq(35, (2, 3, 31, 34)))
+        assert isinstance(nf, NormalForm)
         assert (nf.e, nf.a, nf.b, nf.c) == (1, 2, 3, 4)
-        assert outcome.trail.multipliers == (34,) and outcome.trail.complemented
+        assert nf.unit == 34 and nf.steps == ("complement",)
         assert nf.represented_terms() == (1, 4, 32, 33)
 
     def test_sum_n_is_immediate_witness(self):
-        outcome = to_normal_form(seq(25, (1, 1, 1, 22)))
-        assert outcome.witness is not None
-        assert outcome.witness.rule == RULE_SUM_N and outcome.witness.m == 1
-
-    def test_sum_3n_uses_complement(self):
-        outcome = to_normal_form(seq(5, (4, 4, 4, 3)))
-        assert outcome.witness is not None
-        assert outcome.witness.rule == RULE_SUM_3N and outcome.witness.m == 4
+        w = to_normal_form(seq(25, (1, 1, 1, 22)))
+        assert isinstance(w, Witness)
+        assert w.rule == RULE_SUM_N and w.m == 1
 
     def test_lopsided_split_resolved_by_unit_search(self):
-        outcome = to_normal_form(seq(5, (4, 2, 2, 2)))
-        w = outcome.witness
-        assert w is not None and w.m == 3 and w.rule == RULE_ONE_SIDED
+        w = to_normal_form(seq(5, (4, 2, 2, 2)))
+        assert isinstance(w, Witness) and w.m == 3 and w.rule == RULE_ONE_SIDED
 
     def test_no_complement_when_outer_pair_is_small(self):
-        outcome = to_normal_form(seq(9, (1, 4, 6, 7)))
-        nf = outcome.normal_form
-        assert nf is not None
+        nf = to_normal_form(seq(9, (1, 4, 6, 7)))
+        assert isinstance(nf, NormalForm)
         assert (nf.e, nf.a, nf.b, nf.c) == (1, 2, 3, 4)
-        assert outcome.trail.multipliers == ()
+        assert nf.unit == 1 and nf.steps == ()
 
     def test_lopsided_high_index_normalizes_through_another_unit(self):
-        outcome = to_normal_form(seq(14, (4, 5, 6, 13)))
-        nf = outcome.normal_form
-        assert nf is not None
-        assert outcome.trail.multipliers == (3,)
+        nf = to_normal_form(seq(14, (4, 5, 6, 13)))
+        assert isinstance(nf, NormalForm)
+        assert nf.unit == 3 and nf.steps == ("mul:3",)
         assert (nf.e, nf.a, nf.b, nf.c) == (1, 2, 3, 4)
 
     def test_fence_term_cannot_split(self):
@@ -177,13 +169,43 @@ class TestToNormalForm:
         with pytest.raises(ContentNotOne):
             to_normal_form(seq(25, (5, 15, 15, 15)))
 
-    def test_trail_replay_reproduces_represented_sequence(self):
-        for n, terms in ((35, (2, 3, 31, 34)), (9, (1, 4, 6, 7)), (14, (4, 5, 6, 13))):
-            s = seq(n, terms)
-            outcome = to_normal_form(s)
-            assert outcome.normal_form is not None
-            replayed = outcome.trail.replay(s)
-            assert replayed.terms == outcome.normal_form.represented_terms()
+    def test_move_reaches_the_represented_sequence(self):
+        forms = 0
+        for n in range(2, 41):
+            for s in enumerate_minimal(factorize(n)):
+                if content(s) != 1:
+                    continue
+                try:
+                    nf = to_normal_form(s)
+                except UnbalancedSplit:
+                    continue
+                if isinstance(nf, Witness):
+                    continue
+                forms += 1
+                assert apply_unit(s, nf.unit).terms == nf.represented_terms(), (s, nf)
+                # the unit each allowed step list names; a complement
+                # multiplies the unit by n - 1
+                names = {
+                    (): 1,
+                    ("complement",): n - 1,
+                    (f"mul:{nf.unit}",): nf.unit,
+                    (f"mul:{n - nf.unit}", "complement"): nf.unit,
+                }
+                assert names.get(nf.steps) == nf.unit, (s, nf)
+        assert forms > 0
+
+    def test_sum_3n_is_one_sided_at_the_complement(self):
+        seen = 0
+        for n in range(2, 41):
+            for s in enumerate_minimal(factorize(n)):
+                if sum(s.terms) != 3 * n or content(s) != 1:
+                    continue
+                seen += 1
+                w = to_normal_form(s)
+                assert isinstance(w, Witness), s
+                assert (w.rule, w.m) == (RULE_ONE_SIDED, n - 1), (s, w)
+                assert verify_witness(s, w)
+        assert seen > 0
 
     def test_outcome_soundness_random(self):
         rng = random.Random(20260810)
@@ -202,16 +224,15 @@ class TestToNormalForm:
                 continue
             checked += 1
             try:
-                outcome = to_normal_form(s)
+                nf = to_normal_form(s)
             except UnbalancedSplit:
                 # must be genuinely impossible: no witness, no splitting unit
                 for m in naive_units(n):
                     assert naive_transform_sum(terms, n, m) != n
                 continue
-            if outcome.witness is not None:
-                assert verify_witness(s, outcome.witness)
+            if isinstance(nf, Witness):
+                assert verify_witness(s, nf)
             else:
-                nf = outcome.normal_form
                 rep = nf.represented_terms()
                 assert nf.e + nf.c == nf.a + nf.b
                 assert nf.e < nf.a <= nf.b < nf.c and 2 * nf.c < n

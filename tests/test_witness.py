@@ -233,7 +233,8 @@ class TestLeadImage:
     def test_no_lead_image_sums_to_3n(self):
         # A lead image leads with d = min gcd(t, n), and n - t has the same gcd
         # with n as t, so every term is at most n - d and the sum at most
-        # 3n - 2d: find_witness never reaches the SUM_3N rule.
+        # 3n - 2d: find_witness never hands normalization a sum-3n input, the
+        # one case it certifies at the complement n - 1 as ONE_SIDED.
         for n in range(2, 61):
             for terms in _minimal_tuples(n, 4):
                 image, _ = _lead_image(terms, n)
@@ -255,18 +256,18 @@ class TestUnitLift:
 
 # SHA-256 of the repr of every result, one per line, over the minimal
 # quadruples in enumeration order: find_witness, then the staged pipeline on
-# the sequence itself.  Between them they pin content lifts, trail lifts
-# through a complement, orbit transports, pool hits and scan hits with their
+# the sequence itself.  Between them they pin content lifts, normalization
+# moves through a complement, orbit transports, pool hits and scan hits with their
 # whole provenance; find_witness alone reaches neither the pool nor the scan
 # at these moduli, nor a complement trail.
 GOLDEN_WITNESS_REPRS = {
     45: (
         "075881576bead17322782353fbe3b197e027f989db884b0433718b3387b8656a",
-        "a2c997e4c8f80c2096af9d536ff11fdde47c4e6649bdd01c18d9480648bf5170",
+        "1c977ebae5c00965c0ed7a0fc7bc46d32d4ef8e12a7662f5817dcb830cf953ed",
     ),
     75: (
         "5fdf3df60aee95e4ae35cee7f6c1970d045a6238af4f647cd078c81aaa561463",
-        "8c981f0290af0285534bad1d1f3a54c490fa7d55d62ebf547710b459a0f7c0d8",
+        "f92a004d0b1cfe23b72dcb7583e769eaa674f5e2f760f99679f6c9c50a0756ed",
     ),
 }
 
