@@ -10,7 +10,9 @@ least member.  Each tuple built is tested for leastness by trying the units
 that send one of its gcd-d terms to d, and the test stops at the first
 image that sorts below the tuple.  A least member's test also counts its
 stabilizer, so the sweep counts each orbit's members (|orbit(R)| =
-phi(n) / |Stab(R)|) rather than enumerating them.
+phi(n) / |Stab(R)|) rather than enumerating them.  Every gcd and every such
+unit is read from one per-modulus table, ``residues.lift_table``, which the
+floor filter, the leastness test and ``orbit_canonical`` share.
 One worker pool serves a whole ``verify_moduli`` run, however many moduli it
 sweeps, and its task queue runs across moduli.  Block results merge by plain
 counter addition and sorted list union, so the final report is independent
@@ -32,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence as SequenceABC
 
 from .certificates import HighIndexEvidence, verify_witness
-from .residues import GroupOrder, factorize, units
+from .residues import GroupOrder, factorize, lift_table, units
 from .sequences import Sequence, min_transform_sum, sequence_index
 from .witness import _MEMO, _exhaustive, find_witness
 
@@ -66,7 +68,8 @@ def _minimal_tuples(
     also sums to 0; either way the prefix would hold a zero-sum subset.
 
     ``floor`` admits only the terms t with gcd(t, n) >= floor, the leading
-    and the forced term included, so no tuple holding another is built.  An
+    and the forced term included, so no tuple holding another is built; the
+    gcds come from the modulus's ``lift_table``, built once per modulus.  An
     orbit sweep passes its block's divisor d: an orbit's least member leads
     with d = min gcd(t_i, n) (see ``_representative_stabilizer``), so every
     one of its terms, the forced one too, has gcd at least d, and a tuple
@@ -79,7 +82,7 @@ def _minimal_tuples(
     """
     gated = floor > 1
     if gated:
-        admissible = [math.gcd(t, n) >= floor for t in range(n)]
+        admissible = [g >= floor for g in lift_table(n)[0]]
 
     def extend(
         prefix: tuple[int, ...], closing: set[int], need: int, low: int, high: int
@@ -153,20 +156,17 @@ def _canonical_terms(terms: tuple[int, ...], n: int) -> tuple[int, ...]:
 
     A unit preserves gcd(t, n), and the smallest residue in [1, n] with gcd d
     is d itself, so the smallest image leads with d = min gcd(t_i, n).  The
-    only units sending a gcd-d term t to d are the lifts of (t/d)^-1 mod n/d,
-    so only those are tried: for d = 1, one modular inverse per term.  It
-    serves ``orbit_canonical``, and accepts any terms in [1, n]; sweeps only
-    ask whether terms are least, which ``_representative_stabilizer``
-    answers without finishing the scan.
+    only units sending a gcd-d term t to d are t's lifts in the modulus's
+    ``lift_table``, so only those are tried: for d = 1, one unit per term.
+    It serves ``orbit_canonical``, and accepts any terms in [1, n], the zero
+    element included; sweeps only ask whether terms are least, which
+    ``_representative_stabilizer`` answers without finishing the scan.
     """
-    gcds = [math.gcd(t, n) for t in terms]
-    d = min(gcds)
-    step = n // d
+    gcds, lifts = lift_table(n)
+    d = min(gcds[t] for t in terms)
     best = terms
-    for t in {t for t, g in zip(terms, gcds) if g == d}:
-        for m in range(pow(t // d, -1, step), n, step):
-            if math.gcd(m, n) != 1:
-                continue
+    for t in {t for t in terms if gcds[t] == d}:
+        for m in lifts[t]:
             candidate = tuple(sorted([(m * x - 1) % n + 1 for x in terms]))
             if candidate < best:
                 best = candidate
@@ -179,7 +179,8 @@ def _representative_stabilizer(terms: tuple[int, ...], n: int) -> int:
     The least member leads with d = min gcd(t_i, n) (see ``_canonical_terms``),
     so terms that lead with anything else get 0 at once.  Otherwise only the
     lifts that send a gcd-d term to d are tried, the only units whose image
-    leads with d, and the test returns 0 at the first lift whose sorted image
+    leads with d; gcds and lifts alike are read from the modulus's
+    ``lift_table``.  The test returns 0 at the first lift whose sorted image
     is smaller than the terms, without finishing the scan.  If no image is
     smaller, the terms are the least member, and the lifts that fix them
     count |Stab(terms)|: a unit u that fixes them sends the gcd-d term
@@ -187,16 +188,20 @@ def _representative_stabilizer(terms: tuple[int, ...], n: int) -> int:
     residue to d.  The identity is one of them, a lift for the leading term,
     so it is counted without being tried.
     """
-    gcds = [math.gcd(t, n) for t in terms]
+    gcds, lifts = lift_table(n)
     d = terms[0]
-    if min(gcds) != d:
-        return 0
-    step = n // d
+    leads = set()
+    for t in terms:
+        g = gcds[t]
+        if g < d:
+            return 0
+        if g == d:
+            leads.add(t)
     target = list(terms)
     fixed = 1  # the identity
-    for t in {t for t, g in zip(terms, gcds) if g == d}:
-        for m in range(pow(t // d, -1, step), n, step):
-            if m == 1 or math.gcd(m, n) != 1:
+    for t in leads:
+        for m in lifts[t]:
+            if m == 1:
                 continue
             image = sorted([m * x % n for x in terms])
             if image < target:

@@ -40,7 +40,7 @@ from .normal_form import (
     content,
     reduce_by_content,
 )
-from .residues import reduce_value, units
+from .residues import lift_table, reduce_value, units
 from .sequences import Sequence, is_minimal_zero_sum, min_transform_sum
 
 logger = logging.getLogger(__name__)
@@ -233,22 +233,23 @@ def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
 def _lead_image(terms: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
     """A sorted image u*T of sorted terms that leads with d = min gcd(t, n).
 
-    u is the smallest unit lift of (t/d)^-1 mod n/d for the first term t
-    with gcd(t, n) = d, so u*t = d.  When T already leads with d, u = 1 and
-    the image is T itself.  Unlike the orbit's least member, this needs one
-    inverse and one sort, not one sort per lift of every gcd-d term.
+    u is the least unit with u*t = d for the first term t with gcd(t, n) = d:
+    the first of t's lifts in the modulus's ``lift_table``, which also gives
+    every gcd and covers the zero element n.  When T already leads with d,
+    u = 1 and the image is T itself.  Unlike the orbit's least member, this
+    needs one lookup and one sort, not one sort per lift of every gcd-d term.
     """
+    gcds, lifts = lift_table(n)
     d, t = n, n
     for x in terms:
-        g = math.gcd(x, n)
+        g = gcds[x]
         if g < d:
             d, t = g, x
             if g == 1:
                 break  # no gcd is smaller
     if t == d:
         return terms, 1
-    step = n // d
-    u = _unit_lift(pow(t // d, -1, step), n, step)
+    u = lifts[t][0]
     return tuple(sorted([(u * x - 1) % n + 1 for x in terms])), u
 
 

@@ -169,6 +169,19 @@ class TestVerifyCommand:
         assert tuple(record.keys()) == VERIFY_FIELDS
         assert record["high_index"] == [] and record["complete"] is True
 
+    def test_three_prime_orbit_report_is_pinned(self, tmp_path):
+        # 385 = 5 * 7 * 11, the least modulus with three prime factors, where
+        # a term of gcd d > 1 has several lifts to d.
+        report = tmp_path / "verify.jsonl"
+        code, _ = invoke(["verify", "--orbits", "--n", "385", "--report-path", str(report)])
+        assert code == EXIT_OK
+        (record,) = _records(report)
+        assert record["sequences_total"] == 2371584
+        assert record["orbits_total"] == 10430
+        assert record["rule_histogram"] == {
+            "INTERVAL": 2017, "ONE_SIDED": 241, "SUM_N": 8152, "TWO_OF_THREE": 20,
+        }
+
     def test_contrast_modulus_exits_zero(self):
         code, output = invoke(["verify", "--n", "10"])
         assert code == EXIT_OK  # gcd(10, 6) != 1: findings are not violations

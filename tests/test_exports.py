@@ -1,9 +1,12 @@
 import ast
+import inspect
 import sys
+import textwrap
 import types
 from pathlib import Path
 
 import zsindex
+from zsindex import certificates, residues, sequences
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,3 +45,35 @@ def test_package_imports_only_the_standard_library():
 def test_pyproject_declares_no_dependencies():
     lines = (ROOT / "pyproject.toml").read_text().splitlines()
     assert "dependencies = []" in lines
+
+
+def _reached(func, seen):
+    """func and every package function its source names, transitively."""
+    func = inspect.unwrap(func)
+    if func in seen:
+        return
+    seen[func] = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    for node in ast.walk(seen[func]):
+        if isinstance(node, ast.Name) and node.id in func.__globals__:
+            target = inspect.unwrap(func.__globals__[node.id])
+            if inspect.isfunction(target) and target.__module__.startswith("zsindex"):
+                _reached(target, seen)
+
+
+def test_checker_reads_no_lift_table():
+    # The independent checker and the exact index share nothing with the
+    # orbit kernel's per-modulus table, directly or through a helper.
+    seen = {}
+    for func in (
+        certificates.certify,
+        certificates.verify_witness,
+        sequences.min_transform_sum,
+        sequences.sequence_index,
+    ):
+        _reached(func, seen)
+    assert inspect.unwrap(residues.units) in seen  # the walk follows helpers
+    assert inspect.unwrap(residues.lift_table) not in seen
+    for func, tree in seen.items():
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "lift_table" not in names, func.__qualname__

@@ -10,7 +10,10 @@ from zsindex import (
     factorize,
     units,
 )
-from zsindex.residues import reduce_value
+from zsindex.residues import lift_table, reduce_value
+from zsindex.witness import _unit_lift
+
+from oracles import naive_units
 
 
 class TestReduceMod:
@@ -69,6 +72,20 @@ class TestUnits:
                 assert pow(m, -1, n) in members
                 for other in members:
                     assert reduce_value(m * other, n) in members
+
+
+class TestLiftTable:
+    def test_matches_brute_force(self):
+        for n in range(2, 61):
+            gcds, lifts = lift_table(n)
+            assert len(gcds) == len(lifts) == n + 1
+            units_n = naive_units(n)
+            for t in range(1, n + 1):  # the zero element n included
+                d = math.gcd(t, n)
+                assert gcds[t] == d, (n, t)
+                assert lifts[t] == tuple(u for u in units_n if u * t % n == d % n), (n, t)
+                assert lifts[t][0] == _unit_lift(pow(t // d, -1, n // d), n, n // d), (n, t)
+            assert (gcds[0], lifts[0]) == (gcds[n], lifts[n])
 
 
 class TestFactorize:

@@ -23,6 +23,7 @@ from zsindex import (
     find_witness,
     interval_integers,
     interval_witness,
+    orbit_canonical,
     two_of_three_witness,
     verify_witness,
 )
@@ -36,6 +37,7 @@ from oracles import (
     naive_is_minimal,
     naive_k1,
     naive_l,
+    naive_orbit_canonical,
     naive_orbit_reps,
     naive_units,
 )
@@ -229,6 +231,19 @@ class TestLeadImage:
                 # the smallest unit sending the first gcd-d term to d
                 t = next(t for t in terms if math.gcd(t, n) == d)
                 assert u == min(m for m in units if m * t % n == d), (n, terms)
+
+    def test_every_multiset_with_the_zero_element(self):
+        # Sequences holding the zero element n are never minimal, but they
+        # reach _lead_image (find_witness tests minimality after it) and
+        # orbit_canonical, so the lift table must cover t = n.
+        for n in range(2, 17):
+            units = naive_units(n)
+            for terms in combinations_with_replacement(range(1, n + 1), 4):
+                assert orbit_canonical(seq(n, terms)).terms == naive_orbit_canonical(terms, n)
+                image, u = _lead_image(terms, n)
+                assert u in units, (n, terms, u)
+                assert image == tuple(sorted((u * t) % n or n for t in terms)), (n, terms)
+                assert image[0] == min(math.gcd(t, n) for t in terms), (n, terms, image)
 
     def test_no_lead_image_sums_to_3n(self):
         # A lead image leads with d = min gcd(t, n), and n - t has the same gcd
