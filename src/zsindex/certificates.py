@@ -4,7 +4,8 @@ A certificate is a unit m with sum of |m*t|_n over the terms equal to n
 exactly.  Certificates are only ever constructed through ``certify``, which
 recomputes that sum, so a Witness in hand is already validated; callers that
 distrust the producer can still recheck it with ``verify_witness``, which
-shares nothing with the search machinery beyond residue reduction.
+shares nothing with the search machinery: it reduces each transformed term
+into [1, n] inline, not through ``residues.reduce_value``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .residues import reduce_value
 from .sequences import Sequence
 
 RULE_SUM_N = "SUM_N"  # the term sum itself equals n (multiplier 1)
@@ -31,6 +31,8 @@ class Witness:
     carries the candidate-pool tag for CANDIDATE hits; ``trail`` lists the
     reduction steps (content division, multipliers) that led to this unit,
     purely as provenance -- ``m`` alone certifies the original sequence.
+    ``__init__`` is written out so that each field is set once, through its
+    slot; a sweep builds one per carried certificate.
     """
 
     m: int
@@ -40,12 +42,37 @@ class Witness:
     case: str | None = None
     trail: tuple[str, ...] = ()
 
+    def __init__(
+        self,
+        m: int,
+        achieved_sum: int,
+        rule: str,
+        k: int | None = None,
+        case: str | None = None,
+        trail: tuple[str, ...] = (),
+    ) -> None:
+        _set_m(self, m)
+        _set_achieved_sum(self, achieved_sum)
+        _set_rule(self, rule)
+        _set_k(self, k)
+        _set_case(self, case)
+        _set_trail(self, trail)
+
     @property
     def label(self) -> str:
         """Histogram key: the rule, refined by the candidate case tag."""
         if self.case is not None:
             return f"{self.rule}:{self.case}"
         return self.rule
+
+
+# The slot setters, which a frozen class's own __setattr__ would refuse.
+_set_m = Witness.m.__set__  # type: ignore[attr-defined]
+_set_achieved_sum = Witness.achieved_sum.__set__  # type: ignore[attr-defined]
+_set_rule = Witness.rule.__set__  # type: ignore[attr-defined]
+_set_k = Witness.k.__set__  # type: ignore[attr-defined]
+_set_case = Witness.case.__set__  # type: ignore[attr-defined]
+_set_trail = Witness.trail.__set__  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -83,19 +110,21 @@ def certify(
         total += (m * t - 1) % n + 1
     if total != n:
         return None
-    return Witness(m=m, achieved_sum=total, rule=rule, k=k, case=case, trail=trail)
+    return Witness(m, total, rule, k, case, trail)
 
 
 def verify_witness(s: Sequence, w: Witness) -> bool:
     """Recheck a certificate from scratch: unit test plus direct sum.
 
-    Independent of the search pipeline; only residue reduction is shared.
-    Returns False on any failure, never raises.
+    Independent of the search pipeline: it calls none of its helpers, and
+    reduces each transformed term into [1, n] itself.  Returns False on any
+    failure, never raises.
     """
     n = s.modulus.n
-    if math.gcd(w.m, n) != 1:
+    m = w.m
+    if math.gcd(m, n) != 1:
         return False
     total = 0
     for t in s.terms:
-        total += reduce_value(w.m * t, n)
+        total += (m * t - 1) % n + 1
     return total == n

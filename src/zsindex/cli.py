@@ -473,6 +473,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built on its first call rather than at import.
+
+    Parsing leaves no state in the parser, so one instance serves every
+    ``run`` in the process; ``build_parser`` still returns a fresh one.
+    """
+    return build_parser()
+
+
 _COMMANDS: dict[str, Callable[[RunConfig, TextIO], int]] = {
     "index": _cmd_index,
     "minimal": _cmd_minimal,
@@ -503,8 +513,7 @@ def _stderr_logging(level: str) -> Iterator[None]:
 def run(argv: list[str] | None = None, out: TextIO | None = None) -> int:
     """Parse and execute; returns the process exit code."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _config_from_args(args)
         _check_output_paths(config)

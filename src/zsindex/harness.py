@@ -275,8 +275,6 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
             if not fixed:
                 continue
             sequences += phi // fixed
-        else:
-            sequences += 1
         reps += 1
         seq = Sequence(group, terms)
         result = find_witness(seq) if k == 4 else _exhaustive(seq)
@@ -294,6 +292,8 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
                 raise RuntimeError(f"unsound witness {result} for {terms} over {n}")
             key = result.label
         histogram[key] = histogram.get(key, 0) + 1
+    if not orbits:
+        sequences = reps  # every tuple built is swept, and stands for itself
     return BlockResult(
         n1=n1, sequences=sequences, orbit_reps=reps, histogram=histogram, high_index=high
     )

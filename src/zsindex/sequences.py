@@ -18,20 +18,26 @@ from .residues import GroupOrder, NotAUnit, factorize, reduce_value, units
 
 @dataclass(frozen=True, slots=True)
 class Sequence:
-    """A multiset of k >= 1 residues in [1, n], stored sorted ascending."""
+    """A multiset of k >= 1 residues in [1, n], stored sorted ascending.
+
+    ``__init__`` is written out so that each field is set once, through its
+    slot, after the terms are sorted and range-checked; a sweep builds one
+    per swept sequence.
+    """
 
     modulus: GroupOrder
     terms: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.terms))
-        object.__setattr__(self, "terms", ordered)
-        if len(ordered) < 1:
+    def __init__(self, modulus: GroupOrder, terms: Iterable[int]) -> None:
+        ordered = tuple(sorted(terms))
+        if not ordered:
             raise ValueError("a sequence needs at least one term")
-        n = self.modulus.n
+        n = modulus.n
         lo, hi = ordered[0], ordered[-1]  # sorted: these bound every term
         if lo < 1 or hi > n:
             raise ValueError(f"term {lo if lo < 1 else hi} outside [1, {n}]")
+        _set_modulus(self, modulus)
+        _set_terms(self, ordered)
 
     @classmethod
     def over(cls, n: int, terms: Iterable[int]) -> "Sequence":
@@ -44,6 +50,11 @@ class Sequence:
 
     def __len__(self) -> int:
         return len(self.terms)
+
+
+# The slot setters, which a frozen class's own __setattr__ would refuse.
+_set_modulus = Sequence.modulus.__set__  # type: ignore[attr-defined]
+_set_terms = Sequence.terms.__set__  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)

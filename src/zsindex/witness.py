@@ -12,7 +12,9 @@ continues, so soundness rests on the validation alone.  ``find_witness``
 runs the stages once per lead image of a unit orbit.  A certificate found
 on one sequence reaches another by a unit move (the lift out of content
 division, normalization, the orbit transport), and each move certifies it
-again on the target's own terms through one helper, ``_carry``.
+again on the target's own terms through one helper, ``_carry``.  The
+sweep's recheck, ``certificates.verify_witness``, shares no code with this
+search, not even residue reduction: it reduces each term inline.
 """
 
 from __future__ import annotations
@@ -190,7 +192,7 @@ def _carry(w: Witness, s: Sequence, m: int, steps: tuple[str, ...]) -> Witness:
     keeps the index, so m certifies s on its own terms; steps names the move
     and goes before w's trail.
     """
-    carried = certify(s, m, w.rule, k=w.k, case=w.case, trail=steps + w.trail)
+    carried = certify(s, m, w.rule, w.k, w.case, steps + w.trail)
     assert carried is not None, f"{steps} must carry the certificate {w}"
     return carried
 
@@ -278,15 +280,16 @@ def find_witness(s: Sequence) -> Witness | HighIndexEvidence:
     put it there passed the test.  A hit therefore proves T minimal, and
     NotMinimalZeroSum is raised for exactly the inputs that fail the test.
     """
-    if len(s.terms) != 4:
-        raise NotLength4(f"expected 4 terms, got {len(s.terms)}")
-    n = s.n
-    image, u = _lead_image(s.terms, n)
+    terms = s.terms
+    if len(terms) != 4:
+        raise NotLength4(f"expected 4 terms, got {len(terms)}")
+    n = s.modulus.n
+    image, u = _lead_image(terms, n)
     key = (n, image)
     found = _MEMO.get(key)
     if found is None:
         if not is_minimal_zero_sum(s):
-            raise NotMinimalZeroSum(f"{s.terms} over {n} is not minimal zero-sum")
+            raise NotMinimalZeroSum(f"{terms} over {n} is not minimal zero-sum")
         found = _pipeline(s if u == 1 else Sequence(s.modulus, image))
         if len(_MEMO) >= _MEMO_CAP:
             _MEMO.clear()  # a bound on memory; a sweep past it restarts cold

@@ -57,14 +57,14 @@ def test_checkpoint_paths(tmp_path):
     assert checkpoint.data_path == tmp_path / "sweep.ckpt.blocks"
 
 
-def traced_verify(tmp_path, *flags):
-    """Trace ``verify --n 35`` with a checkpoint; the tracer and the report record."""
+def traced_verify(tmp_path, *flags, n=35):
+    """Trace ``verify --n N`` with a checkpoint; the tracer and the report record."""
     report = tmp_path / "report.jsonl"
     t = tracer.Tracer()
     installed = tracer.Installed(t)
     try:
         code = run(
-            ["verify", "--n", "35", "--checkpoint-path", str(tmp_path / "ckpt"),
+            ["verify", "--n", str(n), "--checkpoint-path", str(tmp_path / "ckpt"),
              "--report-path", str(report), *flags],
             out=io.StringIO(),
         )
@@ -86,6 +86,16 @@ def test_traced_verify_matches_its_report(tmp_path):
     assert metrics["witness.find.calls"] == record["sequences_total"]
     assert metrics["certificates.recheck.calls"] == record["sequences_total"]
     assert metrics["harness.checkpoint.records_written"] == 34
+
+
+def test_traced_full_sweep_with_high_index_findings(tmp_path):
+    """Every swept sequence is looked up once; each finding is rechecked or cross-checked."""
+    t, record = traced_verify(tmp_path, "--all-moduli", n=30)
+    metrics = tracer.pipeline_metrics(t)
+    assert record["sequences_total"] == 1082 and len(record["high_index"]) == 140
+    assert metrics["witness.find.calls"] == 1082
+    assert metrics["certificates.recheck.calls"] == 942
+    assert metrics["sequences.index.calls"] == 140
 
 
 def test_traced_orbit_verify_matches_its_report(tmp_path):

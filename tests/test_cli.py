@@ -424,6 +424,36 @@ class TestInvalidInput:
         assert code == EXIT_USAGE
 
 
+class TestRunsInOneProcess:
+    """``run`` reuses one parser; no call leaves state behind for the next."""
+
+    def test_a_second_verify_forgets_the_first_ones_flags(self, tmp_path):
+        def record(argv, name):
+            report = tmp_path / name
+            assert run(argv + ["--report-path", str(report)], out=io.StringIO()) == EXIT_OK
+            return _records(report)
+
+        record(["verify", "--orbits", "--n", "35"], "orbits.jsonl")
+        second = record(["verify", "--n", "35"], "second.jsonl")
+        assert second[0]["orbits"] is False
+        fresh = tmp_path / "fresh.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "zsindex", "verify", "--n", "35", "--report-path", str(fresh)],
+            capture_output=True, text=True, env=_module_env(), timeout=60,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert second == _records(fresh)
+
+    def test_a_usage_error_leaves_the_next_call_valid(self):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--n", "x"], out=io.StringIO())  # argparse rejects it
+        assert exc.value.code == EXIT_USAGE
+        assert invoke(["verify", "--n-range", "20:7"])[0] == EXIT_USAGE
+        assert invoke(["index", "--n", "35", "--terms", "2,3,31,34"]) == (
+            EXIT_OK, "index 1 argmin 24\n"
+        )
+
+
 def _module_env():
     """Environment in which ``python -m zsindex`` imports this checkout."""
     env = dict(os.environ)

@@ -28,7 +28,7 @@ from zsindex import (
     verify_witness,
 )
 
-from zsindex.harness import _minimal_tuples
+from zsindex.harness import _minimal_tuples, _scan_block_impl
 from zsindex.witness import FIXED_CANDIDATES, _MEMO, _lead_image, _pipeline, _unit_lift
 
 from oracles import (
@@ -387,6 +387,29 @@ class TestFindWitness:
                         assert key not in _MEMO, s
                         with pytest.raises(NotMinimalZeroSum):
                             find_witness(s)
+        finally:
+            _MEMO.clear()
+
+    def test_a_carried_hit_is_certified_on_its_own_terms(self):
+        """A memo entry whose m does not certify its image is never passed on:
+        the carry recomputes the sum on the sequence's terms, and the sweep's
+        recheck stands behind it."""
+        s = seq(35, (2, 3, 31, 34))
+        image, u = _lead_image(s.terms, 35)
+        assert u != 1 and sum(image) == 70  # so m = 1 does not certify the image
+        bogus = Witness(m=1, achieved_sum=35, rule=RULE_INTERVAL, k=1)
+        _MEMO.clear()
+        try:
+            _MEMO[(35, image)] = bogus
+            try:
+                result = find_witness(s)
+            except AssertionError:
+                pass
+            else:
+                assert isinstance(result, Witness) and verify_witness(s, result)
+            _MEMO[(35, image)] = bogus
+            with pytest.raises((AssertionError, RuntimeError)):
+                _scan_block_impl(35, 4, s.terms[0], False)
         finally:
             _MEMO.clear()
 
