@@ -37,9 +37,9 @@ from .normal_form import (
     NotMinimalZeroSum,
     UnbalancedSplit,
     _check_quadruple,
-    _normalize_validated,
     content,
     reduce_by_content,
+    to_normal_form,
 )
 from .residues import factorize
 from .sequences import Sequence, is_minimal_zero_sum, is_zero_sum, sequence_index
@@ -330,7 +330,7 @@ def _cmd_reduce(config: RunConfig, out: TextIO) -> int:
     else:
         out.write("content 1\n")
     try:
-        nf = _normalize_validated(s)
+        nf = to_normal_form(s)
     except UnbalancedSplit as exc:
         out.write(f"no normal form: {exc}\n")
         return EXIT_OK

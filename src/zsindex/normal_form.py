@@ -110,43 +110,17 @@ def reduce_by_content(s: Sequence) -> Sequence:
     return Sequence(factorize(s.n // u), tuple(t // u for t in s.terms))
 
 
-def _one_sided_at(terms: tuple[int, ...], n: int, m: int) -> bool:
-    """At most one transformed term in [1, n/2], or at most one in [n/2, n]."""
-    low = 0
-    high = 0
-    for t in terms:
-        v = (m * t - 1) % n + 1
-        if 2 * v <= n:
-            low += 1
-        if 2 * v >= n:
-            high += 1
-    return low <= 1 or high <= 1
-
-
 def one_sided_witness(s: Sequence) -> Witness | None:
-    """Search units for a transform with at most one term on one half.
+    """Certify index 1 at the least unit whose transformed sum is n.
 
-    A hit only proves index 1 indirectly, so it is converted to a concrete
-    certificate: first the hitting unit and its complement are tried, then
-    an ascending scan.  Returns None when no unit is one-sided, or when a
-    hit exists but no direct certificate does (possible outside the
-    conjecture's gcd(n, 6) = 1 scope).
+    ind(S) = 1 exactly when some unit image of S sums to n.  Such an image
+    of a quadruple is one-sided: two terms at or above n/2 would already sum
+    to n, so at most one sits there.  One ascending scan therefore settles a
+    lopsided input.  Returns None exactly when no unit certifies, that is
+    when the index exceeds 1.
     """
-    n = s.n
-    terms = s.terms
-    hit: int | None = None
-    for m in units(s.modulus):
-        if _one_sided_at(terms, n, m):
-            hit = m
-            break
-    if hit is None:
-        return None
-    for candidate in (hit, n - hit):
-        w = certify(s, candidate, RULE_ONE_SIDED)
-        if w is not None:
-            return w
-    total, m = min_transform_sum(terms, n, units(s.modulus), stop_at=n)
-    if total == n:
+    total, m = min_transform_sum(s.terms, s.n, units(s.modulus), stop_at=s.n)
+    if total == s.n:
         return certify(s, m, RULE_ONE_SIDED)
     return None
 
@@ -202,22 +176,33 @@ def to_normal_form(s: Sequence) -> Witness | NormalForm:
     at multiplier 1.  With sum 2n the sequence is oriented so two terms sit
     strictly on each side of n/2 (complementing if the outer pair sums
     beyond n) and the normal form is read off.  When the identity
-    orientation is lopsided, one-sided handling tries to convert the
-    situation into a direct certificate, then any unit transform with a
-    proper split is normalized instead.  A sum of 3n leaves at most one term
-    at or below n/2 (two would cap the sum at 3n - 2), so it is always
-    lopsided and one-sided handling certifies it at the complement n - 1.
-    Raises UnbalancedSplit when no unit transform splits, which can only
-    happen when a term equals n/2.
+    orientation is lopsided, ``one_sided_witness`` certifies the input at
+    its least certifying unit if the index is 1; otherwise the first unit
+    transform with a proper split is normalized instead, its move named
+    ``mul:m``.  A sum of 3n leaves at most one term at or below n/2 (two
+    would cap the sum at 3n - 2), so it is always lopsided; the complement
+    n - 1 sums to n, so it is always certified.  Raises UnbalancedSplit when
+    no unit transform splits, which can only happen when a term equals n/2.
     """
     _check_quadruple(s)
     if content(s) != 1:
         raise ContentNotOne(f"content {content(s)} must be divided out first")
-    return _normalize_validated(s)
+    found = _normalize_validated(s)
+    if found is not None:
+        return found
+    # Unit 1 yields no form here: the identity orientation is lopsided.
+    for m in units(s.modulus):
+        nf = _oriented_form(apply_unit(s, m), m, (f"mul:{m}",))
+        if nf is not None:
+            return nf
+    raise UnbalancedSplit(
+        f"no unit transform of {s.terms} over {s.n} splits two-and-two"
+    )
 
 
-def _normalize_validated(s: Sequence) -> Witness | NormalForm:
-    """to_normal_form body for callers that already hold the preconditions."""
+def _normalize_validated(s: Sequence) -> Witness | NormalForm | None:
+    """to_normal_form without its unit search, for callers that already
+    hold the preconditions; None for a lopsided input of index above 1."""
     n = s.n
     total = sum(s.terms)
     if total == n:
@@ -229,18 +214,6 @@ def _normalize_validated(s: Sequence) -> Witness | NormalForm:
     nf = _oriented_form(s)
     if nf is not None:
         return nf
-
     # Lopsided identity orientation: at most one term on one strict side, or
-    # a term sits exactly on n/2.  Index 1, if true, yields a direct witness.
-    w = one_sided_witness(s)
-    if w is not None:
-        return w
-    for m in units(s.modulus):
-        if m == 1:
-            continue
-        nf = _oriented_form(apply_unit(s, m), m, (f"mul:{m}",))
-        if nf is not None:
-            return nf
-    raise UnbalancedSplit(
-        f"no unit transform of {s.terms} over {n} splits two-and-two"
-    )
+    # a term sits exactly on n/2.
+    return one_sided_witness(s)

@@ -3,8 +3,11 @@
 The pipeline mirrors the reduction order: cheap sum checks, content
 division, normalization, then two interval-based sufficient conditions, a
 pool of candidate multipliers, and finally an exhaustive ascending scan
-over all units.  The interval stage and the pool's interval members read
-the half-open intervals [kn/c, kn/b) from one function,
+over all units.  Normalization settles a quadruple with no 2-2 split
+around n/2 on its own: one ascending scan either certifies it or proves
+its index above 1, and then it goes straight to the exhaustive scan with
+no normal form built.  The interval stage and the pool's interval members
+read the half-open intervals [kn/c, kn/b) from one function,
 ``interval_integers``; the rest of the pool is a fixed list of small
 constants.  Every hit from every stage is validated by direct recomputation
 before it is emitted; a failed validation is logged and the search just
@@ -37,7 +40,6 @@ from .normal_form import (
     NormalForm,
     NotLength4,
     NotMinimalZeroSum,
-    UnbalancedSplit,
     _normalize_validated,
     content,
     reduce_by_content,
@@ -162,12 +164,12 @@ def candidate_multipliers(nf: NormalForm) -> list[tuple[int, str]]:
     return list(pool.items())
 
 
-def _exhaustive(s: Sequence, trail: tuple[str, ...] = ()) -> Witness | HighIndexEvidence:
+def _exhaustive(s: Sequence) -> Witness | HighIndexEvidence:
     """Ascending unit scan: first certificate, else the exact minimum."""
     n = s.n
     best, best_m = min_transform_sum(s.terms, n, units(s.modulus), stop_at=n)
     if best == n:
-        w = certify(s, best_m, RULE_EXHAUSTIVE, trail=trail)
+        w = certify(s, best_m, RULE_EXHAUSTIVE)
         assert w is not None
         return w
     assert best % n == 0
@@ -213,10 +215,9 @@ def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
         if isinstance(inner, HighIndexEvidence):
             return _exhaustive(s)
         return _carry(inner, s, _unit_lift(inner.m, n, n // u), (f"content:{u}",))
-    try:
-        nf = _normalize_validated(s)
-    except UnbalancedSplit:
-        return _exhaustive(s)
+    nf = _normalize_validated(s)
+    if nf is None:
+        return _exhaustive(s)  # lopsided, and no unit certifies it
     if isinstance(nf, Witness):
         return nf
     # nf.unit maps s onto the represented sequence, so m certifies that
@@ -229,7 +230,7 @@ def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
         w = certify(s, m * nf.unit, RULE_CANDIDATE, case=tag, trail=nf.steps)
         if w is not None:
             return w
-    return _exhaustive(s, trail=nf.steps)
+    return _exhaustive(s)
 
 
 def _lead_image(terms: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:

@@ -27,6 +27,7 @@ from zsindex import (
 from oracles import (
     naive_index,
     naive_is_minimal,
+    naive_minimal_enumeration,
     naive_transform_sum,
     naive_units,
 )
@@ -95,7 +96,7 @@ class TestOneSided:
     def test_hit_is_converted_to_direct_witness(self):
         w = one_sided_witness(seq(35, (2, 3, 31, 34)))
         assert w is not None and w.rule == RULE_ONE_SIDED
-        assert w.m == 26  # first one-sided unit is 9; 35 - 9 certifies
+        assert w.m == 24  # the least unit whose transformed sum is 35
         assert verify_witness(seq(35, (2, 3, 31, 34)), w)
 
     def test_no_hit_on_balanced_high_index_orbit(self):
@@ -106,26 +107,31 @@ class TestOneSided:
         assert one_sided_witness(seq(14, (4, 5, 6, 13))) is None
 
     def test_matches_naive_scan_on_every_minimal_quadruple(self):
-        def one_sided(terms, n, m):
-            images = [(m * t) % n or n for t in terms]
-            low = sum(1 for v in images if 2 * v <= n)
-            high = sum(1 for v in images if 2 * v >= n)
-            return low <= 1 or high <= 1
-
         for n in range(2, 41):
             naive = naive_units(n)
             for s in enumerate_minimal(factorize(n)):
                 w = one_sided_witness(s)
-                hits = [m for m in naive if one_sided(s.terms, n, m)]
-                if not hits:
+                certifying = [m for m in naive if naive_transform_sum(s.terms, n, m) == n]
+                if not certifying:
                     assert w is None, (s.terms, n)
                     continue
-                certifying = [m for m in naive if naive_transform_sum(s.terms, n, m) == n]
-                preferred = [m for m in (hits[0], n - hits[0]) if m in certifying]
-                expected = (preferred or certifying or [None])[0]
-                assert (w.m if w else None) == expected, (s.terms, n)
-                if w is not None:
-                    assert w.rule == RULE_ONE_SIDED and verify_witness(s, w)
+                assert w is not None and w.m == certifying[0], (s.terms, n)
+                assert w.rule == RULE_ONE_SIDED and verify_witness(s, w)
+
+    def test_a_certifying_image_has_at_most_one_upper_term(self):
+        # Two transformed terms v with 2v >= n already sum to n, so an image
+        # summing to n is one-sided: one_sided_witness needs no predicate.
+        images = 0
+        for n in range(2, 41):
+            naive = naive_units(n)
+            for terms in naive_minimal_enumeration(n, 4):
+                for m in naive:
+                    if naive_transform_sum(terms, n, m) != n:
+                        continue
+                    images += 1
+                    upper = [t for t in terms if 2 * ((m * t) % n or n) >= n]
+                    assert len(upper) <= 1, (terms, n, m)
+        assert images > 0
 
 
 class TestToNormalForm:
@@ -194,18 +200,23 @@ class TestToNormalForm:
                 assert names.get(nf.steps) == nf.unit, (s, nf)
         assert forms > 0
 
-    def test_sum_3n_is_one_sided_at_the_complement(self):
-        seen = 0
+    def test_sum_3n_is_one_sided_at_the_least_certifying_unit(self):
+        # The complement n - 1 always sums to n, so every such input is
+        # certified, and most at a smaller unit.
+        seen = below = 0
         for n in range(2, 41):
+            naive = naive_units(n)
             for s in enumerate_minimal(factorize(n)):
                 if sum(s.terms) != 3 * n or content(s) != 1:
                     continue
                 seen += 1
                 w = to_normal_form(s)
+                least = next(m for m in naive if naive_transform_sum(s.terms, n, m) == n)
                 assert isinstance(w, Witness), s
-                assert (w.rule, w.m) == (RULE_ONE_SIDED, n - 1), (s, w)
+                assert (w.rule, w.m) == (RULE_ONE_SIDED, least), (s, w)
                 assert verify_witness(s, w)
-        assert seen > 0
+                below += least < n - 1
+        assert (seen, below) == (4665, 4402)
 
     def test_outcome_soundness_random(self):
         rng = random.Random(20260810)

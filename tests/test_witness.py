@@ -10,6 +10,7 @@ from zsindex import (
     NormalForm,
     NotLength4,
     NotMinimalZeroSum,
+    RULE_EXHAUSTIVE,
     RULE_INTERVAL,
     RULE_ONE_SIDED,
     RULE_SUM_N,
@@ -278,11 +279,11 @@ class TestUnitLift:
 GOLDEN_WITNESS_REPRS = {
     45: (
         "075881576bead17322782353fbe3b197e027f989db884b0433718b3387b8656a",
-        "1c977ebae5c00965c0ed7a0fc7bc46d32d4ef8e12a7662f5817dcb830cf953ed",
+        "e7d4f0b4f10cfada7084e32bbd8aac84d5f44ad2f85716e48ad7f05caa2f0bf5",
     ),
     75: (
         "5fdf3df60aee95e4ae35cee7f6c1970d045a6238af4f647cd078c81aaa561463",
-        "f92a004d0b1cfe23b72dcb7583e769eaa674f5e2f760f99679f6c9c50a0756ed",
+        "341a1478a3c694d595c310c9607da89d8bee47566a3805e6be08dc0cd12bd327",
     ),
 }
 
@@ -350,6 +351,52 @@ class TestFindWitness:
         result = find_witness(seq(10, (1, 5, 6, 8)))
         assert isinstance(result, HighIndexEvidence)
         assert result.index == 2
+
+    def test_exhaustive_certificates_name_no_move(self):
+        # The scan runs on the pipeline's input itself, so its certificate
+        # names no normalization move: no complement, no mul:m.
+        from zsindex import enumerate_minimal
+
+        scanned = 0
+        for n in range(2, 41):
+            for s in enumerate_minimal(factorize(n), 4):
+                w = _pipeline(s)
+                if not isinstance(w, Witness) or w.rule != RULE_EXHAUSTIVE:
+                    continue
+                scanned += 1
+                moves = [step for step in w.trail if step == "complement" or step.startswith("mul:")]
+                assert not moves, (n, s.terms, w)
+        assert scanned > 0
+
+    def test_lopsided_input_skips_the_form_stages(self, monkeypatch):
+        # A lopsided quadruple is settled by the one-sided scan: index 1 gives
+        # ONE_SIDED, and otherwise no normal form can hold a certificate, so
+        # the pipeline goes straight to the exhaustive scan.
+        from zsindex import enumerate_minimal
+
+        def forbidden(*args):
+            raise AssertionError("form stage reached on a lopsided input")
+
+        for name in ("interval_witness", "two_of_three_witness", "candidate_multipliers"):
+            monkeypatch.setattr(f"zsindex.witness.{name}", forbidden)
+        high = 0
+        for n in range(2, 41):
+            for s in enumerate_minimal(factorize(n), 4):
+                terms = s.terms
+                below = sum(1 for t in terms if 2 * t < n)
+                above = sum(1 for t in terms if 2 * t > n)
+                if (below, above) == (2, 2) or sum(terms) == n or math.gcd(n, *terms) != 1:
+                    continue
+                result = _pipeline(s)
+                index, argmin = naive_index(terms, n)
+                if index == 1:
+                    assert isinstance(result, Witness) and result.rule == RULE_ONE_SIDED, (n, terms)
+                    assert verify_witness(s, result)
+                else:
+                    high += 1
+                    expected = HighIndexEvidence(int(index), argmin, int(index) * n)
+                    assert result == expected, (n, terms)
+        assert high > 0
 
     def test_precondition_errors(self):
         with pytest.raises(NotLength4):
