@@ -4,15 +4,19 @@ The sequence space of one modulus is partitioned into blocks by leading
 term, so blocks can run on parallel workers and completed blocks can be
 checkpointed.  A full sweep has one block per term in [1, n-1].  An orbit
 sweep has one per proper divisor d of n, because every unit orbit's least
-member leads with d = min gcd(t_i, n).  Block d is admissible: it builds only
-the tuples whose every term has gcd(t, n) >= d, since no other can be a
-least member.  Each tuple built is tested for leastness by trying the units
-that send one of its gcd-d terms to d, and the test stops at the first
-image that sorts below the tuple.  A least member's test also counts its
-stabilizer, so the sweep counts each orbit's members (|orbit(R)| =
-phi(n) / |Stab(R)|) rather than enumerating them.  Every gcd and every such
-unit is read from one per-modulus table, ``residues.lift_table``, which the
-floor filter, the leastness test and ``orbit_canonical`` share.
+member leads with d = min gcd(t_i, n).  Block d > 1 is admissible: it builds
+only the tuples whose every term has gcd(t, n) >= d, since no other can be a
+least member.  Block 1, which holds most tuples, is pruned instead: a tuple
+(1, b, ...) with a unit term t is sent by t^-1 to an image holding 1, and if
+t^-1 times another term is below b, that image sorts below the tuple, so the
+enumeration drops every such prefix as it is built.  Each tuple built is
+tested for leastness by trying the units that send one of its gcd-d terms
+to d, and the test stops at the first image that sorts below the tuple.  A
+least member's test also counts its stabilizer, so the sweep counts each
+orbit's members (|orbit(R)| = phi(n) / |Stab(R)|) rather than enumerating
+them.  Every gcd, inverse and such unit is read from one per-modulus table,
+``residues.lift_table``, which the floor filter, the block-1 prune, the
+leastness test and ``orbit_canonical`` share.
 One worker pool serves a whole ``verify_moduli`` run, however many moduli it
 sweeps, and its task queue runs across moduli.  Block results merge by plain
 counter addition and sorted list union, so the final report is independent
@@ -47,7 +51,7 @@ CHECKPOINT_SCHEMA = 3
 
 
 def _minimal_tuples(
-    n: int, k: int, leading: SequenceABC[int] | None = None, floor: int = 1
+    n: int, k: int, leading: SequenceABC[int] | None = None, orbit: bool = False
 ) -> Iterator[tuple[int, ...]]:
     """Sorted minimal zero-sum k-tuples over [1, n-1], in lexicographic order.
 
@@ -67,22 +71,55 @@ def _minimal_tuples(
     holds it, and then its complement is nonempty, lies inside the prefix and
     also sums to 0; either way the prefix would hold a zero-sum subset.
 
-    ``floor`` admits only the terms t with gcd(t, n) >= floor, the leading
-    and the forced term included, so no tuple holding another is built; the
-    gcds come from the modulus's ``lift_table``, built once per modulus.  An
-    orbit sweep passes its block's divisor d: an orbit's least member leads
-    with d = min gcd(t_i, n) (see ``_representative_stabilizer``), so every
-    one of its terms, the forced one too, has gcd at least d, and a tuple
-    with a term of smaller gcd can never be one.  Each frame's picks, and each
-    closing term together with the forced term it leaves, are filtered
-    before the loop that walks them; the filters run only when ``floor`` is
-    above 1, so a full sweep's kernel does no extra work per tuple.  For
-    k = 2 the forced term n - t has the leading term's gcd, so filtering
-    ``leading`` suffices.
+    ``orbit`` makes this an orbit sweep's block: ``leading`` is one divisor d
+    of n, and only tuples that may be their orbit's least member are built.
+    An orbit's least member leads with d = min gcd(t_i, n) (see
+    ``_representative_stabilizer``), so every one of its terms, the forced
+    one too, has gcd at least d.  For d > 1 the block builds exactly the
+    tuples whose every term passes that floor.  For d = 1 every term passes
+    it, and a tuple (1, b, ...) is instead pruned by its unit terms: a unit
+    term t sends the tuple to t^-1 * (1, b, ...), which holds 1, so if any
+    other term x has t^-1 * x below b, that image sorts below the tuple.  As
+    each term joins the prefix, the closing and the forced term included, it
+    is checked against the 1 and the terms from b on (``clear``), so no
+    tuple of a rejected subtree is built; the survivors still go through the
+    exact leastness test.  The gcds and inverses come from the modulus's
+    ``lift_table``.  Each frame's picks, and each closing term together with
+    the forced term it leaves, are filtered before the loop that walks
+    them; a full sweep runs no filter, so its kernel does no extra work per
+    tuple.  For k = 2 the forced term n - t has the leading term's gcd, so
+    filtering ``leading`` suffices, and (1, n - 1) is least in its orbit.
     """
+    floor = 1
+    if orbit:
+        (floor,) = leading
+        gcds, lifts = lift_table(n)
     gated = floor > 1
+    pruned = orbit and floor == 1
     if gated:
-        admissible = [g >= floor for g in lift_table(n)[0]]
+        admissible = [g >= floor for g in gcds]
+    if pruned:
+        # The inverse of each unit, 0 for the other residues.
+        inverse = [lift[0] if g == 1 else 0 for g, lift in zip(gcds, lifts)]
+
+    def clear(x: int, held: tuple[int, ...]) -> bool:
+        # Whether x may join the block-1 prefix (1, *held), whose second term
+        # b is held[0], or x itself if nothing is held.  x is refused when,
+        # for the lead 1 or a held term h, x^-1 * h or h^-1 * x is below b:
+        # that image holds 1 and sorts below every tuple with this prefix.
+        b = held[0] if held else x
+        ix = inverse[x]
+        if ix:
+            if ix < b:
+                return False
+            for y in held:
+                if ix * y % n < b:
+                    return False
+        for y in held:
+            iy = inverse[y]
+            if iy and iy * x % n < b:
+                return False
+        return True
 
     def extend(
         prefix: tuple[int, ...], closing: set[int], need: int, low: int, high: int
@@ -103,6 +140,8 @@ def _minimal_tuples(
             picks = range(low, high)
         if gated:
             picks = [t for t in picks if admissible[t]]
+        elif pruned and prefix:
+            picks = [t for t in picks if clear(t, prefix[1:])]
         for t in picks:
             if t in closing:
                 continue
@@ -119,6 +158,16 @@ def _minimal_tuples(
             if gated:
                 below = [u for u in below if admissible[u] and admissible[rest - u]]
                 above = [u for u in above if admissible[u] and admissible[rest + n - u]]
+            elif pruned:
+                held = head[1:]
+                below = [
+                    u for u in below
+                    if clear(u, held) and clear(rest - u, held + (u,))
+                ]
+                above = [
+                    u for u in above
+                    if clear(u, held) and clear(rest + n - u, held + (u,))
+                ]
             for u in below:
                 if u not in grown:
                     yield head + (u, rest - u)
@@ -187,6 +236,12 @@ def _representative_stabilizer(terms: tuple[int, ...], n: int) -> int:
     u^-1 * d to d, so it is tried, and only once, since u sends no other
     residue to d.  The identity is one of them, a lift for the leading term,
     so it is counted without being tried.
+
+    An orbit sweep's block 1 offers only the tuples its prune lets through
+    (see ``_minimal_tuples``).  That prune only compares each image's second
+    term with b, so it passes some tuples that are not least (13 of the 331
+    it builds at n = 77, k = 4), and every tuple it offers still gets this
+    exact test.
     """
     gcds, lifts = lift_table(n)
     d = terms[0]
@@ -229,12 +284,14 @@ def _orbit_reps(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Each unit orbit's least member, in enumeration order.
 
     Only the blocks led by a divisor d of n are enumerated
-    (``_leading_terms``), each with d as its floor, so a block builds only
-    the tuples whose every term has gcd at least d; each survivor is kept if
+    (``_leading_terms``), each as an orbit block: block d > 1 builds only the
+    tuples whose every term has gcd at least d, and block 1 skips the tuples
+    (1, b, ...) that a unit term sends to an image holding 1 and another
+    term below b (see ``_minimal_tuples``).  Each survivor is kept if
     ``_representative_stabilizer`` finds it least in its orbit.
     """
     for d in _leading_terms(n, orbits=True):
-        for terms in _minimal_tuples(n, k, (d,), d):
+        for terms in _minimal_tuples(n, k, (d,), orbit=True):
             if _representative_stabilizer(terms, n):
                 yield terms
 
@@ -253,11 +310,11 @@ class BlockResult:
 def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
     """Run the witness engine over one leading-term block.
 
-    In orbit mode ``n1`` is a divisor of n and doubles as the block's floor:
-    only tuples whose every term has gcd at least n1 are built, and of those
-    only the orbit representatives are certified.  Each adds its whole orbit,
-    phi(n) / |Stab(R)| sequences, to the count, so the divisor blocks together
-    count every sequence of the modulus.
+    In orbit mode ``n1`` is a divisor of n and the block is an orbit block
+    (see ``_minimal_tuples``): only tuples that may be least in their orbit
+    are built, and of those only the orbit representatives are certified.
+    Each adds its whole orbit, phi(n) / |Stab(R)| sequences, to the count,
+    so the divisor blocks together count every sequence of the modulus.
 
     Every witness is rechecked with the independent verifier; every piece of
     high-index evidence is cross-checked against the exhaustive index.  A
@@ -269,7 +326,7 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
     high: list[tuple[tuple[int, ...], int]] = []
     sequences = 0
     reps = 0
-    for terms in _minimal_tuples(n, k, (n1,), n1 if orbits else 1):
+    for terms in _minimal_tuples(n, k, (n1,), orbit=orbits):
         if orbits:
             fixed = _representative_stabilizer(terms, n)
             if not fixed:

@@ -75,6 +75,32 @@ def naive_floor_block(n: int, k: int, d: int) -> list[tuple[int, ...]]:
     ]
 
 
+def closed_form_sequences_total(n: int) -> int:
+    """How many sorted minimal zero-sum 4-tuples over [1, n-1] there are,
+    counted without enumerating them.
+
+    A zero-sum 4-multiset of nonzero residues is minimal unless it splits
+    into two zero-sum pairs {a, -a}, {c, -c}: a zero-sum subset of size 1
+    or 3 would leave or be the zero element.  The zero-sum multisets are
+    counted by Polya's theorem over S_4: a permutation of cycle type
+    (l_1, ..., l_r) fixes the tuples that give each cycle one residue x_i,
+    and sum l_i * x_i = 0 holds for (1/n) sum_j prod_i (n [n | l_i j] - 1)
+    of them (a character sum over Z_n).  The split ones are the multisets of
+    two of the P = floor((n - 1) / 2) + [2 | n] pairs {a, -a}.
+    """
+    cycle_types = {(1, 1, 1, 1): 1, (2, 1, 1): 6, (2, 2): 3, (3, 1): 8, (4,): 6}
+    fixed = 0
+    for lengths, size in cycle_types.items():
+        for j in range(n):
+            product = 1
+            for length in lengths:
+                product *= n * (length * j % n == 0) - 1
+            fixed += size * product
+    assert fixed % (24 * n) == 0
+    pairs = (n - 1) // 2 + (n % 2 == 0)
+    return fixed // (24 * n) - pairs * (pairs + 1) // 2
+
+
 def naive_interval_members(k: int, n: int, b: int, c: int) -> list[int]:
     """Integers in [kn/c, kn/b) by cross-multiplied comparisons.
 

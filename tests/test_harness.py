@@ -34,6 +34,7 @@ from zsindex.harness import (
 )
 
 from oracles import (
+    closed_form_sequences_total,
     naive_floor_block,
     naive_index,
     naive_minimal_enumeration,
@@ -153,24 +154,55 @@ class TestOrbitCanonical:
 
     @pytest.mark.parametrize("k, top", [(2, 60), (3, 60), (4, 60), (5, 60), (6, 40)])
     def test_floor_blocks_match_naive_oracle(self, k, top):
-        # Block 1's floor admits every term, so it is the full sweep's block 1,
-        # which TestEnumerateMinimal checks; the floor acts on the others.
+        # The floor acts on the orbit blocks led by d > 1.  Block 1's floor
+        # would admit every term; that block is pruned instead, which
+        # test_block_one_prune_keeps_every_least_member checks.
         for n in range(2, top + 1):
             for d in _leading_terms(n, orbits=True)[1:]:
-                block = list(_minimal_tuples(n, k, (d,), d))
+                block = list(_minimal_tuples(n, k, (d,), orbit=True))
                 assert block == naive_floor_block(n, k, d), (n, d)
+
+    @pytest.mark.parametrize("k, top", [(2, 60), (3, 60), (4, 60), (5, 60), (6, 40)])
+    def test_block_one_prune_keeps_every_least_member(self, k, top):
+        # The pruned block 1 is part of the full sweep's block 1, in order,
+        # and the tuples of it that the exact test accepts, with their
+        # stabilizer sizes, are the naive least members of the full block.
+        for n in range(2, top + 1):
+            full = list(_minimal_tuples(n, k, (1,)))
+            pruned = list(_minimal_tuples(n, k, (1,), orbit=True))
+            assert set(pruned) <= set(full) and pruned == sorted(pruned), n
+            rep_of = naive_orbit_reps(n, full)
+            expected = {
+                terms: naive_stabilizer_size(terms, n)
+                for terms in full
+                if rep_of[terms] == terms
+            }
+            accepted = {}
+            for terms in pruned:
+                if fixed := _representative_stabilizer(terms, n):
+                    accepted[terms] = fixed
+            assert accepted == expected, n
+
+    def test_block_one_prune_count(self):
+        # At n = 77 the full block 1 holds 950 quadruples, 318 of them least
+        # in their orbit; the prune builds 331, so a prune that stops acting
+        # shows here.
+        pruned = list(_minimal_tuples(77, 4, (1,), orbit=True))
+        assert sum(1 for _ in _minimal_tuples(77, 4, (1,))) == 950
+        assert len(pruned) == 331
+        assert sum(1 for terms in pruned if _representative_stabilizer(terms, 77)) == 318
 
     def test_orbit_reps_floor_each_divisor_block(self, monkeypatch):
         calls = []
         tuples = harness._minimal_tuples
 
-        def recording(n, k, leading=None, floor=1):
-            calls.append((list(leading), floor))
-            return tuples(n, k, leading, floor)
+        def recording(n, k, leading=None, orbit=False):
+            calls.append((list(leading), orbit))
+            return tuples(n, k, leading, orbit)
 
         monkeypatch.setattr(harness, "_minimal_tuples", recording)
         reps = list(_orbit_reps(77, 4))
-        assert calls == [([1], 1), ([7], 7), ([11], 11)]
+        assert calls == [([1], True), ([7], True), ([11], True)]
         assert reps == sorted(set(naive_orbit_reps(77, list(tuples(77, 4))).values()))
 
     def test_orbits_total_counts_naive_classes(self, tmp_path):
@@ -189,6 +221,18 @@ class TestOrbitCanonical:
                 classes = set(naive_orbit_reps(r["n"], tuples).values())
                 assert r["orbits_total"] == len(classes), r["n"]
 
+    def test_closed_form_counts_every_quadruple(self):
+        for n in range(2, 41):
+            assert closed_form_sequences_total(n) == sum(1 for _ in _minimal_tuples(n, 4)), n
+
+    @pytest.mark.parametrize("n, total", [(385, 2_371_584), (455, 3_916_204)])
+    def test_orbit_sweep_total_matches_closed_form(self, n, total):
+        # No enumeration oracle reaches these moduli; the closed form guards
+        # the block-1 prune and the stabilizer counts there.
+        report = verify_conjecture(factorize(n), VerifyOptions(orbits=True))
+        assert closed_form_sequences_total(n) == total
+        assert report.sequences_total == total
+
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_orbit_sweep_counts_every_sequence(self, k):
         for n in range(2, 31):
@@ -199,9 +243,9 @@ class TestOrbitCanonical:
         blocks = []
         tuples = harness._minimal_tuples
 
-        def recording(n, k, leading=None, floor=1):
-            blocks.extend((n1, floor) for n1 in leading)
-            return tuples(n, k, leading, floor)
+        def recording(n, k, leading=None, orbit=False):
+            blocks.extend((n1, orbit) for n1 in leading)
+            return tuples(n, k, leading, orbit)
 
         monkeypatch.setattr(harness, "_minimal_tuples", recording)
         ckpt = tmp_path / "sweep.ckpt"
@@ -209,8 +253,8 @@ class TestOrbitCanonical:
         assert run(argv, out=io.StringIO()) == 0
         assert sorted(n1 for n1, _ in blocks) == [1, 7, 11]
         assert block_keys(tmp_path / "sweep.ckpt.blocks") == [(77, 4, 1), (77, 4, 7), (77, 4, 11)]
-        # Each block is enumerated with its own divisor as the floor.
-        assert all(floor == n1 for n1, floor in blocks)
+        # Each block is enumerated as an orbit block, led by its own divisor.
+        assert all(orbit for _, orbit in blocks)
 
 
 
