@@ -4,19 +4,21 @@ The sequence space of one modulus is partitioned into blocks by leading
 term, so blocks can run on parallel workers and completed blocks can be
 checkpointed.  A full sweep has one block per term in [1, n-1].  An orbit
 sweep has one per proper divisor d of n, because every unit orbit's least
-member leads with d = min gcd(t_i, n).  Block d > 1 is admissible: it builds
-only the tuples whose every term has gcd(t, n) >= d, since no other can be a
-least member.  Block 1, which holds most tuples, is pruned instead: a tuple
-(1, b, ...) with a unit term t is sent by t^-1 to an image holding 1, and if
-t^-1 times another term is below b, that image sorts below the tuple, so the
-enumeration drops every such prefix as it is built.  Each tuple built is
-tested for leastness by trying the units that send one of its gcd-d terms
-to d, and the test stops at the first image that sorts below the tuple.  A
-least member's test also counts its stabilizer, so the sweep counts each
-orbit's members (|orbit(R)| = phi(n) / |Stab(R)|) rather than enumerating
-them.  Every gcd, inverse and such unit is read from one per-modulus table,
-``residues.lift_table``, which the floor filter, the block-1 prune, the
-leastness test and ``orbit_canonical`` share.
+member leads with d = min gcd(t_i, n).  Each block admits a term to its
+prefix only if one test, chosen once per block, passes it, so no tuple that
+fails the test, nor any tuple of its subtree, is built.  For d > 1 the test
+is gcd(t, n) >= d, since no tuple holding a term of smaller gcd can be a
+least member.  For block 1, which holds most tuples, every term passes that,
+so the test is a unit one instead: a tuple (1, b, ...) with a unit term t is
+sent by t^-1 to an image holding 1, and if t^-1 times another term is below
+b, that image sorts below the tuple.  Each tuple built is tested for
+leastness by trying the units that send one of its gcd-d terms to d, and
+the test stops at the first image that sorts below the tuple.  A least
+member's test also counts its stabilizer, so the sweep counts each orbit's
+members (|orbit(R)| = phi(n) / |Stab(R)|) rather than enumerating them.
+Every gcd, inverse and such unit is read from one per-modulus table,
+``residues.lift_table``, which the admission test, the leastness test and
+``orbit_canonical`` share.
 One worker pool serves a whole ``verify_moduli`` run, however many moduli it
 sweeps, and its task queue runs across moduli.  Block results merge by plain
 counter addition and sorted list union, so the final report is independent
@@ -73,34 +75,22 @@ def _minimal_tuples(
 
     ``orbit`` makes this an orbit sweep's block: ``leading`` is one divisor d
     of n, and only tuples that may be their orbit's least member are built.
-    An orbit's least member leads with d = min gcd(t_i, n) (see
-    ``_representative_stabilizer``), so every one of its terms, the forced
-    one too, has gcd at least d.  For d > 1 the block builds exactly the
-    tuples whose every term passes that floor.  For d = 1 every term passes
-    it, and a tuple (1, b, ...) is instead pruned by its unit terms: a unit
-    term t sends the tuple to t^-1 * (1, b, ...), which holds 1, so if any
-    other term x has t^-1 * x below b, that image sorts below the tuple.  As
-    each term joins the prefix, the closing and the forced term included, it
-    is checked against the 1 and the terms from b on (``clear``), so no
-    tuple of a rejected subtree is built; the survivors still go through the
-    exact leastness test.  The gcds and inverses come from the modulus's
-    ``lift_table``.  Each frame's picks, and each closing term together with
-    the forced term it leaves, are filtered before the loop that walks
-    them; a full sweep runs no filter, so its kernel does no extra work per
-    tuple.  For k = 2 the forced term n - t has the leading term's gcd, so
-    filtering ``leading`` suffices, and (1, n - 1) is least in its orbit.
+    One admission test, ``keep(x, held)``, chosen once per block, decides
+    whether a term x may join the prefix (d, *held).  An orbit's least
+    member leads with d = min gcd(t_i, n) (see ``_representative_stabilizer``),
+    so for d > 1 ``keep`` is gcd(x, n) >= d, and the block builds exactly
+    the tuples whose every term, the forced one too, passes it.  For d = 1
+    every term passes that floor, so ``keep`` is ``clear`` instead: a unit
+    term t sends the tuple (1, b, ...) to t^-1 * (1, b, ...), which holds 1,
+    so if another term x has t^-1 * x below b, that image sorts below the
+    tuple.  Each frame's picks, and each closing term together with the
+    forced term it leaves, are filtered by ``keep`` before the loop that
+    walks them, so no tuple of a rejected subtree is built; the survivors
+    still go through the exact leastness test.  The gcds and inverses come
+    from the modulus's ``lift_table``.  A full sweep has no ``keep``, so its
+    kernel does no extra work per tuple.  For k = 2 nothing is filtered: the
+    forced term n - d has gcd d, and (1, n - 1) is least in its orbit.
     """
-    floor = 1
-    if orbit:
-        (floor,) = leading
-        gcds, lifts = lift_table(n)
-    gated = floor > 1
-    pruned = orbit and floor == 1
-    if gated:
-        admissible = [g >= floor for g in gcds]
-    if pruned:
-        # The inverse of each unit, 0 for the other residues.
-        inverse = [lift[0] if g == 1 else 0 for g, lift in zip(gcds, lifts)]
 
     def clear(x: int, held: tuple[int, ...]) -> bool:
         # Whether x may join the block-1 prefix (1, *held), whose second term
@@ -121,6 +111,20 @@ def _minimal_tuples(
                 return False
         return True
 
+    def floor(x: int, held: tuple[int, ...]) -> bool:
+        return gcds[x] >= d
+
+    keep = None
+    if orbit:
+        (d,) = leading
+        gcds, lifts = lift_table(n)
+        if d > 1:
+            keep = floor
+        else:
+            # The inverse of each unit, 0 for the other residues.
+            inverse = [lift[0] if g == 1 else 0 for g, lift in zip(gcds, lifts)]
+            keep = clear
+
     def extend(
         prefix: tuple[int, ...], closing: set[int], need: int, low: int, high: int
     ) -> Iterator[tuple[int, ...]]:
@@ -138,10 +142,9 @@ def _minimal_tuples(
             )
         else:
             picks = range(low, high)
-        if gated:
-            picks = [t for t in picks if admissible[t]]
-        elif pruned and prefix:
-            picks = [t for t in picks if clear(t, prefix[1:])]
+        if keep:
+            held = prefix[1:]
+            picks = [t for t in picks if keep(t, held)]
         for t in picks:
             if t in closing:
                 continue
@@ -155,18 +158,11 @@ def _minimal_tuples(
             head = prefix + (t,)
             below: Iterable[int] = range(t, rest // 2 + 1)
             above: Iterable[int] = range(max(t, rest + 1), (rest + n) // 2 + 1)
-            if gated:
-                below = [u for u in below if admissible[u] and admissible[rest - u]]
-                above = [u for u in above if admissible[u] and admissible[rest + n - u]]
-            elif pruned:
+            if keep:
                 held = head[1:]
-                below = [
-                    u for u in below
-                    if clear(u, held) and clear(rest - u, held + (u,))
-                ]
+                below = [u for u in below if keep(u, held) and keep(rest - u, held + (u,))]
                 above = [
-                    u for u in above
-                    if clear(u, held) and clear(rest + n - u, held + (u,))
+                    u for u in above if keep(u, held) and keep(rest + n - u, held + (u,))
                 ]
             for u in below:
                 if u not in grown:
@@ -182,8 +178,6 @@ def _minimal_tuples(
         return iter(())
     if leading is None:
         leading = range(1, n)
-    if gated:
-        leading = [t for t in leading if admissible[t]]
     if k == 2:
         return ((t, n - t) for t in leading if 2 * t <= n)
     return chain.from_iterable(extend((), set(), 0, t, t + 1) for t in leading)
@@ -237,10 +231,12 @@ def _representative_stabilizer(terms: tuple[int, ...], n: int) -> int:
     residue to d.  The identity is one of them, a lift for the leading term,
     so it is counted without being tried.
 
-    An orbit sweep's block 1 offers only the tuples its prune lets through
-    (see ``_minimal_tuples``).  That prune only compares each image's second
-    term with b, so it passes some tuples that are not least (13 of the 331
-    it builds at n = 77, k = 4), and every tuple it offers still gets this
+    An orbit block offers only the tuples its admission test lets through
+    (see ``_minimal_tuples``).  That test looks at one term at a time: for
+    d > 1 only at its gcd, for d = 1 only at whether a unit image's second
+    term falls below b.  So it passes some tuples that are not least (at
+    n = 385, k = 4, 209 of the 9,940 that block 1 builds and 1,158 of the
+    1,590 that block 5 builds), and every tuple it offers still gets this
     exact test.
     """
     gcds, lifts = lift_table(n)
@@ -284,11 +280,9 @@ def _orbit_reps(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Each unit orbit's least member, in enumeration order.
 
     Only the blocks led by a divisor d of n are enumerated
-    (``_leading_terms``), each as an orbit block: block d > 1 builds only the
-    tuples whose every term has gcd at least d, and block 1 skips the tuples
-    (1, b, ...) that a unit term sends to an image holding 1 and another
-    term below b (see ``_minimal_tuples``).  Each survivor is kept if
-    ``_representative_stabilizer`` finds it least in its orbit.
+    (``_leading_terms``), each as an orbit block, which builds only the
+    tuples its admission test passes (see ``_minimal_tuples``).  Each is
+    kept if ``_representative_stabilizer`` finds it least in its orbit.
     """
     for d in _leading_terms(n, orbits=True):
         for terms in _minimal_tuples(n, k, (d,), orbit=True):

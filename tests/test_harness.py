@@ -154,9 +154,9 @@ class TestOrbitCanonical:
 
     @pytest.mark.parametrize("k, top", [(2, 60), (3, 60), (4, 60), (5, 60), (6, 40)])
     def test_floor_blocks_match_naive_oracle(self, k, top):
-        # The floor acts on the orbit blocks led by d > 1.  Block 1's floor
-        # would admit every term; that block is pruned instead, which
-        # test_block_one_prune_keeps_every_least_member checks.
+        # The admission test of the blocks led by d > 1 is the gcd floor.
+        # Block 1's floor would admit every term, so its test is the unit
+        # one, which test_block_one_prune_keeps_every_least_member checks.
         for n in range(2, top + 1):
             for d in _leading_terms(n, orbits=True)[1:]:
                 block = list(_minimal_tuples(n, k, (d,), orbit=True))
@@ -183,14 +183,29 @@ class TestOrbitCanonical:
                     accepted[terms] = fixed
             assert accepted == expected, n
 
-    def test_block_one_prune_count(self):
-        # At n = 77 the full block 1 holds 950 quadruples, 318 of them least
-        # in their orbit; the prune builds 331, so a prune that stops acting
-        # shows here.
-        pruned = list(_minimal_tuples(77, 4, (1,), orbit=True))
-        assert sum(1 for _ in _minimal_tuples(77, 4, (1,))) == 950
-        assert len(pruned) == 331
-        assert sum(1 for terms in pruned if _representative_stabilizer(terms, 77)) == 318
+    @pytest.mark.parametrize(
+        "n, d, full, built, least",
+        [
+            (77, 1, 950, 331, 318),
+            (997, 1, 165_170, 41_516, 41_417),
+            (385, 1, 24_512, 9_940, 9_731),
+            (385, 5, 23_754, 1_590, 432),
+            (385, 7, 23_381, 537, 183),
+            (385, 11, 22_647, 187, 76),
+            (385, 35, 18_579, 15, 5),
+            (385, 55, 15_629, 5, 2),
+            (385, 77, 12_846, 2, 1),
+        ],
+    )
+    def test_orbit_block_count(self, n, d, full, built, least):
+        # Both cases of the admission test, pinned past the oracles' n <= 60:
+        # block d holds `full` quadruples, its orbit block builds `built` and
+        # `least` of those are least in their orbit.  A test that stops
+        # acting, or a sound weakening of it, builds more and shows here.
+        block = list(_minimal_tuples(n, 4, (d,), orbit=True))
+        assert sum(1 for _ in _minimal_tuples(n, 4, (d,))) == full
+        assert len(block) == built
+        assert sum(1 for terms in block if _representative_stabilizer(terms, n)) == least
 
     def test_orbit_reps_floor_each_divisor_block(self, monkeypatch):
         calls = []
@@ -228,7 +243,7 @@ class TestOrbitCanonical:
     @pytest.mark.parametrize("n, total", [(385, 2_371_584), (455, 3_916_204)])
     def test_orbit_sweep_total_matches_closed_form(self, n, total):
         # No enumeration oracle reaches these moduli; the closed form guards
-        # the block-1 prune and the stabilizer counts there.
+        # the orbit blocks' admission test and the stabilizer counts there.
         report = verify_conjecture(factorize(n), VerifyOptions(orbits=True))
         assert closed_form_sequences_total(n) == total
         assert report.sequences_total == total

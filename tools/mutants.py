@@ -1,0 +1,255 @@
+"""Mutation gate: every seeded mutant must fail each of the tests named for it.
+
+Usage: ``python tools/mutants.py`` (no flags; standard library and pytest).
+
+Each entry in ``MUTANTS`` names a file, an exact old text, the new text that
+replaces it, and the pytest node ids that must fail once it is replaced.
+The tree is copied to a temporary directory; the named tests are first run
+on the unmutated copy, where every one must pass, and then each mutant is
+applied to its own fresh copy and its named tests run there.  A mutant is
+killed when every test named for it fails (a test the mutant keeps from
+being collected counts as failing), and a survivor is reported with the
+named tests that passed.  An old text that does not occur exactly once
+in its file is an error, not a skip: the entry is stale and must be
+brought up to date with the code it mutates.
+
+Exit status: 0 when every mutant is killed, 1 when one survives, 2 when an
+entry is stale, a named test is not run, or a named test fails unmutated.
+The gate is slower than a unit test and is not part of the test suite.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SKIP = shutil.ignore_patterns(
+    ".git", ".perfbench-work", ".pytest_cache", ".hypothesis", ".benchmarks", "__pycache__"
+)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+HARNESS = "src/zsindex/harness.py"
+ORBIT = "tests/test_harness.py::TestOrbitCanonical::"
+COUNT = ORBIT + "test_orbit_block_count"
+# The unit case of the orbit blocks' admission test, from its first
+# comparison with b to its last.
+CLEAR_CHECKS = """\
+            if ix < b:
+                return False
+            for y in held:
+                if ix * y % n < b:
+                    return False
+        for y in held:
+            iy = inverse[y]
+            if iy and iy * x % n < b:
+"""
+
+MUTANTS = [
+    Mutant(
+        "floor compares with > instead of >=",
+        HARNESS,
+        "        return gcds[x] >= d\n",
+        "        return gcds[x] > d\n",
+        (
+            ORBIT + "test_floor_blocks_match_naive_oracle[4-60]",
+            ORBIT + "test_orbit_reps_floor_each_divisor_block",
+            COUNT + "[385-5-23754-1590-432]",
+            "tests/test_harness.py::test_golden_orbit_histogram[77]",
+        ),
+    ),
+    Mutant(
+        "floor admits every term",
+        HARNESS,
+        "        return gcds[x] >= d\n",
+        "        return True\n",
+        (
+            ORBIT + "test_floor_blocks_match_naive_oracle[4-60]",
+            COUNT + "[385-5-23754-1590-432]",
+            COUNT + "[385-7-23381-537-183]",
+        ),
+    ),
+    Mutant(
+        "closing filter leaves the forced term below the closing one unchecked",
+        HARNESS,
+        "if keep(u, held) and keep(rest - u, held + (u,))]",
+        "if keep(u, held)]",
+        (
+            ORBIT + "test_floor_blocks_match_naive_oracle[4-60]",
+            COUNT + "[385-5-23754-1590-432]",
+            COUNT + "[77-1-950-331-318]",
+        ),
+    ),
+    Mutant(
+        "leastness test never rejects",
+        HARNESS,
+        "            if image < target:\n                return 0\n",
+        "",
+        (
+            ORBIT + "test_stabilizer_size_matches_oracle[4-60]",
+            COUNT + "[77-1-950-331-318]",
+            "tests/test_harness.py::test_golden_orbit_histogram[77]",
+        ),
+    ),
+    Mutant(
+        "stabilizer leaves the identity uncounted",
+        HARNESS,
+        "    fixed = 1  # the identity\n",
+        "    fixed = 0  # the identity\n",
+        (
+            ORBIT + "test_stabilizer_size_matches_oracle[4-60]",
+            ORBIT + "test_orbits_total_counts_naive_classes",
+        ),
+    ),
+    Mutant(
+        "stabilizer counts the identity twice",
+        HARNESS,
+        "            if m == 1:\n                continue\n",
+        "",
+        (
+            ORBIT + "test_stabilizer_size_matches_oracle[4-60]",
+            ORBIT + "test_orbits_total_counts_naive_classes",
+            "tests/test_cli.py::TestVerifyCommand::test_three_prime_orbit_report_is_pinned",
+        ),
+    ),
+    Mutant(
+        "lifts in descending order",
+        "src/zsindex/residues.py",
+        "tuple(map(tuple, lifts))",
+        "tuple(tuple(reversed(lift)) for lift in lifts)",
+        (
+            "tests/test_residues.py::TestLiftTable::test_matches_brute_force",
+            "tests/test_witness.py::TestLeadImage"
+            "::test_matches_oracle_on_every_minimal_tuple[4]",
+            "tests/test_witness.py::test_golden_witness_provenance[45]",
+        ),
+    ),
+    Mutant(
+        "unit test refuses at <= b instead of < b",
+        HARNESS,
+        CLEAR_CHECKS,
+        CLEAR_CHECKS.replace("< b", "<= b"),
+        (
+            ORBIT + "test_block_one_prune_keeps_every_least_member[4-60]",
+            COUNT + "[77-1-950-331-318]",
+            "tests/test_harness.py::test_golden_orbit_histogram[77]",
+        ),
+    ),
+    Mutant(
+        "unit test drops its x^-1 * y check",
+        HARNESS,
+        "            for y in held:\n"
+        "                if ix * y % n < b:\n                    return False\n",
+        "",
+        (
+            COUNT + "[77-1-950-331-318]",
+            COUNT + "[997-1-165170-41516-41417]",
+            COUNT + "[385-1-24512-9940-9731]",
+        ),
+    ),
+    Mutant(
+        "unit test drops its y^-1 * x check",
+        HARNESS,
+        "        for y in held:\n            iy = inverse[y]\n"
+        "            if iy and iy * x % n < b:\n                return False\n",
+        "",
+        (
+            COUNT + "[77-1-950-331-318]",
+            COUNT + "[997-1-165170-41516-41417]",
+            COUNT + "[385-1-24512-9940-9731]",
+        ),
+    ),
+]
+# Known equivalent mutants, which no output test can kill and which are
+# therefore not seeded: the leastness test scanning every lift and
+# returning 0 only at the end (only slower), and ``stop_at=None`` in
+# ``one_sided_witness`` (at index 1 the minimum is n, and its least argmin
+# is the first certifying unit).
+
+
+def junit_id(node: str) -> str:
+    """The JUnit report's id for a node id: dotted module and classes, ``::``, name."""
+    path, *scopes, name = node.split("::")
+    module = path.removesuffix(".py").replace("/", ".")
+    return ".".join([module, *scopes]) + "::" + name
+
+
+def run_tests(tree: Path, tests: list[str]) -> dict[str, bool]:
+    """Run the named tests in a copy of the tree: whether each failed, by node id."""
+    report = tree / "mutants-junit.xml"
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"--junitxml={report}", *tests],
+        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    failed = {}
+    if report.exists():
+        for case in ET.parse(report).getroot().iter("testcase"):
+            key = f"{case.get('classname')}::{case.get('name')}"
+            failed[key] = any(child.tag in ("failure", "error") for child in case)
+    return {node: failed[junit_id(node)] for node in tests if junit_id(node) in failed}
+
+
+def copy_tree(scratch: Path, name: str) -> Path:
+    tree = scratch / name
+    shutil.copytree(ROOT, tree, ignore=SKIP)
+    return tree
+
+
+def main() -> int:
+    stale = 0
+    for mutant in MUTANTS:
+        count = (ROOT / mutant.path).read_text().count(mutant.old)
+        if count != 1:
+            stale += 1
+            print(f"STALE     {mutant.name}: old text found {count} times in {mutant.path}")
+    if stale:
+        return 2
+    named = sorted({test for mutant in MUTANTS for test in mutant.tests})
+    with tempfile.TemporaryDirectory(prefix="zsindex-mutants-") as scratch:
+        clean = run_tests(copy_tree(Path(scratch), "clean"), named)
+        missing = [test for test in named if test not in clean]
+        broken = [test for test in named if clean.get(test)]
+        for test in missing:
+            print(f"NOT RUN   {test}")
+        for test in broken:
+            print(f"FAILS     {test} on the unmutated tree")
+        if missing or broken:
+            return 2
+        print(f"clean     all {len(named)} named tests pass on the unmutated tree")
+        survivors = 0
+        for i, mutant in enumerate(MUTANTS):
+            tree = copy_tree(Path(scratch), f"mutant{i}")
+            target = tree / mutant.path
+            target.write_text(target.read_text().replace(mutant.old, mutant.new))
+            result = run_tests(tree, list(mutant.tests))
+            passed = [test for test in mutant.tests if not result.get(test, True)]
+            if passed:
+                survivors += 1
+                print(f"SURVIVED  {mutant.name}: passes {', '.join(passed)}")
+            else:
+                print(f"killed    {mutant.name}: all {len(mutant.tests)} named tests fail")
+            shutil.rmtree(tree)
+    killed = len(MUTANTS) - survivors
+    print(f"{len(MUTANTS)} mutants, {killed} killed, {survivors} survived")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
