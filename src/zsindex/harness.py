@@ -18,7 +18,8 @@ member's test also counts its stabilizer, so the sweep counts each orbit's
 members (|orbit(R)| = phi(n) / |Stab(R)|) rather than enumerating them.
 Every gcd, inverse and such unit is read from one per-modulus table,
 ``residues.lift_table``, which the admission test, the leastness test and
-``orbit_canonical`` share.
+``orbit_canonical`` share.  ``search_high_index`` reads the same
+representatives, one unit scan each, and expands only the high-index orbits.
 One worker pool serves a whole ``verify_moduli`` run, however many moduli it
 sweeps, and its task queue runs across moduli.  Block results merge by plain
 counter addition and sorted list union, so the final report is independent
@@ -724,18 +725,26 @@ def _merge(
 def search_high_index(
     n: GroupOrder, k: int = 4, orbits: bool = False
 ) -> list[tuple[Sequence, int]]:
-    """All minimal zero-sum length-k sequences with index >= 2, with indices.
+    """All minimal zero-sum length-k sequences with index >= 2, with indices, sorted.
 
-    With ``orbits=True`` only the lexicographically smallest representative
-    of each unit orbit is searched and reported (the index is constant on
-    orbits); such a representative leads with a divisor of n.
+    The index is constant on unit orbits, so one unit scan per orbit
+    representative R (``_orbit_reps``) settles every member.  With
+    ``orbits=True`` the high-index representatives are the findings.
+    Otherwise each high-index R is expanded into its orbit {u * R}, which
+    must hold phi(n) / |Stab(R)| members or the search raises.
     """
     modulus = n.n
     unit_list = units(n)
-    tuples = _orbit_reps(modulus, k) if orbits else _minimal_tuples(modulus, k)
-    findings: list[tuple[Sequence, int]] = []
-    for terms in tuples:
-        min_sum, _ = min_transform_sum(terms, modulus, unit_list, stop_at=modulus)
-        if min_sum > modulus:
-            findings.append((Sequence(n, terms), min_sum // modulus))
-    return findings
+    found: list[tuple[tuple[int, ...], int]] = []
+    for rep in _orbit_reps(modulus, k):
+        min_sum, _ = min_transform_sum(rep, modulus, unit_list, stop_at=modulus)
+        if min_sum <= modulus:
+            continue
+        orbit: Iterable[tuple[int, ...]] = (rep,)
+        if not orbits:
+            orbit = {tuple(sorted([u * t % modulus for t in rep])) for u in unit_list}
+            if len(orbit) * _representative_stabilizer(rep, modulus) != len(unit_list):
+                raise RuntimeError(f"orbit of {rep} over {modulus} has {len(orbit)} members")
+        found.extend((terms, min_sum // modulus) for terms in orbit)
+    found.sort()
+    return [(Sequence(n, terms), index) for terms, index in found]

@@ -994,3 +994,36 @@ class TestSearchHighIndex:
         )
         got = [(s.terms, index) for s, index in search_high_index(group, orbits=True)]
         assert got == expected
+
+    @pytest.mark.parametrize("k, top", [(3, 30), (4, 30), (5, 20)])
+    def test_full_search_matches_naive_oracle(self, k, top):
+        # Both modes read the orbit representatives, so full mode, which
+        # expands them, is checked against a per-tuple brute force.
+        for n in range(2, top + 1):
+            expected = []
+            for terms in sorted(naive_minimal_enumeration(n, k)):
+                index, _ = naive_index(terms, n)
+                if index > 1:
+                    expected.append((terms, index))
+            got = [(s.terms, index) for s, index in search_high_index(factorize(n), k)]
+            assert got == expected, n
+
+    @pytest.mark.parametrize(
+        "n, k, full, orbits",
+        [(48, 4, 116, 25), (60, 4, 416, 60), (66, 4, 112, 9), (72, 4, 180, 34),
+         (35, 5, 2938, 129), (11, 5, 12, 2)],
+    )
+    def test_finding_counts_are_pinned(self, n, k, full, orbits):
+        group = factorize(n)
+        assert len(search_high_index(group, k)) == full
+        assert len(search_high_index(group, k, orbits=True)) == orbits
+
+    def test_orbit_size_mismatch_raises(self, monkeypatch):
+        # A stabilizer count that disagrees with the expanded orbit is a bug,
+        # and the search stops rather than report a short orbit.
+        stabilizer = harness._representative_stabilizer
+        monkeypatch.setattr(
+            harness, "_representative_stabilizer", lambda terms, n: 2 * stabilizer(terms, n)
+        )
+        with pytest.raises(RuntimeError, match="orbit of"):
+            search_high_index(factorize(10))

@@ -47,6 +47,7 @@ class Mutant:
 HARNESS = "src/zsindex/harness.py"
 ORBIT = "tests/test_harness.py::TestOrbitCanonical::"
 COUNT = ORBIT + "test_orbit_block_count"
+SEARCH = "tests/test_harness.py::TestSearchHighIndex::"
 # The unit case of the orbit blocks' admission test, from its first
 # comparison with b to its last.
 CLEAR_CHECKS = """\
@@ -172,6 +173,39 @@ MUTANTS = [
             COUNT + "[77-1-950-331-318]",
             COUNT + "[997-1-165170-41516-41417]",
             COUNT + "[385-1-24512-9940-9731]",
+        ),
+    ),
+    Mutant(
+        "search expands each orbit over every unit but the last",
+        HARNESS,
+        "for u in unit_list}",
+        "for u in unit_list[:-1]}",
+        (
+            SEARCH + "test_full_search_matches_naive_oracle[4-30]",
+            SEARCH + "test_n10_includes_literal_example",
+            SEARCH + "test_finding_counts_are_pinned[60-4-416-60]",
+        ),
+    ),
+    Mutant(
+        "full search returns the representatives unexpanded",
+        HARNESS,
+        "        if not orbits:\n            orbit = {",
+        "        if False:\n            orbit = {",
+        (
+            SEARCH + "test_full_search_matches_naive_oracle[4-30]",
+            SEARCH + "test_n10_includes_literal_example",
+            SEARCH + "test_finding_counts_are_pinned[48-4-116-25]",
+        ),
+    ),
+    Mutant(
+        "search keeps index-1 orbits",
+        HARNESS,
+        "        if min_sum <= modulus:\n",
+        "        if min_sum < modulus:\n",
+        (
+            SEARCH + "test_full_search_matches_naive_oracle[3-30]",
+            SEARCH + "test_full_search_matches_naive_oracle[4-30]",
+            SEARCH + "test_clean_modulus",
         ),
     ),
 ]
