@@ -13,7 +13,9 @@ so the test is a unit one instead: a tuple (1, b, ...) with a unit term t is
 sent by t^-1 to an image holding 1, and if t^-1 times another term is below
 b, that image sorts below the tuple.  Each tuple built is tested for
 leastness by trying the units that send one of its gcd-d terms to d, and
-the test stops at the first image that sorts below the tuple.  A least
+the test stops at the first image that sorts below the tuple.  In block 1
+the admission test has already put every such image at or above the
+tuple, so only an image that ties with it on b is built.  A least
 member's test also counts its stabilizer, so the sweep counts each orbit's
 members (|orbit(R)| = phi(n) / |Stab(R)|) rather than enumerating them.
 Every gcd, inverse and such unit is read from one per-modulus table,
@@ -38,7 +40,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence as SequenceABC
+from typing import Callable, Iterable, Iterator, Sequence as SequenceABC
 
 from .certificates import HighIndexEvidence, verify_witness
 from .residues import GroupOrder, factorize, lift_table, units
@@ -237,8 +239,9 @@ def _representative_stabilizer(terms: tuple[int, ...], n: int) -> int:
     d > 1 only at its gcd, for d = 1 only at whether a unit image's second
     term falls below b.  So it passes some tuples that are not least (at
     n = 385, k = 4, 209 of the 9,940 that block 1 builds and 1,158 of the
-    1,590 that block 5 builds), and every tuple it offers still gets this
-    exact test.
+    1,590 that block 5 builds), and every tuple it offers still gets an
+    exact test: this one for d > 1, and in block 1 ``_leastness_test``'s
+    tie test, which returns the same there from fewer images.
     """
     gcds, lifts = lift_table(n)
     d = terms[0]
@@ -262,6 +265,35 @@ def _representative_stabilizer(terms: tuple[int, ...], n: int) -> int:
     return fixed
 
 
+def _leastness_test(n: int, k: int, d: int) -> Callable[[tuple[int, ...]], int]:
+    """The leastness test of orbit block d, returning what ``_representative_stabilizer`` does.
+
+    That function itself for d > 1, and for k = 2, where no admission test
+    acts.  Block 1 offers (1, b, ...) only if ``clear`` passed every term,
+    so each unit term t's image t^-1 * terms holds 1 and no other value
+    below b.  It sorts at or below the terms only on a tie, another value
+    equal to b, that is when t * b is a term: only those images are built.
+    """
+    if d > 1 or k < 3:
+        return lambda terms: _representative_stabilizer(terms, n)
+    gcds, lifts = lift_table(n)
+
+    def ties(terms: tuple[int, ...]) -> int:
+        b = terms[1]
+        present = set(terms)
+        fixed = 1  # the identity, never tried
+        for t in present:
+            if t > 1 and gcds[t] == 1 and t * b % n in present:
+                (m,) = lifts[t]
+                image = tuple(sorted([m * x % n for x in terms]))
+                if image < terms:
+                    return 0
+                fixed += image == terms
+        return fixed
+
+    return ties
+
+
 def orbit_canonical(s: Sequence) -> Sequence:
     """Lexicographically smallest sorted sequence in the unit orbit of s."""
     return Sequence(s.modulus, _canonical_terms(s.terms, s.n))
@@ -283,11 +315,12 @@ def _orbit_reps(n: int, k: int) -> Iterator[tuple[int, ...]]:
     Only the blocks led by a divisor d of n are enumerated
     (``_leading_terms``), each as an orbit block, which builds only the
     tuples its admission test passes (see ``_minimal_tuples``).  Each is
-    kept if ``_representative_stabilizer`` finds it least in its orbit.
+    kept if its block's ``_leastness_test`` finds it least in its orbit.
     """
     for d in _leading_terms(n, orbits=True):
+        least = _leastness_test(n, k, d)
         for terms in _minimal_tuples(n, k, (d,), orbit=True):
-            if _representative_stabilizer(terms, n):
+            if least(terms):
                 yield terms
 
 
@@ -321,9 +354,10 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
     high: list[tuple[tuple[int, ...], int]] = []
     sequences = 0
     reps = 0
+    least = _leastness_test(n, k, n1) if orbits else None
     for terms in _minimal_tuples(n, k, (n1,), orbit=orbits):
-        if orbits:
-            fixed = _representative_stabilizer(terms, n)
+        if least:
+            fixed = least(terms)
             if not fixed:
                 continue
             sequences += phi // fixed

@@ -91,8 +91,13 @@ def is_minimal_terms(terms: tuple[int, ...], n: int) -> bool:
     For a zero-sum sequence a subset sums to zero exactly when its
     complement does, so only the 2^(k-1) - 1 nonempty subsets that leave
     out the last term are checked.  Their sums are built incrementally,
-    each from a smaller subset's sum plus one term.
+    each from a smaller subset's sum plus one term.  Four terms, the length
+    every witness search tests, check their seven subsets in one expression.
     """
+    if len(terms) == 4:
+        a, b, c, _ = terms
+        return bool(not sum(terms) % n and a % n and b % n and c % n and (a + b) % n
+                    and (a + c) % n and (b + c) % n and (a + b + c) % n)
     if sum(terms) % n:
         return False
     sums = [0]

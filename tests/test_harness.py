@@ -28,6 +28,7 @@ from zsindex.harness import (
     VerificationReport,
     _canonical_terms,
     _leading_terms,
+    _leastness_test,
     _minimal_tuples,
     _orbit_reps,
     _representative_stabilizer,
@@ -165,11 +166,12 @@ class TestOrbitCanonical:
     @pytest.mark.parametrize("k, top", [(2, 60), (3, 60), (4, 60), (5, 60), (6, 40)])
     def test_block_one_prune_keeps_every_least_member(self, k, top):
         # The pruned block 1 is part of the full sweep's block 1, in order,
-        # and the tuples of it that the exact test accepts, with their
-        # stabilizer sizes, are the naive least members of the full block.
+        # and the tuples of it that the block's leastness test accepts, with
+        # their stabilizer sizes, are the naive least members of the full block.
         for n in range(2, top + 1):
             full = list(_minimal_tuples(n, k, (1,)))
             pruned = list(_minimal_tuples(n, k, (1,), orbit=True))
+            least = _leastness_test(n, k, 1)
             assert set(pruned) <= set(full) and pruned == sorted(pruned), n
             rep_of = naive_orbit_reps(n, full)
             expected = {
@@ -179,9 +181,43 @@ class TestOrbitCanonical:
             }
             accepted = {}
             for terms in pruned:
-                if fixed := _representative_stabilizer(terms, n):
+                if fixed := least(terms):
                     accepted[terms] = fixed
             assert accepted == expected, n
+
+    @pytest.mark.parametrize("k, top", [(3, 60), (4, 60), (5, 60), (6, 40)])
+    def test_block_one_tie_test_matches_stabilizer(self, k, top):
+        # Block 1's leastness test builds an image only where the admission
+        # test left a tie; on every tuple the block offers it must return
+        # what the generic test does, stabilizer sizes included.
+        for n in range(2, top + 1):
+            least = _leastness_test(n, k, 1)
+            for terms in _minimal_tuples(n, k, (1,), orbit=True):
+                assert least(terms) == _representative_stabilizer(terms, n), (n, terms)
+
+    @pytest.mark.parametrize(
+        "n, terms, fixed",
+        [
+            # b = 1: every unit term t ties, since t * b = t is a term.
+            (5, (1, 1, 1, 2), 1),
+            (8, (1, 1, 3, 3), 2),  # the unit 3 repeated; 3 * T = T
+            (8, (1, 1, 4, 5, 5), 2),  # the unit 5 repeated; 5 * T = T
+            (7, (1, 1, 4, 4, 4), 0),  # 4^-1 * T = (1, 1, 1, 2, 2)
+            # b > 1: only the unit terms t with t * b a term tie.
+            (6, (1, 3, 4, 4), 1),  # a repeated term that is no unit, no tie
+            (13, (1, 2, 3, 7), 1),  # ties, and no tied image is smaller or equal
+            (13, (1, 2, 4, 6), 0),  # 2^-1 * T = (1, 2, 3, 7) sorts below T
+            (8, (1, 4, 5, 6), 2),  # 5 * 4 = 4: 5 * T = T
+            (7, (1, 2, 4), 3),  # the subgroup {1, 2, 4} of Z_7 fixes T
+            (13, (1, 3, 9), 3),  # the subgroup {1, 3, 9} of Z_13 fixes T
+        ],
+    )
+    def test_block_one_tie_test_named_cases(self, n, terms, fixed):
+        assert terms in _minimal_tuples(n, len(terms), (1,), orbit=True)
+        assert _leastness_test(n, len(terms), 1)(terms) == fixed
+        assert _representative_stabilizer(terms, n) == fixed
+        if fixed:
+            assert naive_stabilizer_size(terms, n) == fixed
 
     @pytest.mark.parametrize(
         "n, d, full, built, least",
@@ -247,6 +283,15 @@ class TestOrbitCanonical:
         report = verify_conjecture(factorize(n), VerifyOptions(orbits=True))
         assert closed_form_sequences_total(n) == total
         assert report.sequences_total == total
+
+    def test_prime_orbit_report_is_pinned(self):
+        # 997 is prime, so its whole orbit sweep is block 1, far past the
+        # oracles' n <= 60; the closed form guards the sequence count.
+        report = verify_conjecture(factorize(997), VerifyOptions(orbits=True))
+        assert report.sequences_total == closed_form_sequences_total(997) == 41_251_332
+        assert report.orbits_total == 41_417
+        assert report.rule_histogram == {"INTERVAL": 4_950, "ONE_SIDED": 11, "SUM_N": 36_456}
+        assert report.high_index == ()
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_orbit_sweep_counts_every_sequence(self, k):

@@ -48,6 +48,9 @@ HARNESS = "src/zsindex/harness.py"
 ORBIT = "tests/test_harness.py::TestOrbitCanonical::"
 COUNT = ORBIT + "test_orbit_block_count"
 SEARCH = "tests/test_harness.py::TestSearchHighIndex::"
+TIES = ORBIT + "test_block_one_tie_test_matches_stabilizer"
+MINIMAL = "tests/test_sequences.py::TestMinimality::"
+INDEX = "tests/test_sequences.py::TestIndex::"
 # The unit case of the orbit blocks' admission test, from its first
 # comparison with b to its last.
 CLEAR_CHECKS = """\
@@ -176,6 +179,51 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "block-1 leastness test skips every unit term",
+        HARNESS,
+        "            if t > 1 and gcds[t] == 1 and t * b % n in present:\n",
+        "            if False:\n",
+        (
+            TIES + "[4-60]",
+            ORBIT + "test_block_one_prune_keeps_every_least_member[4-60]",
+            ORBIT + "test_prime_orbit_report_is_pinned",
+            "tests/test_harness.py::test_golden_orbit_histogram[77]",
+        ),
+    ),
+    Mutant(
+        "block-1 leastness test rejects a tied image equal to the terms",
+        HARNESS,
+        "                if image < terms:\n",
+        "                if image <= terms:\n",
+        (
+            TIES + "[4-60]",
+            TIES + "[5-60]",
+            ORBIT + "test_block_one_tie_test_named_cases[8-terms1-2]",
+            ORBIT + "test_block_one_tie_test_named_cases[8-terms7-2]",
+        ),
+    ),
+    Mutant(
+        "k = 4 minimality kernel drops (b + c) % n",
+        "src/zsindex/sequences.py",
+        " and (b + c) % n",
+        "",
+        (
+            MINIMAL + "test_zero_sum_pair_breaks_minimality",
+            MINIMAL + "test_agrees_with_oracle_small",
+            "tests/test_witness.py::TestFindWitness::test_precondition_errors",
+        ),
+    ),
+    Mutant(
+        "min_transform_sum breaks ties toward the larger unit",
+        "src/zsindex/sequences.py",
+        "        if total < best or not best_m:\n",
+        "        if total <= best or not best_m:\n",
+        (
+            INDEX + "test_worked_argmin",
+            INDEX + "test_kernel_matches_oracle_exhaustive",
+        ),
+    ),
+    Mutant(
         "search expands each orbit over every unit but the last",
         HARNESS,
         "for u in unit_list}",
@@ -211,7 +259,9 @@ MUTANTS = [
 ]
 # Known equivalent mutants, which no output test can kill and which are
 # therefore not seeded: the leastness test scanning every lift and
-# returning 0 only at the end (only slower), and ``stop_at=None`` in
+# returning 0 only at the end (only slower), block 1's leastness test
+# comparing every unit term's image, tied or not (only slower: an untied
+# image sorts above the terms), and ``stop_at=None`` in
 # ``one_sided_witness`` (at index 1 the minimum is n, and its least argmin
 # is the first certifying unit).
 
