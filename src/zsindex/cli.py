@@ -290,7 +290,8 @@ def _cmd_minimal(config: RunConfig, out: TextIO) -> int:
 def _cmd_enumerate(config: RunConfig, out: TextIO) -> int:
     n, k = config.moduli[0], config.k
     count = 0
-    for terms in _orbit_reps(n, k) if config.orbits else _minimal_tuples(n, k):
+    tuples = (rep for rep, _ in _orbit_reps(n, k)) if config.orbits else _minimal_tuples(n, k)
+    for terms in tuples:
         out.write(",".join(str(t) for t in terms) + "\n")
         count += 1
     out.write(f"total {count}\n")

@@ -4,24 +4,25 @@ The sequence space of one modulus is partitioned into blocks by leading
 term, so blocks can run on parallel workers and completed blocks can be
 checkpointed.  A full sweep has one block per term in [1, n-1].  An orbit
 sweep has one per proper divisor d of n, because every unit orbit's least
-member leads with d = min gcd(t_i, n).  Each block admits a term to its
-prefix only if one test, chosen once per block, passes it, so no tuple that
-fails the test, nor any tuple of its subtree, is built.  For d > 1 the test
-is gcd(t, n) >= d, since no tuple holding a term of smaller gcd can be a
-least member.  For block 1, which holds most tuples, every term passes that,
-so the test is a unit one instead: a tuple (1, b, ...) with a unit term t is
-sent by t^-1 to an image holding 1, and if t^-1 times another term is below
-b, that image sorts below the tuple.  Each tuple built is tested for
-leastness by trying the units that send one of its gcd-d terms to d, and
-the test stops at the first image that sorts below the tuple.  In block 1
-the admission test has already put every such image at or above the
-tuple, so only an image that ties with it on b is built.  A least
-member's test also counts its stabilizer, so the sweep counts each orbit's
-members (|orbit(R)| = phi(n) / |Stab(R)|) rather than enumerating them.
-Every gcd, inverse and such unit is read from one per-modulus table,
-``residues.lift_table``, which the admission test, the leastness test and
-``orbit_canonical`` share.  ``search_high_index`` reads the same
-representatives, one unit scan each, and expands only the high-index orbits.
+member leads with d = min gcd(t_i, n).  Each orbit block finds its least
+members with one pair of tests, and ``_orbit_tests`` is the one place that
+picks the pair by d.  The admission test passes or refuses a term as it
+joins the prefix, so no tuple of a refused subtree is built.  The leastness
+test then decides whether a tuple built is least in its orbit, and counts
+its stabilizer.  For d > 1 the pair is the gcd floor, gcd(t, n) >= d (no
+tuple holding a term of smaller gcd can be a least member), and
+``_representative_stabilizer``, which tries the units that send one of the
+tuple's gcd-d terms to d.  For block 1, which holds most tuples, every term
+passes that floor, so the pair works on units instead: ``clear`` refuses a
+term when some unit term t sends another term below the second term b
+(t^-1 sends (1, b, ...) to an image holding 1, which then sorts below the
+tuple), and ``ties`` builds only the images that tie with the tuple on b.
+``_orbit_block`` yields each least member R with |Stab(R)|, so the sweep
+counts each orbit's members (|orbit(R)| = phi(n) / |Stab(R)|) rather than
+enumerating them.  Every gcd, inverse and such unit is read from one
+per-modulus table, ``residues.lift_table``, which both pairs and
+``orbit_canonical`` share.  ``search_high_index`` walks the same pairs, one
+unit scan per representative, and expands only the high-index orbits.
 One worker pool serves a whole ``verify_moduli`` run, however many moduli it
 sweeps, and its task queue runs across moduli.  Block results merge by plain
 counter addition and sorted list union, so the final report is independent
@@ -38,7 +39,7 @@ import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence as SequenceABC
 
@@ -56,7 +57,10 @@ CHECKPOINT_SCHEMA = 3
 
 
 def _minimal_tuples(
-    n: int, k: int, leading: SequenceABC[int] | None = None, orbit: bool = False
+    n: int,
+    k: int,
+    leading: SequenceABC[int] | None = None,
+    keep: Callable[[int, tuple[int, ...]], bool] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Sorted minimal zero-sum k-tuples over [1, n-1], in lexicographic order.
 
@@ -76,57 +80,14 @@ def _minimal_tuples(
     holds it, and then its complement is nonempty, lies inside the prefix and
     also sums to 0; either way the prefix would hold a zero-sum subset.
 
-    ``orbit`` makes this an orbit sweep's block: ``leading`` is one divisor d
-    of n, and only tuples that may be their orbit's least member are built.
-    One admission test, ``keep(x, held)``, chosen once per block, decides
-    whether a term x may join the prefix (d, *held).  An orbit's least
-    member leads with d = min gcd(t_i, n) (see ``_representative_stabilizer``),
-    so for d > 1 ``keep`` is gcd(x, n) >= d, and the block builds exactly
-    the tuples whose every term, the forced one too, passes it.  For d = 1
-    every term passes that floor, so ``keep`` is ``clear`` instead: a unit
-    term t sends the tuple (1, b, ...) to t^-1 * (1, b, ...), which holds 1,
-    so if another term x has t^-1 * x below b, that image sorts below the
-    tuple.  Each frame's picks, and each closing term together with the
-    forced term it leaves, are filtered by ``keep`` before the loop that
-    walks them, so no tuple of a rejected subtree is built; the survivors
-    still go through the exact leastness test.  The gcds and inverses come
-    from the modulus's ``lift_table``.  A full sweep has no ``keep``, so its
-    kernel does no extra work per tuple.  For k = 2 nothing is filtered: the
-    forced term n - d has gcd d, and (1, n - 1) is least in its orbit.
+    ``keep(x, held)``, if given, is an admission test: a term x joins the
+    prefix only if it passes, where ``held`` is the prefix's terms after the
+    lead.  Each frame's picks, the lead's included, and each closing term
+    together with the forced term it leaves, are filtered by ``keep`` before
+    the loop that walks them, so no tuple of a refused subtree is built.
+    Without ``keep`` the kernel does no extra work per tuple.  For k = 2 the
+    tuple is (t, n - t) and ``keep`` is not consulted.
     """
-
-    def clear(x: int, held: tuple[int, ...]) -> bool:
-        # Whether x may join the block-1 prefix (1, *held), whose second term
-        # b is held[0], or x itself if nothing is held.  x is refused when,
-        # for the lead 1 or a held term h, x^-1 * h or h^-1 * x is below b:
-        # that image holds 1 and sorts below every tuple with this prefix.
-        b = held[0] if held else x
-        ix = inverse[x]
-        if ix:
-            if ix < b:
-                return False
-            for y in held:
-                if ix * y % n < b:
-                    return False
-        for y in held:
-            iy = inverse[y]
-            if iy and iy * x % n < b:
-                return False
-        return True
-
-    def floor(x: int, held: tuple[int, ...]) -> bool:
-        return gcds[x] >= d
-
-    keep = None
-    if orbit:
-        (d,) = leading
-        gcds, lifts = lift_table(n)
-        if d > 1:
-            keep = floor
-        else:
-            # The inverse of each unit, 0 for the other residues.
-            inverse = [lift[0] if g == 1 else 0 for g, lift in zip(gcds, lifts)]
-            keep = clear
 
     def extend(
         prefix: tuple[int, ...], closing: set[int], need: int, low: int, high: int
@@ -234,14 +195,10 @@ def _representative_stabilizer(terms: tuple[int, ...], n: int) -> int:
     residue to d.  The identity is one of them, a lift for the leading term,
     so it is counted without being tried.
 
-    An orbit block offers only the tuples its admission test lets through
-    (see ``_minimal_tuples``).  That test looks at one term at a time: for
-    d > 1 only at its gcd, for d = 1 only at whether a unit image's second
-    term falls below b.  So it passes some tuples that are not least (at
-    n = 385, k = 4, 209 of the 9,940 that block 1 builds and 1,158 of the
-    1,590 that block 5 builds), and every tuple it offers still gets an
-    exact test: this one for d > 1, and in block 1 ``_leastness_test``'s
-    tie test, which returns the same there from fewer images.
+    Orbit blocks d > 1 use it as their leastness test (see ``_orbit_tests``).
+    Block 1 uses a tie test that returns the same from fewer images, and
+    ``search_high_index``'s orbit-size check tests the |Stab| that either
+    one returned.
     """
     gcds, lifts = lift_table(n)
     d = terms[0]
@@ -265,18 +222,63 @@ def _representative_stabilizer(terms: tuple[int, ...], n: int) -> int:
     return fixed
 
 
-def _leastness_test(n: int, k: int, d: int) -> Callable[[tuple[int, ...]], int]:
-    """The leastness test of orbit block d, returning what ``_representative_stabilizer`` does.
+def _orbit_tests(
+    n: int, d: int
+) -> tuple[Callable[[int, tuple[int, ...]], bool], Callable[[tuple[int, ...]], int]]:
+    """Orbit block d's admission test and leastness test, as one pair.
 
-    That function itself for d > 1, and for k = 2, where no admission test
-    acts.  Block 1 offers (1, b, ...) only if ``clear`` passed every term,
-    so each unit term t's image t^-1 * terms holds 1 and no other value
-    below b.  It sorts at or below the terms only on a tie, another value
-    equal to b, that is when t * b is a term: only those images are built.
+    ``_minimal_tuples`` filters the block's terms with the admission test,
+    ``keep(x, held)``.  The leastness test returns, on every tuple the block
+    builds, what ``_representative_stabilizer`` does: |Stab(terms)| if the
+    terms are least in their orbit, else 0.  This is the one place that
+    picks the pair by d.
+
+    For d > 1 the pair is ``floor``, gcd(x, n) >= d, and
+    ``_representative_stabilizer`` itself.  An orbit's least member leads
+    with d = min gcd(t_i, n), so no tuple holding a term of smaller gcd is
+    least.  The floor looks at one term at a time, so it passes tuples that
+    are not least (at n = 385, k = 4, block 5 builds 1,590 tuples and 432
+    are least), and each gets the exact test.
+
+    For d = 1 every term passes the floor, so the pair works on units.  A
+    unit term t sends the tuple (1, b, ...) to t^-1 * (1, b, ...), which
+    holds 1, so if another term x has t^-1 * x below b, that image sorts
+    below the tuple.  ``clear`` refuses x when, for the lead 1 or a held
+    term h, x^-1 * h or h^-1 * x is below b (at n = 385 block 1 builds
+    9,940 tuples, 9,731 of them least).  Every image t^-1 * terms of a tuple
+    it passes holds 1 and no other value below b, so it sorts at or below
+    the terms only on a tie, another value equal to b, that is when t * b is
+    a term: ``ties`` builds only those images.  At k = 2 ``clear`` is not
+    consulted; the block's one tuple (1, n - 1) is least, and ``ties``
+    counts its stabilizer {1, n - 1}.
+
+    Every gcd, inverse and lift comes from the modulus's ``lift_table``.
     """
-    if d > 1 or k < 3:
-        return lambda terms: _representative_stabilizer(terms, n)
     gcds, lifts = lift_table(n)
+    # The inverse of each unit, 0 for the other residues.
+    inverse = [lift[0] if g == 1 else 0 for g, lift in zip(gcds, lifts)]
+
+    def floor(x: int, held: tuple[int, ...]) -> bool:
+        return gcds[x] >= d
+
+    def clear(x: int, held: tuple[int, ...]) -> bool:
+        # Whether x may join the block-1 prefix (1, *held), whose second term
+        # b is held[0], or x itself if nothing is held.  x is refused when,
+        # for the lead 1 or a held term h, x^-1 * h or h^-1 * x is below b:
+        # that image holds 1 and sorts below every tuple with this prefix.
+        b = held[0] if held else x
+        ix = inverse[x]
+        if ix:
+            if ix < b:
+                return False
+            for y in held:
+                if ix * y % n < b:
+                    return False
+        for y in held:
+            iy = inverse[y]
+            if iy and iy * x % n < b:
+                return False
+        return True
 
     def ties(terms: tuple[int, ...]) -> int:
         b = terms[1]
@@ -291,7 +293,9 @@ def _leastness_test(n: int, k: int, d: int) -> Callable[[tuple[int, ...]], int]:
                 fixed += image == terms
         return fixed
 
-    return ties
+    if d > 1:
+        return floor, lambda terms: _representative_stabilizer(terms, n)
+    return clear, ties
 
 
 def orbit_canonical(s: Sequence) -> Sequence:
@@ -309,19 +313,27 @@ def _leading_terms(n: int, orbits: bool) -> list[int]:
     return list(range(1, n))
 
 
-def _orbit_reps(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Each unit orbit's least member, in enumeration order.
+def _orbit_block(n: int, k: int, d: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Orbit block d's least members R, each with |Stab(R)|, in enumeration order.
+
+    ``_minimal_tuples`` builds the k-tuples led by d that the block's
+    admission test passes, and its leastness test keeps the least ones
+    (see ``_orbit_tests``).
+    """
+    keep, least = _orbit_tests(n, d)
+    for terms in _minimal_tuples(n, k, (d,), keep):
+        fixed = least(terms)
+        if fixed:
+            yield terms, fixed
+
+
+def _orbit_reps(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each unit orbit's least member R with |Stab(R)|, in enumeration order.
 
     Only the blocks led by a divisor d of n are enumerated
-    (``_leading_terms``), each as an orbit block, which builds only the
-    tuples its admission test passes (see ``_minimal_tuples``).  Each is
-    kept if its block's ``_leastness_test`` finds it least in its orbit.
+    (``_leading_terms``), each by ``_orbit_block``.
     """
-    for d in _leading_terms(n, orbits=True):
-        least = _leastness_test(n, k, d)
-        for terms in _minimal_tuples(n, k, (d,), orbit=True):
-            if least(terms):
-                yield terms
+    return chain.from_iterable(_orbit_block(n, k, d) for d in _leading_terms(n, orbits=True))
 
 
 @dataclass(slots=True)
@@ -339,10 +351,11 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
     """Run the witness engine over one leading-term block.
 
     In orbit mode ``n1`` is a divisor of n and the block is an orbit block
-    (see ``_minimal_tuples``): only tuples that may be least in their orbit
-    are built, and of those only the orbit representatives are certified.
+    (see ``_orbit_block``): only its orbit representatives R are certified.
     Each adds its whole orbit, phi(n) / |Stab(R)| sequences, to the count,
     so the divisor blocks together count every sequence of the modulus.
+    In full mode every tuple is paired with phi(n) in place of |Stab|, so it
+    counts once.
 
     Every witness is rechecked with the independent verifier; every piece of
     high-index evidence is cross-checked against the exhaustive index.  A
@@ -354,13 +367,12 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
     high: list[tuple[tuple[int, ...], int]] = []
     sequences = 0
     reps = 0
-    least = _leastness_test(n, k, n1) if orbits else None
-    for terms in _minimal_tuples(n, k, (n1,), orbit=orbits):
-        if least:
-            fixed = least(terms)
-            if not fixed:
-                continue
-            sequences += phi // fixed
+    if orbits:
+        block = _orbit_block(n, k, n1)
+    else:
+        block = zip(_minimal_tuples(n, k, (n1,)), repeat(phi))
+    for terms, fixed in block:
+        sequences += phi // fixed
         reps += 1
         seq = Sequence(group, terms)
         result = find_witness(seq) if k == 4 else _exhaustive(seq)
@@ -378,8 +390,6 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
                 raise RuntimeError(f"unsound witness {result} for {terms} over {n}")
             key = result.label
         histogram[key] = histogram.get(key, 0) + 1
-    if not orbits:
-        sequences = reps  # every tuple built is swept, and stands for itself
     return BlockResult(
         n1=n1, sequences=sequences, orbit_reps=reps, histogram=histogram, high_index=high
     )
@@ -765,19 +775,20 @@ def search_high_index(
     representative R (``_orbit_reps``) settles every member.  With
     ``orbits=True`` the high-index representatives are the findings.
     Otherwise each high-index R is expanded into its orbit {u * R}, which
-    must hold phi(n) / |Stab(R)| members or the search raises.
+    must hold phi(n) / |Stab(R)| members, with the |Stab(R)| that the walk
+    counted, or the search raises.
     """
     modulus = n.n
     unit_list = units(n)
     found: list[tuple[tuple[int, ...], int]] = []
-    for rep in _orbit_reps(modulus, k):
+    for rep, fixed in _orbit_reps(modulus, k):
         min_sum, _ = min_transform_sum(rep, modulus, unit_list, stop_at=modulus)
         if min_sum <= modulus:
             continue
         orbit: Iterable[tuple[int, ...]] = (rep,)
         if not orbits:
             orbit = {tuple(sorted([u * t % modulus for t in rep])) for u in unit_list}
-            if len(orbit) * _representative_stabilizer(rep, modulus) != len(unit_list):
+            if len(orbit) * fixed != len(unit_list):
                 raise RuntimeError(f"orbit of {rep} over {modulus} has {len(orbit)} members")
         found.extend((terms, min_sum // modulus) for terms in orbit)
     found.sort()

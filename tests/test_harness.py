@@ -28,9 +28,10 @@ from zsindex.harness import (
     VerificationReport,
     _canonical_terms,
     _leading_terms,
-    _leastness_test,
     _minimal_tuples,
+    _orbit_block,
     _orbit_reps,
+    _orbit_tests,
     _representative_stabilizer,
 )
 
@@ -50,6 +51,12 @@ SCHEMA = harness.CHECKPOINT_SCHEMA
 
 def terms_of(n, k=4):
     return {s.terms for s in enumerate_minimal(factorize(n), k)}
+
+
+def admitted(n, k, d):
+    """Orbit block d's tuples that its admission test lets through."""
+    keep, _ = _orbit_tests(n, d)
+    return list(_minimal_tuples(n, k, (d,), keep))
 
 
 class TestEnumerateMinimal:
@@ -160,8 +167,7 @@ class TestOrbitCanonical:
         # one, which test_block_one_prune_keeps_every_least_member checks.
         for n in range(2, top + 1):
             for d in _leading_terms(n, orbits=True)[1:]:
-                block = list(_minimal_tuples(n, k, (d,), orbit=True))
-                assert block == naive_floor_block(n, k, d), (n, d)
+                assert admitted(n, k, d) == naive_floor_block(n, k, d), (n, d)
 
     @pytest.mark.parametrize("k, top", [(2, 60), (3, 60), (4, 60), (5, 60), (6, 40)])
     def test_block_one_prune_keeps_every_least_member(self, k, top):
@@ -170,8 +176,8 @@ class TestOrbitCanonical:
         # their stabilizer sizes, are the naive least members of the full block.
         for n in range(2, top + 1):
             full = list(_minimal_tuples(n, k, (1,)))
-            pruned = list(_minimal_tuples(n, k, (1,), orbit=True))
-            least = _leastness_test(n, k, 1)
+            pruned = admitted(n, k, 1)
+            _, least = _orbit_tests(n, 1)
             assert set(pruned) <= set(full) and pruned == sorted(pruned), n
             rep_of = naive_orbit_reps(n, full)
             expected = {
@@ -185,14 +191,15 @@ class TestOrbitCanonical:
                     accepted[terms] = fixed
             assert accepted == expected, n
 
-    @pytest.mark.parametrize("k, top", [(3, 60), (4, 60), (5, 60), (6, 40)])
+    @pytest.mark.parametrize("k, top", [(2, 60), (3, 60), (4, 60), (5, 60), (6, 40)])
     def test_block_one_tie_test_matches_stabilizer(self, k, top):
         # Block 1's leastness test builds an image only where the admission
         # test left a tie; on every tuple the block offers it must return
-        # what the generic test does, stabilizer sizes included.
+        # what the generic test does, stabilizer sizes included.  At k = 2
+        # the admission test is not consulted and (1, n - 1) is offered.
         for n in range(2, top + 1):
-            least = _leastness_test(n, k, 1)
-            for terms in _minimal_tuples(n, k, (1,), orbit=True):
+            _, least = _orbit_tests(n, 1)
+            for terms in admitted(n, k, 1):
                 assert least(terms) == _representative_stabilizer(terms, n), (n, terms)
 
     @pytest.mark.parametrize(
@@ -210,11 +217,14 @@ class TestOrbitCanonical:
             (8, (1, 4, 5, 6), 2),  # 5 * 4 = 4: 5 * T = T
             (7, (1, 2, 4), 3),  # the subgroup {1, 2, 4} of Z_7 fixes T
             (13, (1, 3, 9), 3),  # the subgroup {1, 3, 9} of Z_13 fixes T
+            # k = 2: the one tuple (1, n - 1), fixed by 1 and n - 1.
+            (2, (1, 1), 1),
+            (11, (1, 10), 2),
         ],
     )
     def test_block_one_tie_test_named_cases(self, n, terms, fixed):
-        assert terms in _minimal_tuples(n, len(terms), (1,), orbit=True)
-        assert _leastness_test(n, len(terms), 1)(terms) == fixed
+        assert terms in admitted(n, len(terms), 1)
+        assert _orbit_tests(n, 1)[1](terms) == fixed
         assert _representative_stabilizer(terms, n) == fixed
         if fixed:
             assert naive_stabilizer_size(terms, n) == fixed
@@ -238,23 +248,40 @@ class TestOrbitCanonical:
         # block d holds `full` quadruples, its orbit block builds `built` and
         # `least` of those are least in their orbit.  A test that stops
         # acting, or a sound weakening of it, builds more and shows here.
-        block = list(_minimal_tuples(n, 4, (d,), orbit=True))
+        block = admitted(n, 4, d)
         assert sum(1 for _ in _minimal_tuples(n, 4, (d,))) == full
         assert len(block) == built
         assert sum(1 for terms in block if _representative_stabilizer(terms, n)) == least
+        assert sum(1 for _ in _orbit_block(n, 4, d)) == least
 
     def test_orbit_reps_floor_each_divisor_block(self, monkeypatch):
         calls = []
         tuples = harness._minimal_tuples
 
-        def recording(n, k, leading=None, orbit=False):
-            calls.append((list(leading), orbit))
-            return tuples(n, k, leading, orbit)
+        def recording(n, k, leading=None, keep=None):
+            calls.append((list(leading), keep and keep.__name__))
+            return tuples(n, k, leading, keep)
 
         monkeypatch.setattr(harness, "_minimal_tuples", recording)
-        reps = list(_orbit_reps(77, 4))
-        assert calls == [([1], True), ([7], True), ([11], True)]
+        reps = [terms for terms, _ in _orbit_reps(77, 4)]
+        assert calls == [([1], "clear"), ([7], "floor"), ([11], "floor")]
         assert reps == sorted(set(naive_orbit_reps(77, list(tuples(77, 4))).values()))
+
+    @pytest.mark.parametrize("k, top", [(2, 60), (3, 60), (4, 60), (5, 60), (6, 40)])
+    def test_orbit_reps_match_naive_oracle_block_by_block(self, k, top):
+        # What the sweeps and search read: each orbit's least member with
+        # |Stab|, from each block's own pair of tests, the tie test at k = 2
+        # included.
+        for n in range(2, top + 1):
+            tuples = list(_minimal_tuples(n, k))
+            expected = [
+                (rep, naive_stabilizer_size(rep, n))
+                for rep in sorted(set(naive_orbit_reps(n, tuples).values()))
+            ]
+            for d in _leading_terms(n, orbits=True):
+                block = [pair for pair in expected if pair[0][0] == d]
+                assert list(_orbit_block(n, k, d)) == block, (n, d)
+            assert list(_orbit_reps(n, k)) == expected, n
 
     def test_orbits_total_counts_naive_classes(self, tmp_path):
         # Orbit sweeps count sequences from stabilizers, so the total is checked
@@ -303,18 +330,18 @@ class TestOrbitCanonical:
         blocks = []
         tuples = harness._minimal_tuples
 
-        def recording(n, k, leading=None, orbit=False):
-            blocks.extend((n1, orbit) for n1 in leading)
-            return tuples(n, k, leading, orbit)
+        def recording(n, k, leading=None, keep=None):
+            blocks.extend((n1, keep and keep.__name__) for n1 in leading)
+            return tuples(n, k, leading, keep)
 
         monkeypatch.setattr(harness, "_minimal_tuples", recording)
         ckpt = tmp_path / "sweep.ckpt"
         argv = ["verify", "--orbits", "--n", "77", "--checkpoint-path", str(ckpt)]
         assert run(argv, out=io.StringIO()) == 0
-        assert sorted(n1 for n1, _ in blocks) == [1, 7, 11]
         assert block_keys(tmp_path / "sweep.ckpt.blocks") == [(77, 4, 1), (77, 4, 7), (77, 4, 11)]
-        # Each block is enumerated as an orbit block, led by its own divisor.
-        assert all(orbit for _, orbit in blocks)
+        # Each block is enumerated as an orbit block, led by its own divisor,
+        # with its own admission test.
+        assert sorted(blocks) == [(1, "clear"), (7, "floor"), (11, "floor")]
 
 
 
@@ -1064,11 +1091,20 @@ class TestSearchHighIndex:
         assert len(search_high_index(group, k, orbits=True)) == orbits
 
     def test_orbit_size_mismatch_raises(self, monkeypatch):
-        # A stabilizer count that disagrees with the expanded orbit is a bug,
-        # and the search stops rather than report a short orbit.
-        stabilizer = harness._representative_stabilizer
-        monkeypatch.setattr(
-            harness, "_representative_stabilizer", lambda terms, n: 2 * stabilizer(terms, n)
-        )
-        with pytest.raises(RuntimeError, match="orbit of"):
-            search_high_index(factorize(10))
+        # The search checks each expanded orbit against the |Stab| that the
+        # walk itself counted, so a wrong count from one block's leastness
+        # test, block 1's tie test or block 2's generic test, is a bug and
+        # the search stops rather than report a short orbit.  Both blocks
+        # hold high-index representatives at n = 12.
+        tests = harness._orbit_tests
+        for wrong in (1, 2):
+
+            def doubling(n, d, wrong=wrong):
+                keep, least = tests(n, d)
+                return (keep, lambda terms: 2 * least(terms)) if d == wrong else (keep, least)
+
+            monkeypatch.setattr(harness, "_orbit_tests", doubling)
+            found = search_high_index(factorize(12), orbits=True)
+            assert {s.terms[0] for s, _ in found} == {1, 2}
+            with pytest.raises(RuntimeError, match="orbit of"):
+                search_high_index(factorize(12))

@@ -49,6 +49,7 @@ ORBIT = "tests/test_harness.py::TestOrbitCanonical::"
 COUNT = ORBIT + "test_orbit_block_count"
 SEARCH = "tests/test_harness.py::TestSearchHighIndex::"
 TIES = ORBIT + "test_block_one_tie_test_matches_stabilizer"
+REPS = ORBIT + "test_orbit_reps_match_naive_oracle_block_by_block"
 MINIMAL = "tests/test_sequences.py::TestMinimality::"
 INDEX = "tests/test_sequences.py::TestIndex::"
 # The unit case of the orbit blocks' admission test, from its first
@@ -200,6 +201,28 @@ MUTANTS = [
             TIES + "[5-60]",
             ORBIT + "test_block_one_tie_test_named_cases[8-terms1-2]",
             ORBIT + "test_block_one_tie_test_named_cases[8-terms7-2]",
+        ),
+    ),
+    Mutant(
+        "blocks d > 1 paired with block 1's tie test",
+        HARNESS,
+        "        return floor, lambda terms: _representative_stabilizer(terms, n)\n",
+        "        return floor, ties\n",
+        (
+            REPS + "[4-60]",
+            COUNT + "[385-5-23754-1590-432]",
+            "tests/test_harness.py::test_golden_orbit_histogram[77]",
+        ),
+    ),
+    Mutant(
+        "orbit test picker gives block 2 block 1's pair",
+        HARNESS,
+        "    if d > 1:\n        return floor",
+        "    if d > 2:\n        return floor",
+        (
+            REPS + "[4-60]",
+            ORBIT + "test_floor_blocks_match_naive_oracle[4-60]",
+            SEARCH + "test_finding_counts_are_pinned[60-4-416-60]",
         ),
     ),
     Mutant(
