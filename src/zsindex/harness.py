@@ -24,9 +24,10 @@ per-modulus table, ``residues.lift_table``, which both pairs and
 ``orbit_canonical`` share.  ``search_high_index`` walks the same pairs, one
 unit scan per representative, and expands only the high-index orbits.
 One worker pool serves a whole ``verify_moduli`` run, however many moduli it
-sweeps, and its task queue runs across moduli.  Block results merge by plain
-counter addition and sorted list union, so the final report is independent
-of worker scheduling.
+sweeps, and its task queue runs across moduli.  Block results, logged or
+new, are added into one running tally per sweep by plain counter addition,
+and the report sorts the tally's histogram keys and findings, so it is
+independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -347,6 +348,42 @@ class BlockResult:
     high_index: list[tuple[tuple[int, ...], int]]
 
 
+class SweepTally:
+    """Running totals of one (n, k, orbits) sweep, its block results added as they arrive.
+
+    ``done`` holds the leading terms added so far.  A block added again is
+    skipped: block results are deterministic, so a block logged twice (as a
+    modulus listed twice in one run logs each of its blocks) counts once.
+    """
+
+    __slots__ = ("done", "sequences", "orbit_reps", "histogram", "high_index")
+
+    def __init__(self) -> None:
+        self.done: set[int] = set()
+        self.sequences = 0
+        self.orbit_reps = 0
+        self.histogram: dict[str, int] = {}
+        self.high_index: list[tuple[tuple[int, ...], int]] = []
+
+    def add(
+        self,
+        n1: int,
+        sequences: int,
+        orbit_reps: int,
+        histogram: dict[str, int],
+        high_index: Iterable[tuple[tuple[int, ...], int]],
+    ) -> None:
+        if n1 in self.done:
+            return
+        self.done.add(n1)
+        self.sequences += sequences
+        self.orbit_reps += orbit_reps
+        tally = self.histogram
+        for key, count in histogram.items():
+            tally[key] = tally.get(key, 0) + count
+        self.high_index.extend(high_index)
+
+
 def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
     """Run the witness engine over one leading-term block.
 
@@ -432,11 +469,6 @@ class VerificationReport:
         return self.conjecture_applicable() and len(self.high_index) > 0
 
 
-def _ints(*values: object) -> bool:
-    """Whether every value is a JSON integer (bools are not)."""
-    return all(type(v) is int for v in values)
-
-
 class Checkpoint:
     """Append-only block-completion log.
 
@@ -447,7 +479,7 @@ class Checkpoint:
     another engine version is refused rather than merged.  A record reaches
     the operating system as its block completes, so it survives the process;
     ``sync`` makes the records appended since the last sync durable with one
-    fsync.  Nothing is written at ``path`` itself.  ``load`` decodes the
+    fsync.  Nothing is written at ``path`` itself.  ``load`` streams the
     whole log in one pass, so a run over many moduli reads it once.
     """
 
@@ -456,33 +488,38 @@ class Checkpoint:
         self.data_path = self.path.with_name(self.path.name + ".blocks")
         self._unsynced = False
 
-    def load(self) -> dict[tuple[int, int, bool], dict[int, BlockResult]]:
-        """Every completed block in the log, by (n, k, orbits) sweep, then by leading term.
+    def load(self) -> dict[tuple[int, int, bool], SweepTally]:
+        """Every completed block in the log, added to its (n, k, orbits) sweep's tally.
 
-        A record is complete once its newline is written.  A final line that
-        lacks its newline or does not decode (a crash mid-append) is dropped
-        and truncated away, so the next record starts on a line of its own;
-        an undecodable line anywhere before the last is corruption and raises,
-        and so does a record of another schema or none, or one that decodes
-        but is not an object holding every field.  Every record's fields,
-        whichever sweep it belongs to, must also hold what ``record`` writes:
-        ints, an orbits flag, a leading term in [1, n-1] for the record's own
-        n (a divisor of n if the record is an orbit sweep's), a histogram of
-        ints and [terms, index] pairs of ints.
+        The log is streamed, so memory holds one tally per sweep, not the
+        records.  A record is complete once its newline is written.  A final
+        line that lacks its newline or does not decode (a crash mid-append)
+        is dropped and truncated away, so the next record starts on a line
+        of its own.  An undecodable line anywhere before the last is
+        corruption and raises a ``json.JSONDecodeError`` that names the log
+        and the line.  A record of another schema or none raises
+        ``ValueError``, and so does one that decodes but is not an object
+        holding every field.  Every record's fields, whichever sweep it
+        belongs to, must also hold what ``record`` writes: ints, an orbits
+        flag, a leading term in [1, n-1] for the record's own n (a divisor
+        of n if the record is an orbit sweep's), a histogram of ints and
+        [terms, index] pairs of ints.
         """
-        sweeps: dict[tuple[int, int, bool], dict[int, BlockResult]] = {}
+        sweeps: dict[tuple[int, int, bool], SweepTally] = {}
         if not self.data_path.exists():
             return sweeps
+        decode = json.JSONDecoder().decode
+        wrong = "a field holds a value of the wrong type or range"
         whole = 0  # bytes up to the end of the last complete record
         with open(self.data_path, "rb") as fh:
             for line in fh:
                 if not line.endswith(b"\n"):
                     break  # only the final line can lack its newline
                 try:
-                    rec = json.loads(line.decode())
-                except ValueError:
+                    rec = decode(line.decode())
+                except ValueError as exc:  # a UnicodeDecodeError or a JSONDecodeError
                     if fh.read(1):
-                        raise
+                        raise self._corrupt(whole, exc) from exc
                     break
                 whole += len(line)
                 try:
@@ -492,40 +529,65 @@ class Checkpoint:
                             f"{rec.get('schema')}, not {CHECKPOINT_SCHEMA}; "
                             "start from a new checkpoint path"
                         )
-                    n, n1 = rec["n"], rec["n1"]
+                    n, n1, k = rec["n"], rec["n1"], rec["k"]
+                    sequences, reps = rec["sequences"], rec["orbit_reps"]
                     if not (
-                        _ints(n, rec["k"], n1, rec["sequences"], rec["orbit_reps"])
-                        and type(rec["orbits"]) is bool
+                        type(n) is int and type(k) is int and type(n1) is int
+                        and type(sequences) is int and type(reps) is int
+                        and type(orbits := rec["orbits"]) is bool
                         and 0 < n1 < n
-                        and (n % n1 == 0 or not rec["orbits"])
-                        and _ints(*rec["histogram"].values())
-                        and all(
-                            type(pair) is list and len(pair) == 2
-                            and type(pair[0]) is list and _ints(*pair[0], pair[1])
-                            for pair in rec["high_index"]
-                        )
+                        and (n % n1 == 0 or not orbits)
                     ):
-                        raise TypeError("a field holds a value of the wrong type or range")
-                    sweeps.setdefault((n, rec["k"], rec["orbits"]), {})[n1] = BlockResult(
-                        n1=n1,
-                        sequences=rec["sequences"],
-                        orbit_reps=rec["orbit_reps"],
-                        histogram=dict(rec["histogram"]),
-                        high_index=[
-                            (tuple(terms), index) for terms, index in rec["high_index"]
-                        ],
-                    )
+                        raise TypeError(wrong)
+                    histogram = rec["histogram"]
+                    for count in histogram.values():
+                        if type(count) is not int:
+                            raise TypeError(wrong)
+                    high = []
+                    for pair in rec["high_index"]:
+                        if not (
+                            type(pair) is list and len(pair) == 2
+                            and type(terms := pair[0]) is list and type(pair[1]) is int
+                        ):
+                            raise TypeError(wrong)
+                        for term in terms:
+                            if type(term) is not int:
+                                raise TypeError(wrong)
+                        high.append((tuple(terms), pair[1]))
                 except (KeyError, TypeError, AttributeError) as exc:
                     raise ValueError(
                         f"{self.data_path} holds a malformed checkpoint record "
                         f"({type(exc).__name__}: {exc}); start from a new checkpoint path"
                     ) from exc
+                tally = sweeps.get((n, k, orbits))
+                if tally is None:
+                    tally = sweeps[n, k, orbits] = SweepTally()
+                tally.add(n1, sequences, reps, histogram, high)
             torn = fh.tell() > whole
         if torn:
             with open(self.data_path, "r+b") as fh:
                 fh.truncate(whole)
                 os.fsync(fh.fileno())
         return sweeps
+
+    def _corrupt(self, start: int, exc: ValueError) -> json.JSONDecodeError:
+        """The error for the undecodable line at byte ``start`` of the log.
+
+        It names the log, and its position is the fault's line and column
+        in the log ("line 3 column 11" for a fault on the third line).
+        """
+        with open(self.data_path, "rb") as fh:
+            head = fh.read(start).decode()  # every earlier line decoded
+            line = fh.readline()
+        if isinstance(exc, UnicodeDecodeError):
+            reason, column = exc.reason, len(line[: exc.start].decode())
+        else:
+            reason, column = exc.msg, exc.pos
+        return json.JSONDecodeError(
+            f"{self.data_path} holds a corrupt checkpoint record; {reason}",
+            head + line.decode(errors="replace"),
+            len(head) + column,
+        )
 
     def record(self, n: int, k: int, orbits: bool, block: BlockResult) -> None:
         payload = {
@@ -564,10 +626,11 @@ def verify_moduli(
     such runs resumable.
 
     ``moduli`` is read in full before the first sweep, and so is the
-    checkpoint log: each modulus takes its own blocks out of the log's index
-    (so a modulus listed twice is swept in full the second time), records of
-    other moduli are dropped, and a modulus's block results are released once
-    its report is out.  Each block is recorded as the parent receives it (see
+    checkpoint log: each modulus takes its own sweep's tally out of the
+    log's (so a modulus listed twice is swept in full the second time), the
+    tallies of other sweeps are dropped, and each block result is added to
+    its modulus's tally as it arrives, which is released once the report is
+    out.  Each block is recorded as the parent receives it (see
     ``_run_blocks``), whatever its modulus; the log is fsynced before each
     report is yielded, so a yielded report's blocks are durable.
 
@@ -584,11 +647,11 @@ def verify_moduli(
     checkpoint = Checkpoint(opts.checkpoint_path) if opts.checkpoint_path else None
     sweeps = checkpoint.load() if checkpoint else {}
     run = [n.n for n in moduli]
-    results = [sweeps.pop((n, opts.k, opts.orbits), {}) for n in run]
+    tallies = [sweeps.pop((n, opts.k, opts.orbits), None) or SweepTally() for n in run]
     del sweeps
     pending = [
-        [n1 for n1 in _leading_terms(n, opts.orbits) if n1 not in done]
-        for n, done in zip(run, results)
+        [n1 for n1 in _leading_terms(n, opts.orbits) if n1 not in tally.done]
+        for n, tally in zip(run, tallies)
     ]
     remaining = [len(blocks) for blocks in pending]
     blocks = _run_blocks(run, opts, pending, min(opts.jobs, os.cpu_count() or 1))
@@ -599,7 +662,10 @@ def verify_moduli(
             try:
                 while remaining[i]:
                     j, block = next(blocks)
-                    results[j][block.n1] = block
+                    tallies[j].add(
+                        block.n1, block.sequences, block.orbit_reps, block.histogram,
+                        block.high_index,
+                    )
                     if checkpoint:
                         checkpoint.record(run[j], opts.k, opts.orbits, block)
                     remaining[j] -= 1
@@ -607,8 +673,8 @@ def verify_moduli(
                 interrupted = True
             if checkpoint:
                 checkpoint.sync()
-            report = _merge(n, opts, results[i], interrupted, time.perf_counter() - start)
-            results[i] = {}
+            report = _merge(n, opts, tallies[i], interrupted, time.perf_counter() - start)
+            tallies[i] = SweepTally()
             yield report
             if not report.complete:
                 return
@@ -732,37 +798,25 @@ def _run_blocks(
 
 
 def _merge(
-    modulus: int,
-    opts: VerifyOptions,
-    results: dict[int, BlockResult],
-    interrupted: bool,
-    elapsed: float,
+    modulus: int, opts: VerifyOptions, tally: SweepTally, interrupted: bool, elapsed: float
 ) -> VerificationReport:
-    """The report of a modulus from its block results: complete unless interrupted or short."""
-    histogram: dict[str, int] = {}
-    high: list[tuple[tuple[int, ...], int]] = []
-    sequences_total = 0
-    orbit_total = 0
-    for n1 in sorted(results):
-        block = results[n1]
-        sequences_total += block.sequences
-        orbit_total += block.orbit_reps
-        for key, count in block.histogram.items():
-            histogram[key] = histogram.get(key, 0) + count
-        high.extend(block.high_index)
-    high.sort()
+    """The report of a modulus from its tally: complete unless interrupted or short.
+
+    The histogram's keys and the high-index findings are sorted, so the
+    order in which blocks arrived never reaches the report.
+    """
     return VerificationReport(
         n=modulus,
         k=opts.k,
         gcd6_class=math.gcd(modulus, 6),
         orbits=opts.orbits,
-        sequences_total=sequences_total,
-        orbits_total=orbit_total if opts.orbits else 0,
-        rule_histogram=histogram,
-        high_index=tuple(high),
+        sequences_total=tally.sequences,
+        orbits_total=tally.orbit_reps if opts.orbits else 0,
+        rule_histogram=dict(sorted(tally.histogram.items())),
+        high_index=tuple(sorted(tally.high_index)),
         elapsed=elapsed,
         complete=not interrupted
-        and all(n1 in results for n1 in _leading_terms(modulus, opts.orbits)),
+        and all(n1 in tally.done for n1 in _leading_terms(modulus, opts.orbits)),
     )
 
 

@@ -767,6 +767,23 @@ def deferred_pool(monkeypatch, pick):
     return submitted
 
 
+def test_a_pooled_run_reports_the_serial_histogram_order(monkeypatch):
+    """Blocks arrive in completion order, but a report's histogram keys never follow it."""
+    moduli = list(map(factorize, range(7, 31)))
+    serial = list(harness.verify_moduli(moduli))
+    pooled = list(harness.verify_moduli(moduli, VerifyOptions(jobs=2)))
+    assert [list(r.rule_histogram.items()) for r in pooled] == [
+        list(r.rule_histogram.items()) for r in serial
+    ]
+    # A lone modulus is dealt into tasks; the last one dealt completes first.
+    deferred_pool(monkeypatch, lambda futures: futures[-1])
+    try:
+        (report,) = harness.verify_moduli([factorize(30)], VerifyOptions(jobs=2))
+    finally:
+        witness._MEMO.clear()  # the in-process tasks filled it
+    assert list(report.rule_histogram.items()) == list(serial[30 - 7].rule_histogram.items())
+
+
 def test_a_pooled_run_refills_its_queue_as_each_task_completes(monkeypatch):
     """The queue is topped up after every completion, so it never drains at a modulus boundary."""
     outstanding = []
@@ -932,7 +949,7 @@ class TestCheckpointResume:
         records = [json.loads(line) for line in blocks.read_text().splitlines()]
         assert [r["n1"] for r in records] == list(range(1, 25))
 
-    def test_corrupt_inner_record_raises(self, monkeypatch, tmp_path):
+    def test_corrupt_inner_record_raises(self, monkeypatch, tmp_path, capsys):
         ckpt = tmp_path / "sweep.ckpt"
         sweep_interrupted_at_block_6(monkeypatch, ckpt)
         blocks = tmp_path / "sweep.ckpt.blocks"
@@ -941,6 +958,23 @@ class TestCheckpointResume:
         blocks.write_bytes(b"".join(lines))
         with pytest.raises(json.JSONDecodeError):
             verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
+        code = run(["verify", "--n", "25", "--checkpoint-path", str(ckpt)], out=io.StringIO())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+        assert str(blocks) in err and "line 3 column 11" in err
+        assert blocks.read_bytes() == b"".join(lines)
+
+    def test_non_utf8_inner_record_names_its_line(self, monkeypatch, tmp_path):
+        ckpt = tmp_path / "sweep.ckpt"
+        sweep_interrupted_at_block_6(monkeypatch, ckpt)
+        blocks = tmp_path / "sweep.ckpt.blocks"
+        lines = blocks.read_bytes().splitlines(keepends=True)
+        lines[1] = lines[1][:4] + b"\xff" + lines[1][5:]
+        blocks.write_bytes(b"".join(lines))
+        with pytest.raises(json.JSONDecodeError, match="line 2 column 5") as raised:
+            verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
+        assert str(blocks) in str(raised.value)
 
     @pytest.mark.parametrize("schema", [None, 1, 2, SCHEMA + 1])
     def test_record_of_another_schema_is_refused(self, tmp_path, capsys, schema):
@@ -1003,10 +1037,15 @@ class TestCheckpointResume:
              "orbit_reps": 0, "histogram": {}, "high_index": []},
             {"schema": SCHEMA, "n": 25, "k": 4, "orbits": True, "n1": 2, "sequences": 5,
              "orbit_reps": 0, "histogram": {}, "high_index": []},
+            {"schema": SCHEMA, "n": 25, "k": 4, "orbits": False, "n1": 1, "sequences": True,
+             "orbit_reps": 0, "histogram": {}, "high_index": []},
+            {"schema": SCHEMA, "n": 25, "k": 4, "orbits": False, "n1": 1, "sequences": 92,
+             "orbit_reps": 0, "histogram": {}, "high_index": [[[1, 1, 1, 22.5], 2]]},
         ],
         ids=["fields_missing", "not_an_object", "no_sequences", "count_not_int",
              "high_index_not_a_pair", "leading_term_out_of_range",
-             "another_modulus_leading_term_out_of_range", "orbit_leading_term_not_a_divisor"],
+             "another_modulus_leading_term_out_of_range", "orbit_leading_term_not_a_divisor",
+             "count_is_a_bool", "high_index_term_not_int"],
     )
     def test_malformed_record_is_refused(self, tmp_path, capsys, record):
         ckpt = tmp_path / "sweep.ckpt"
@@ -1020,6 +1059,20 @@ class TestCheckpointResume:
         assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
         assert str(blocks) in err
         assert blocks.read_text() == json.dumps(record) + "\n"
+
+    def test_a_log_holding_every_block_twice_counts_each_once(self, tmp_path):
+        # A modulus listed twice is swept in full twice, and logs every block twice.
+        ckpt = tmp_path / "sweep.ckpt"
+        opts = VerifyOptions(checkpoint_path=ckpt)
+        twice = list(harness.verify_moduli(map(factorize, [25, 25]), opts))
+        assert [r.complete for r in twice] == [True, True]
+        blocks = tmp_path / "sweep.ckpt.blocks"
+        assert block_keys(blocks) == [(25, 4, n1) for n1 in range(1, 25)] * 2
+        resumed = verify_conjecture(factorize(25), opts)
+        fresh = verify_conjecture(factorize(25))
+        assert resumed.complete and resumed.sequences_total == 624
+        assert_same_report(resumed, fresh)
+        assert len(block_keys(blocks)) == 48  # the resume ran no block
 
     def test_orbit_mode_invalidates_blocks(self, monkeypatch, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"

@@ -52,6 +52,7 @@ TIES = ORBIT + "test_block_one_tie_test_matches_stabilizer"
 REPS = ORBIT + "test_orbit_reps_match_naive_oracle_block_by_block"
 MINIMAL = "tests/test_sequences.py::TestMinimality::"
 INDEX = "tests/test_sequences.py::TestIndex::"
+RESUME = "tests/test_harness.py::TestCheckpointResume::"
 # The unit case of the orbit blocks' admission test, from its first
 # comparison with b to its last.
 CLEAR_CHECKS = """\
@@ -245,6 +246,27 @@ MUTANTS = [
             INDEX + "test_worked_argmin",
             INDEX + "test_kernel_matches_oracle_exhaustive",
         ),
+    ),
+    Mutant(
+        "a sweep's tally adds a block logged twice twice",
+        HARNESS,
+        "        if n1 in self.done:\n            return\n",
+        "",
+        (RESUME + "test_a_log_holding_every_block_twice_counts_each_once",),
+    ),
+    Mutant(
+        "the checkpoint loader takes a bool for an int count",
+        HARNESS,
+        "and type(sequences) is int and type(reps) is int",
+        "and isinstance(sequences, int) and isinstance(reps, int)",
+        (RESUME + "test_malformed_record_is_refused[count_is_a_bool]",),
+    ),
+    Mutant(
+        "a report's histogram keeps its blocks' arrival order",
+        HARNESS,
+        "rule_histogram=dict(sorted(tally.histogram.items())),",
+        "rule_histogram=dict(tally.histogram),",
+        ("tests/test_harness.py::test_a_pooled_run_reports_the_serial_histogram_order",),
     ),
     Mutant(
         "search expands each orbit over every unit but the last",
