@@ -31,8 +31,8 @@ class Witness:
     carries the candidate-pool tag for CANDIDATE hits; ``trail`` lists the
     reduction steps (content division, multipliers) that led to this unit,
     purely as provenance -- ``m`` alone certifies the original sequence.
-    ``__init__`` is written out so that each field is set once, through its
-    slot; a sweep builds one per carried certificate.
+    ``certify``, which a sweep calls once per carried certificate, sets the
+    fields through their slots rather than through ``__init__``.
     """
 
     m: int
@@ -41,22 +41,6 @@ class Witness:
     k: int | None = None
     case: str | None = None
     trail: tuple[str, ...] = ()
-
-    def __init__(
-        self,
-        m: int,
-        achieved_sum: int,
-        rule: str,
-        k: int | None = None,
-        case: str | None = None,
-        trail: tuple[str, ...] = (),
-    ) -> None:
-        _set_m(self, m)
-        _set_achieved_sum(self, achieved_sum)
-        _set_rule(self, rule)
-        _set_k(self, k)
-        _set_case(self, case)
-        _set_trail(self, trail)
 
     @property
     def label(self) -> str:
@@ -102,7 +86,7 @@ def certify(
     that to discard near-miss candidates instead of trusting any derivation.
     """
     n = s.modulus.n
-    m = (m - 1) % n + 1
+    m = m % n or n
     if math.gcd(m, n) != 1:
         return None
     total = 0
@@ -110,7 +94,14 @@ def certify(
         total += (m * t - 1) % n + 1
     if total != n:
         return None
-    return Witness(m, total, rule, k, case, trail)
+    w = object.__new__(Witness)  # what Witness(m, total, ...) builds, with no __init__ call
+    _set_m(w, m)
+    _set_achieved_sum(w, total)
+    _set_rule(w, rule)
+    _set_k(w, k)
+    _set_case(w, case)
+    _set_trail(w, trail)
+    return w
 
 
 def verify_witness(s: Sequence, w: Witness) -> bool:

@@ -357,22 +357,28 @@ def _cmd_verify(config: RunConfig, out: TextIO) -> int:
         checkpoint_path=config.checkpoint_path,
     )
     reports: list[VerificationReport] = []
+    interrupted = False
     # verify_moduli ends the run after an incomplete report and shuts its
-    # worker pool down as it ends, so the loop runs to its end.
-    for report in verify_moduli(map(factorize, config.moduli), options):
-        reports.append(report)
-        flag = "violation" if report.conjecture_violated() else "ok"
-        out.write(
-            f"n={report.n} sequences={report.sequences_total} "
-            f"high_index={len(report.high_index)} "
-            f"complete={str(report.complete).lower()} {flag}\n"
-        )
+    # worker pool down as it ends, so the loop runs to its end; a Ctrl-C
+    # between reports (in this loop's work, or as the pool shuts down) ends
+    # it early, and the reports already out are kept.
+    try:
+        for report in verify_moduli(map(factorize, config.moduli), options):
+            reports.append(report)
+            flag = "violation" if report.conjecture_violated() else "ok"
+            out.write(
+                f"n={report.n} sequences={report.sequences_total} "
+                f"high_index={len(report.high_index)} "
+                f"complete={str(report.complete).lower()} {flag}\n"
+            )
+    except KeyboardInterrupt:
+        interrupted = True
     if config.report_path:
         if config.format == "csv":
             _write_csv(config.report_path, reports)
         else:
             _write_jsonl(config.report_path, (verify_record(r) for r in reports))
-    if not all(r.complete for r in reports):
+    if interrupted or not all(r.complete for r in reports):
         return EXIT_INTERRUPTED
     if any(r.conjecture_violated() for r in reports):
         return EXIT_VIOLATION

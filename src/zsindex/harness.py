@@ -46,7 +46,7 @@ from typing import Callable, Iterable, Iterator, Sequence as SequenceABC
 
 from .certificates import HighIndexEvidence, verify_witness
 from .residues import GroupOrder, factorize, lift_table, units
-from .sequences import Sequence, min_transform_sum, sequence_index
+from .sequences import Sequence, _presorted, min_transform_sum, sequence_index
 from .witness import _MEMO, _exhaustive, find_witness
 
 HIGH_INDEX_KEY = "HIGH_INDEX"
@@ -156,7 +156,7 @@ def enumerate_minimal(n: GroupOrder, k: int = 4) -> Iterator[Sequence]:
     Output is deterministic lexicographic order of the sorted term tuples.
     """
     for terms in _minimal_tuples(n.n, k):
-        yield Sequence(n, terms)
+        yield _presorted(n, terms)
 
 
 def _canonical_terms(terms: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -408,12 +408,13 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
         block = _orbit_block(n, k, n1)
     else:
         block = zip(_minimal_tuples(n, k, (n1,)), repeat(phi))
+    find = find_witness if k == 4 else _exhaustive
     for terms, fixed in block:
         sequences += phi // fixed
         reps += 1
-        seq = Sequence(group, terms)
-        result = find_witness(seq) if k == 4 else _exhaustive(seq)
-        if isinstance(result, HighIndexEvidence):
+        seq = _presorted(group, terms)  # the kernel builds them sorted, in [1, n - 1]
+        result = find(seq)
+        if type(result) is HighIndexEvidence:
             check = sequence_index(seq)
             if check.numerator != result.min_sum or check.argmin_unit != result.argmin_unit:
                 raise RuntimeError(
@@ -622,7 +623,8 @@ def verify_moduli(
     are rechecked independently and high-index evidence is cross-checked
     against the exhaustive index, so a yielded report is sound by
     construction.  An interrupted run yields a report with ``complete``
-    False for its earliest unfinished modulus and ends; a checkpoint makes
+    False for the modulus whose report was not yet out, and ends; this holds
+    for a Ctrl-C in the log's fsync or the merge too.  A checkpoint makes
     such runs resumable.
 
     ``moduli`` is read in full before the first sweep, and so is the
@@ -659,21 +661,25 @@ def verify_moduli(
         start = time.perf_counter()
         for i, n in enumerate(run):
             interrupted = False
-            try:
-                while remaining[i]:
-                    j, block = next(blocks)
-                    tallies[j].add(
-                        block.n1, block.sequences, block.orbit_reps, block.histogram,
-                        block.high_index,
-                    )
+            while True:
+                # A Ctrl-C up to the report, in the fsync or the merge too,
+                # ends the sweep: both are simply run again, marked incomplete.
+                try:
+                    while remaining[i] and not interrupted:
+                        j, block = next(blocks)
+                        tallies[j].add(
+                            block.n1, block.sequences, block.orbit_reps, block.histogram,
+                            block.high_index,
+                        )
+                        if checkpoint:
+                            checkpoint.record(run[j], opts.k, opts.orbits, block)
+                        remaining[j] -= 1
                     if checkpoint:
-                        checkpoint.record(run[j], opts.k, opts.orbits, block)
-                    remaining[j] -= 1
-            except KeyboardInterrupt:
-                interrupted = True
-            if checkpoint:
-                checkpoint.sync()
-            report = _merge(n, opts, tallies[i], interrupted, time.perf_counter() - start)
+                        checkpoint.sync()
+                    report = _merge(n, opts, tallies[i], interrupted, time.perf_counter() - start)
+                    break
+                except KeyboardInterrupt:
+                    interrupted = True
             tallies[i] = SweepTally()
             yield report
             if not report.complete:

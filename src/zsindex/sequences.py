@@ -21,8 +21,8 @@ class Sequence:
     """A multiset of k >= 1 residues in [1, n], stored sorted ascending.
 
     ``__init__`` is written out so that each field is set once, through its
-    slot, after the terms are sorted and range-checked; a sweep builds one
-    per swept sequence.
+    slot, after the terms are sorted and range-checked.  A sweep builds its
+    sequences through ``_presorted`` instead, from tuples already so.
     """
 
     modulus: GroupOrder
@@ -55,6 +55,18 @@ class Sequence:
 # The slot setters, which a frozen class's own __setattr__ would refuse.
 _set_modulus = Sequence.modulus.__set__  # type: ignore[attr-defined]
 _set_terms = Sequence.terms.__set__  # type: ignore[attr-defined]
+
+
+def _presorted(modulus: GroupOrder, terms: tuple[int, ...]) -> Sequence:
+    """A Sequence of terms already sorted ascending and in [1, n], unchecked.
+
+    For the enumeration kernel, which builds its tuples so; every other
+    caller goes through ``Sequence``, which sorts and range-checks.
+    """
+    s = object.__new__(Sequence)
+    _set_modulus(s, modulus)
+    _set_terms(s, terms)
+    return s
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,12 @@ continues, so soundness rests on the validation alone.  ``find_witness``
 runs the stages once per lead image of a unit orbit.  A certificate found
 on one sequence reaches another by a unit move (the lift out of content
 division, normalization, the orbit transport), and each move certifies it
-again on the target's own terms through one helper, ``_carry``.  The
-sweep's recheck, ``certificates.verify_witness``, shares no code with this
-search, not even residue reduction: it reduces each term inline.
+again on the target's own terms through ``certify``: the lift and
+normalization through one helper, ``_carry``, and the orbit transport,
+which a full sweep makes for almost every sequence, by calling ``certify``
+itself.  The sweep's recheck, ``certificates.verify_witness``, shares no
+code with this search, not even residue reduction: it reduces each term
+inline.
 """
 
 from __future__ import annotations
@@ -190,9 +193,9 @@ def _unit_lift(x: int, n: int, step: int) -> int:
 def _carry(w: Witness, s: Sequence, m: int, steps: tuple[str, ...]) -> Witness:
     """w carried onto s, where its multiplier becomes m.
 
-    The move (content division, normalization, a unit along the orbit)
-    keeps the index, so m certifies s on its own terms; steps names the move
-    and goes before w's trail.
+    The move (content division, normalization) keeps the index, so m
+    certifies s on its own terms; steps names the move and goes before w's
+    trail.
     """
     carried = certify(s, m, w.rule, w.k, w.case, steps + w.trail)
     assert carried is not None, f"{steps} must carry the certificate {w}"
@@ -241,15 +244,16 @@ def _lead_image(terms: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
     every gcd and covers the zero element n.  When T already leads with d,
     u = 1 and the image is T itself.  Unlike the orbit's least member, this
     needs one lookup and one sort, not one sort per lift of every gcd-d term.
+    A unit first term, as in every full-sweep block led by a unit, is that t
+    (no gcd is smaller), and its one lift is its inverse.
     """
     gcds, lifts = lift_table(n)
-    d, t = n, n
-    for x in terms:
-        g = gcds[x]
-        if g < d:
-            d, t = g, x
-            if g == 1:
-                break  # no gcd is smaller
+    t = terms[0]
+    d = gcds[t]
+    if d > 1:
+        for x in terms:
+            if gcds[x] < d:
+                d, t = gcds[x], x
     if t == d:
         return terms, 1
     u = lifts[t][0]
@@ -262,6 +266,9 @@ def _lead_image(terms: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
 # cold, and a pool worker empties it when it starts a task of another modulus.
 _MEMO_CAP = 1 << 15
 _MEMO: dict[tuple[int, tuple[int, ...]], Witness | HighIndexEvidence] = {}
+# The trail step ("orbit:u",) of a carried hit, built once per unit u: one
+# entry per u below the largest modulus swept, whatever the modulus.
+_ORBIT_STEPS: dict[int, tuple[str]] = {}
 
 
 def find_witness(s: Sequence) -> Witness | HighIndexEvidence:
@@ -297,6 +304,12 @@ def find_witness(s: Sequence) -> Witness | HighIndexEvidence:
         _MEMO[key] = found
     if u == 1:
         return found
-    if isinstance(found, HighIndexEvidence):
+    if type(found) is HighIndexEvidence:
         return _exhaustive(s)
-    return _carry(found, s, found.m * u, (f"orbit:{u}",))
+    step = _ORBIT_STEPS.get(u)
+    if step is None:
+        step = _ORBIT_STEPS[u] = (f"orbit:{u}",)
+    # _carry's move, without its frame: the hot path of a full sweep.
+    carried = certify(s, found.m * u, found.rule, found.k, found.case, step + found.trail)
+    assert carried is not None, f"{step} must carry the certificate {found}"
+    return carried

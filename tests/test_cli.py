@@ -565,6 +565,59 @@ class TestPooledVerify:
         keys = _logged_blocks(tmp_path / "sweep.ckpt.blocks")
         assert sorted(keys) == [(n, n1) for n in range(7, 31) for n1 in range(1, n)]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_interrupt_in_the_fsync_yields_an_incomplete_report(self, monkeypatch, tmp_path, jobs):
+        # A Ctrl-C after a modulus's last block, while its log is fsynced,
+        # still ends the run with that modulus's incomplete report on file.
+        ckpt = tmp_path / "sweep.ckpt"
+        report = tmp_path / "verify.jsonl"
+        fresh = tmp_path / "fresh.jsonl"
+        argv = ["verify", "--n-range", "7:20", "--all-moduli", "--jobs", jobs,
+                "--checkpoint-path", str(ckpt), "--report-path", str(report)]
+        sync = harness.Checkpoint.sync
+        calls = []
+
+        def interrupting(self):
+            calls.append(self)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return sync(self)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness.Checkpoint, "sync", interrupting)
+            code, output = invoke(argv)
+        assert code == EXIT_INTERRUPTED
+        assert "complete=false" in output.splitlines()[-1]
+        records = _records(report)
+        assert records and records[-1]["complete"] is False
+        assert all(r["complete"] for r in records[:-1])
+        assert invoke(argv)[0] == EXIT_OK
+        assert invoke(["verify", "--n-range", "7:20", "--all-moduli",
+                       "--report-path", str(fresh)])[0] == EXIT_OK
+        assert _records(report) == _records(fresh)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_interrupt_between_reports_keeps_the_reports_out(self, tmp_path, jobs):
+        # A Ctrl-C in the command's own work on a report, here its first
+        # line of output, ends the run with the reports already out on file.
+        ckpt = tmp_path / "sweep.ckpt"
+        report = tmp_path / "verify.jsonl"
+        fresh = tmp_path / "fresh.jsonl"
+        argv = ["verify", "--n-range", "7:20", "--all-moduli", "--jobs", jobs,
+                "--checkpoint-path", str(ckpt), "--report-path", str(report)]
+
+        class InterruptedOutput(io.StringIO):
+            def write(self, text):
+                raise KeyboardInterrupt
+
+        assert run(argv, out=InterruptedOutput()) == EXIT_INTERRUPTED
+        records = _records(report)
+        assert [(r["n"], r["complete"]) for r in records] == [(7, True)]
+        assert invoke(argv)[0] == EXIT_OK
+        assert invoke(["verify", "--n-range", "7:20", "--all-moduli",
+                       "--report-path", str(fresh)])[0] == EXIT_OK
+        assert _records(report) == _records(fresh)
+
     @pytest.mark.skipif(
         os.name != "posix" or (os.cpu_count() or 1) < 2,
         reason="needs POSIX process groups and two cores for a worker pool",

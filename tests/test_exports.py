@@ -26,6 +26,13 @@ def test_every_public_attribute_is_exported():
     assert public == set(zsindex.__all__)
 
 
+def test_the_unchecked_sequence_constructor_stays_private():
+    # sequences._presorted skips the sort and the range check; only the
+    # enumeration kernel's callers may use it.
+    assert "_presorted" not in zsindex.__all__
+    assert not hasattr(zsindex, "_presorted")
+
+
 def test_package_imports_only_the_standard_library():
     modules = sorted((ROOT / "src" / "zsindex").glob("*.py"))
     assert modules

@@ -34,6 +34,7 @@ from zsindex.harness import (
     _orbit_tests,
     _representative_stabilizer,
 )
+from zsindex.sequences import _presorted
 
 from oracles import (
     closed_form_sequences_total,
@@ -94,6 +95,24 @@ class TestEnumerateMinimal:
     def test_quadruples_match_naive_oracle_up_to_40(self):
         for n in range(2, 41):
             assert list(_minimal_tuples(n, 4)) == sorted(naive_minimal_enumeration(n, 4)), n
+
+    @pytest.mark.parametrize("orbits", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_presorted_sequences_equal_checked_ones(self, k, orbits):
+        # A sweep builds each tuple's Sequence without sorting or a range
+        # check, so every tuple the kernel yields, in either mode, must be
+        # sorted and in range.  Full mode at k = 5 stops at n = 40: its 1.2
+        # million tuples up to 60 take about 2.5 s to build twice.
+        top = 40 if (k, orbits) == (5, False) else 60
+        for n in range(2, top + 1):
+            group = factorize(n)
+            for n1 in _leading_terms(n, orbits):
+                if orbits:
+                    block = [terms for terms, _ in _orbit_block(n, k, n1)]
+                else:
+                    block = list(_minimal_tuples(n, k, (n1,)))
+                built = [_presorted(group, terms) for terms in block]
+                assert built == [Sequence(group, terms) for terms in block], (n, n1)
 
     def test_lengths_above_n_are_empty(self):
         # The Davenport constant of Z_n is n: longer sequences are never minimal.

@@ -10,8 +10,10 @@ applied to its own fresh copy and its named tests run there.  A mutant is
 killed when every test named for it fails (a test the mutant keeps from
 being collected counts as failing), and a survivor is reported with the
 named tests that passed.  An old text that does not occur exactly once
-in its file is an error, not a skip: the entry is stale and must be
-brought up to date with the code it mutates.
+in its file, or a named test whose function is not defined, is an error,
+not a skip: the entry is stale and must be brought up to date with the
+code it mutates.  ``stale_entries`` makes that check alone, in well under a
+second, and the test suite runs it.
 
 Exit status: 0 when every mutant is killed, 1 when one survives, 2 when an
 entry is stale, a named test is not run, or a named test fails unmutated.
@@ -20,6 +22,8 @@ The gate is slower than a unit test and is not part of the test suite.
 
 from __future__ import annotations
 
+import ast
+import functools
 import os
 import shutil
 import subprocess
@@ -53,6 +57,9 @@ REPS = ORBIT + "test_orbit_reps_match_naive_oracle_block_by_block"
 MINIMAL = "tests/test_sequences.py::TestMinimality::"
 INDEX = "tests/test_sequences.py::TestIndex::"
 RESUME = "tests/test_harness.py::TestCheckpointResume::"
+WITNESS = "src/zsindex/witness.py"
+FIND = "tests/test_witness.py::TestFindWitness::"
+CARRY = "    carried = certify(s, found.m * u, "
 # The unit case of the orbit blocks' admission test, from its first
 # comparison with b to its last.
 CLEAR_CHECKS = """\
@@ -269,6 +276,31 @@ MUTANTS = [
         ("tests/test_harness.py::test_a_pooled_run_reports_the_serial_histogram_order",),
     ),
     Mutant(
+        "a carried hit skips the recomputation on its own terms",
+        WITNESS,
+        CARRY,
+        "    carried = Witness(found.m * u % n, n, ",
+        (FIND + "test_a_carried_hit_is_certified_on_its_own_terms",),
+    ),
+    Mutant(
+        "a carried hit's multiplier leaves out u",
+        WITNESS,
+        CARRY,
+        "    carried = certify(s, found.m, ",
+        (
+            FIND + "test_worked_transported_case",
+            FIND + "test_oracle_agreement_exhaustive[35]",
+            "tests/test_witness.py::test_golden_witness_provenance[45]",
+        ),
+    ),
+    Mutant(
+        "the lead image maps the zero element n to 0",
+        WITNESS,
+        "sorted([(u * x - 1) % n + 1 for x in terms])",
+        "sorted([u * x % n for x in terms])",
+        ("tests/test_witness.py::TestLeadImage::test_every_multiset_with_the_zero_element",),
+    ),
+    Mutant(
         "search expands each orbit over every unit but the last",
         HARNESS,
         "for u in unit_list}",
@@ -341,13 +373,42 @@ def copy_tree(scratch: Path, name: str) -> Path:
     return tree
 
 
-def main() -> int:
-    stale = 0
+@functools.lru_cache(maxsize=None)
+def _module_body(path: str) -> list[ast.stmt]:
+    return ast.parse((ROOT / path).read_text()).body
+
+
+def defines(path: str, scopes: list[str]) -> bool:
+    """Whether the file defines the function at the end of the class path ``scopes``."""
+    body = _module_body(path)
+    *classes, name = scopes
+    for scope in classes:
+        found = [node for node in body if isinstance(node, ast.ClassDef) and node.name == scope]
+        if not found:
+            return False
+        body = found[0].body
+    return any(isinstance(node, ast.FunctionDef) and node.name == name for node in body)
+
+
+def stale_entries() -> list[str]:
+    """One line per entry whose old text is not in its file exactly once, and
+    per named test whose function is not defined (its parameters unchecked)."""
+    lines = []
     for mutant in MUTANTS:
         count = (ROOT / mutant.path).read_text().count(mutant.old)
         if count != 1:
-            stale += 1
-            print(f"STALE     {mutant.name}: old text found {count} times in {mutant.path}")
+            lines.append(f"{mutant.name}: old text found {count} times in {mutant.path}")
+    for test in sorted({test for mutant in MUTANTS for test in mutant.tests}):
+        path, *scopes = test.split("[")[0].split("::")
+        if not defines(path, scopes):
+            lines.append(f"{test}: no such test function")
+    return lines
+
+
+def main() -> int:
+    stale = stale_entries()
+    for line in stale:
+        print(f"STALE     {line}")
     if stale:
         return 2
     named = sorted({test for mutant in MUTANTS for test in mutant.tests})
