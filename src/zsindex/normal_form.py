@@ -87,9 +87,6 @@ class NormalForm:
         n = self.modulus.n
         return (self.e, self.c, n - self.b, n - self.a)
 
-    def represented(self) -> Sequence:
-        return Sequence(self.modulus, self.represented_terms())
-
 
 def content(s: Sequence) -> int:
     """gcd of n and all terms; 1 whenever some term is coprime to n."""

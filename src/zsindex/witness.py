@@ -11,13 +11,14 @@ read the half-open intervals [kn/c, kn/b) from one function,
 ``interval_integers``; the rest of the pool is a fixed list of small
 constants.  Every hit from every stage is validated by direct recomputation
 before it is emitted; a failed validation is logged and the search just
-continues, so soundness rests on the validation alone.  ``find_witness``
-runs the stages once per lead image of a unit orbit.  A certificate found
-on one sequence reaches another by a unit move (the lift out of content
-division, normalization, the orbit transport), and each move certifies it
-again on the target's own terms through ``certify``: the lift and
-normalization through one helper, ``_carry``, and the orbit transport,
-which a full sweep makes for almost every sequence, by calling ``certify``
+continues, so soundness rests on the validation alone.  Each stage
+certifies on the sequence it answers for: the two form stages take the
+input s with its normal form nf and try m * nf.unit on s, with nf.steps as
+the trail, as ``_pipeline`` does for each pool member, so a hit is
+certified once.  ``find_witness`` runs the stages once per lead image of a
+unit orbit.  A certificate found on one sequence reaches another by a unit
+move (the lift out of content division, the orbit transport), and each
+move certifies it again on the target's own terms by calling ``certify``
 itself.  The sweep's recheck, ``certificates.verify_witness``, shares no
 code with this search, not even residue reduction: it reduces each term
 inline.
@@ -86,16 +87,18 @@ def compute_l(nf: NormalForm) -> int:
     return next(l for l in itertools.count(1) if len(interval_integers(l, nf)) >= 3)
 
 
-def interval_witness(nf: NormalForm) -> Witness | None:
+def interval_witness(s: Sequence, nf: NormalForm) -> Witness | None:
     """First (k, m) with kn/c <= m < kn/b, gcd(m, n) = 1 and m*a < n that
-    directly certifies the represented sequence.
+    certifies the represented sequence, as m times ``nf.unit`` on s.
 
-    Scans k ascending, then m ascending within the half-open interval; stops
-    once even the interval's lower end pushes m*a past n.
+    s is the input that nf normalizes: m certifies the represented sequence
+    exactly when m * nf.unit certifies s, so each probe is checked once, on
+    s's own terms, with nf.steps as its trail.  Scans k ascending, then m
+    ascending within the half-open interval; stops once even the interval's
+    lower end pushes m*a past n.
     """
     n = nf.modulus.n
     a = nf.a
-    rep = nf.represented()
     for k in range(1, nf.b + 1):
         members = interval_integers(k, nf)
         if members.start * a >= n:
@@ -105,7 +108,7 @@ def interval_witness(nf: NormalForm) -> Witness | None:
                 break
             if math.gcd(m, n) != 1:
                 continue
-            w = certify(rep, m, RULE_INTERVAL, k=k)
+            w = certify(s, m * nf.unit, RULE_INTERVAL, k=k, trail=nf.steps)
             if w is not None:
                 return w
             logger.debug(
@@ -114,17 +117,17 @@ def interval_witness(nf: NormalForm) -> Witness | None:
     return None
 
 
-def two_of_three_witness(nf: NormalForm) -> Witness | None:
+def two_of_three_witness(s: Sequence, nf: NormalForm) -> Witness | None:
     """Search M <= n/(2e) for units satisfying two of the three half-plane
     tests |Ma|_n > n/2, |Mb|_n > n/2, |Mc|_n < n/2.
 
     A hit is converted to a concrete certificate by trying M and n - M on
-    the represented sequence; conversions that fail validation are logged
-    and skipped.
+    the represented sequence, each as that multiplier times ``nf.unit`` on
+    the input s that nf normalizes (see ``interval_witness``); conversions
+    that fail validation are logged and skipped.
     """
     n = nf.modulus.n
     e, a, b, c = nf.e, nf.a, nf.b, nf.c
-    rep = nf.represented()
     for big_m in range(1, n // (2 * e) + 1):
         if math.gcd(big_m, n) != 1:
             continue
@@ -138,7 +141,7 @@ def two_of_three_witness(nf: NormalForm) -> Witness | None:
         if score < 2:
             continue
         for candidate in (big_m, n - big_m):
-            w = certify(rep, candidate, RULE_TWO_OF_THREE)
+            w = certify(s, candidate * nf.unit, RULE_TWO_OF_THREE, trail=nf.steps)
             if w is not None:
                 return w
         logger.debug("half-plane hit failed conversion: M=%d on %s", big_m, nf)
@@ -190,18 +193,6 @@ def _unit_lift(x: int, n: int, step: int) -> int:
     return u
 
 
-def _carry(w: Witness, s: Sequence, m: int, steps: tuple[str, ...]) -> Witness:
-    """w carried onto s, where its multiplier becomes m.
-
-    The move (content division, normalization) keeps the index, so m
-    certifies s on its own terms; steps names the move and goes before w's
-    trail.
-    """
-    carried = certify(s, m, w.rule, w.k, w.case, steps + w.trail)
-    assert carried is not None, f"{steps} must carry the certificate {w}"
-    return carried
-
-
 def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
     n = s.n
     if sum(s.terms) == n:
@@ -217,7 +208,10 @@ def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
         inner = _pipeline(reduce_by_content(s))
         if isinstance(inner, HighIndexEvidence):
             return _exhaustive(s)
-        return _carry(inner, s, _unit_lift(inner.m, n, n // u), (f"content:{u}",))
+        m = _unit_lift(inner.m, n, n // u)
+        w = certify(s, m, inner.rule, inner.k, inner.case, (f"content:{u}",) + inner.trail)
+        assert w is not None, f"content:{u} must carry the certificate {inner}"
+        return w
     nf = _normalize_validated(s)
     if nf is None:
         return _exhaustive(s)  # lopsided, and no unit certifies it
@@ -226,9 +220,9 @@ def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
     # nf.unit maps s onto the represented sequence, so m certifies that
     # sequence exactly when m times the unit certifies s.
     for stage in (interval_witness, two_of_three_witness):
-        w = stage(nf)
+        w = stage(s, nf)
         if w is not None:
-            return _carry(w, s, w.m * nf.unit, nf.steps)
+            return w
     for m, tag in candidate_multipliers(nf):
         w = certify(s, m * nf.unit, RULE_CANDIDATE, case=tag, trail=nf.steps)
         if w is not None:
@@ -309,7 +303,7 @@ def find_witness(s: Sequence) -> Witness | HighIndexEvidence:
     step = _ORBIT_STEPS.get(u)
     if step is None:
         step = _ORBIT_STEPS[u] = (f"orbit:{u}",)
-    # _carry's move, without its frame: the hot path of a full sweep.
+    # The orbit move, certified on s's own terms: the hot path of a full sweep.
     carried = certify(s, found.m * u, found.rule, found.k, found.case, step + found.trail)
     assert carried is not None, f"{step} must carry the certificate {found}"
     return carried

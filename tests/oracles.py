@@ -75,30 +75,59 @@ def naive_floor_block(n: int, k: int, d: int) -> list[tuple[int, ...]]:
     ]
 
 
-def closed_form_sequences_total(n: int) -> int:
-    """How many sorted minimal zero-sum 4-tuples over [1, n-1] there are,
-    counted without enumerating them.
+# The cycle types of S_k, with the size of each class, for the lengths that
+# have a closed form.
+CYCLE_TYPES = {
+    3: {(1, 1, 1): 1, (2, 1): 3, (3,): 2},
+    4: {(1, 1, 1, 1): 1, (2, 1, 1): 6, (2, 2): 3, (3, 1): 8, (4,): 6},
+    5: {
+        (1, 1, 1, 1, 1): 1, (2, 1, 1, 1): 10, (2, 2, 1): 15, (3, 1, 1): 20,
+        (3, 2): 20, (4, 1): 30, (5,): 24,
+    },
+}
 
-    A zero-sum 4-multiset of nonzero residues is minimal unless it splits
-    into two zero-sum pairs {a, -a}, {c, -c}: a zero-sum subset of size 1
-    or 3 would leave or be the zero element.  The zero-sum multisets are
-    counted by Polya's theorem over S_4: a permutation of cycle type
-    (l_1, ..., l_r) fixes the tuples that give each cycle one residue x_i,
-    and sum l_i * x_i = 0 holds for (1/n) sum_j prod_i (n [n | l_i j] - 1)
-    of them (a character sum over Z_n).  The split ones are the multisets of
-    two of the P = floor((n - 1) / 2) + [2 | n] pairs {a, -a}.
+
+def zero_sum_multisets(n: int, k: int) -> int:
+    """How many k-multisets of nonzero residues of Z_n sum to zero, counted
+    by Polya's theorem over S_k.
+
+    A permutation of cycle type (l_1, ..., l_r) fixes the tuples that give
+    each cycle one residue x_i, and sum l_i * x_i = 0 holds for
+    (1/n) sum_j prod_i (n [n | l_i j] - 1) of them (a character sum over
+    Z_n); averaging over the k! permutations counts the multisets.
     """
-    cycle_types = {(1, 1, 1, 1): 1, (2, 1, 1): 6, (2, 2): 3, (3, 1): 8, (4,): 6}
+    order = math.factorial(k)
+    assert sum(CYCLE_TYPES[k].values()) == order
     fixed = 0
-    for lengths, size in cycle_types.items():
+    for lengths, size in CYCLE_TYPES[k].items():
         for j in range(n):
             product = 1
             for length in lengths:
                 product *= n * (length * j % n == 0) - 1
             fixed += size * product
-    assert fixed % (24 * n) == 0
+    assert fixed % (order * n) == 0
+    return fixed // (order * n)
+
+
+def closed_form_sequences_total(n: int, k: int = 4) -> int:
+    """How many sorted minimal zero-sum k-tuples over [1, n-1] there are,
+    for k = 3, 4 or 5, counted without enumerating them.
+
+    A zero-sum multiset of nonzero residues is minimal unless it splits into
+    two shorter zero-sum parts, and no part has one term.  So every triple
+    is minimal.  A quadruple splits only into two pairs {a, -a}, {c, -c},
+    and a quintuple only into one pair {a, -a} and a triple; the pair's
+    class is the only one in the quintuple (a second pair would leave a
+    zero term), so the split is unique.  There are P = floor((n - 1) / 2)
+    + [2 | n] pairs {a, -a}, and the multisets come from
+    ``zero_sum_multisets``.
+    """
     pairs = (n - 1) // 2 + (n % 2 == 0)
-    return fixed // (24 * n) - pairs * (pairs + 1) // 2
+    if k == 3:
+        return zero_sum_multisets(n, 3)
+    if k == 4:
+        return zero_sum_multisets(n, 4) - pairs * (pairs + 1) // 2
+    return zero_sum_multisets(n, 5) - pairs * zero_sum_multisets(n, 3)
 
 
 def naive_interval_members(k: int, n: int, b: int, c: int) -> list[int]:

@@ -103,6 +103,9 @@ def test_traced_orbit_verify_matches_its_report(tmp_path):
     metrics = tracer.pipeline_metrics(t)
     assert metrics["witness.find.calls"] == record["orbits_total"]
     assert metrics["certificates.recheck.calls"] == record["orbits_total"]
+    # Every representative here is certified by its first certify call: each
+    # stage certifies on the input itself, so no hit is certified twice.
+    assert metrics["certificates.certify.calls"] == record["orbits_total"]
     assert metrics["harness.checkpoint.records_written"] == 3  # blocks 1, 5 and 7
 
 

@@ -322,6 +322,12 @@ class TestOrbitCanonical:
         for n in range(2, 41):
             assert closed_form_sequences_total(n) == sum(1 for _ in _minimal_tuples(n, 4)), n
 
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_closed_form_counts_every_triple_and_quintuple(self, k):
+        for n in range(2, 41):
+            total = sum(1 for _ in _minimal_tuples(n, k))
+            assert closed_form_sequences_total(n, k) == total, (n, k)
+
     @pytest.mark.parametrize("n, total", [(385, 2_371_584), (455, 3_916_204)])
     def test_orbit_sweep_total_matches_closed_form(self, n, total):
         # No enumeration oracle reaches these moduli; the closed form guards

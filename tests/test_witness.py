@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import pytest
@@ -17,6 +18,7 @@ from zsindex import (
     RULE_TWO_OF_THREE,
     Sequence,
     Witness,
+    apply_unit,
     candidate_multipliers,
     compute_k1,
     compute_l,
@@ -141,9 +143,15 @@ class TestIntervalDiagnostics:
         assert all(len(per[k]) <= 2 for k in range(1, 6))
 
 
+def on_represented(form):
+    """A stage's arguments for a form built directly: its own represented
+    sequence, which the form's unit 1 leaves in place."""
+    return Sequence(form.modulus, form.represented_terms()), form
+
+
 class TestIntervalWitness:
     def test_hit_on_worked_form(self):
-        w = interval_witness(nf(35, 1, 2, 3, 4))
+        w = interval_witness(*on_represented(nf(35, 1, 2, 3, 4)))
         assert w is not None
         assert w.m == 9 and w.k == 1 and w.rule == RULE_INTERVAL
         rep = seq(35, (1, 4, 32, 33))
@@ -151,17 +159,17 @@ class TestIntervalWitness:
 
     def test_skips_non_units(self):
         # 10 sits in the k=1 interval but shares a factor with 35
-        w = interval_witness(nf(35, 1, 2, 3, 4))
+        w = interval_witness(*on_represented(nf(35, 1, 2, 3, 4)))
         assert w.m != 10
 
     def test_respects_ma_bound(self):
-        w = interval_witness(nf(35, 1, 2, 3, 4))
+        w = interval_witness(*on_represented(nf(35, 1, 2, 3, 4)))
         assert w.m * 2 < 35
 
 
 class TestTwoOfThree:
     def test_first_qualifying_multiplier(self):
-        w = two_of_three_witness(nf(35, 1, 2, 3, 4))
+        w = two_of_three_witness(*on_represented(nf(35, 1, 2, 3, 4)))
         assert w is not None
         assert w.m == 9 and w.rule == RULE_TWO_OF_THREE
         assert verify_witness(seq(35, (1, 4, 32, 33)), w)
@@ -169,8 +177,49 @@ class TestTwoOfThree:
     def test_search_bound_respects_leading_term(self):
         # e = 1 over n = 35 allows M up to 17; all searched M stay in range
         form = nf(35, 1, 2, 3, 4)
-        w = two_of_three_witness(form)
+        w = two_of_three_witness(*on_represented(form))
         assert w is not None and w.m <= 17
+
+
+@pytest.mark.parametrize("stage", [interval_witness, two_of_three_witness])
+def test_form_stage_answers_for_its_input(stage):
+    """A stage given an input s and its form nf certifies on s exactly what it
+    certifies on the represented sequence, moved by nf.unit and named by
+    nf.steps.  Normalization reaches a form at unit 1 or, through the
+    complement, at n - 1; the input v^-1 * s, whose form is reached through
+    the further move mul:v, checks a unit that is neither."""
+    from zsindex import enumerate_minimal
+    from zsindex.normal_form import _normalize_validated
+
+    seen = {1: 0, -1: 0}
+    for n in range(2, 41):
+        v = next((u for u in range(2, n - 1) if math.gcd(u, n) == 1), None)
+        for s in enumerate_minimal(factorize(n), 4):
+            if math.gcd(n, *s.terms) != 1:
+                continue
+            form = _normalize_validated(s)
+            if not isinstance(form, NormalForm):
+                continue
+            assert form.unit in (1, n - 1), (n, s.terms, form)
+            seen[1 if form.unit == 1 else -1] += 1
+            plain = NormalForm(form.modulus, form.e, form.a, form.b, form.c)
+            on_rep = stage(*on_represented(plain))
+            inputs = [(s, form)]
+            if v is not None:
+                moved = apply_unit(s, pow(v, -1, n))
+                steps = (f"mul:{v}",) + form.steps
+                inputs.append((moved, replace(form, unit=form.unit * v % n, steps=steps)))
+            for source, source_form in inputs:
+                on_input = stage(source, source_form)
+                if on_rep is None:
+                    assert on_input is None, (n, source.terms, on_input)
+                    continue
+                assert on_input is not None, (n, source.terms, on_rep)
+                assert (on_input.rule, on_input.k) == (on_rep.rule, on_rep.k), (n, source.terms)
+                assert on_input.m == on_rep.m * source_form.unit % n, (n, source.terms, on_input)
+                assert on_input.trail == source_form.steps, (n, source.terms, on_input)
+                assert verify_witness(source, on_input), (n, source.terms, on_input)
+    assert seen[1] and seen[-1], seen
 
 
 class TestCandidatePool:

@@ -59,6 +59,7 @@ INDEX = "tests/test_sequences.py::TestIndex::"
 RESUME = "tests/test_harness.py::TestCheckpointResume::"
 WITNESS = "src/zsindex/witness.py"
 FIND = "tests/test_witness.py::TestFindWitness::"
+STAGE = "tests/test_witness.py::test_form_stage_answers_for_its_input"
 CARRY = "    carried = certify(s, found.m * u, "
 # The unit case of the orbit blocks' admission test, from its first
 # comparison with b to its last.
@@ -294,6 +295,27 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "the interval stage certifies m without nf.unit",
+        WITNESS,
+        "certify(s, m * nf.unit, RULE_INTERVAL,",
+        "certify(s, m, RULE_INTERVAL,",
+        (
+            STAGE + "[interval_witness]",
+            FIND + "test_worked_pipeline_case",
+            "tests/test_witness.py::test_golden_witness_provenance[45]",
+        ),
+    ),
+    Mutant(
+        "the two-of-three stage drops nf.steps from its trail",
+        WITNESS,
+        "RULE_TWO_OF_THREE, trail=nf.steps)",
+        "RULE_TWO_OF_THREE)",
+        (
+            STAGE + "[two_of_three_witness]",
+            "tests/test_witness.py::test_golden_witness_provenance[45]",
+        ),
+    ),
+    Mutant(
         "the lead image maps the zero element n to 0",
         WITNESS,
         "sorted([(u * x - 1) % n + 1 for x in terms])",
@@ -340,7 +362,11 @@ MUTANTS = [
 # comparing every unit term's image, tied or not (only slower: an untied
 # image sorts above the terms), and ``stop_at=None`` in
 # ``one_sided_witness`` (at index 1 the minimum is n, and its least argmin
-# is the first certifying unit).
+# is the first certifying unit).  The two-of-three stage certifying M
+# without nf.unit is not seeded either, though it is not equivalent: the
+# pipeline's forms carry unit 1 or n - 1 and the stage tries both M and
+# n - M, so only the mul:v inputs of test_form_stage_answers_for_its_input
+# tell it apart.
 
 
 def junit_id(node: str) -> str:
