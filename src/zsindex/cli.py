@@ -29,6 +29,7 @@ from .harness import (
     VerifyOptions,
     _minimal_tuples,
     _orbit_reps,
+    orbit_canonical,
     search_high_index,
     verify_moduli,
 )
@@ -41,8 +42,8 @@ from .normal_form import (
     reduce_by_content,
     to_normal_form,
 )
-from .residues import factorize
-from .sequences import Sequence, is_minimal_zero_sum, is_zero_sum, sequence_index
+from .residues import factorize, units
+from .sequences import Sequence, apply_unit, is_minimal_zero_sum, is_zero_sum, sequence_index
 from .witness import compute_k1, compute_l, find_witness
 
 EXIT_OK = 0
@@ -299,11 +300,16 @@ def _cmd_enumerate(config: RunConfig, out: TextIO) -> int:
 
 
 def _cmd_witness(config: RunConfig, out: TextIO) -> int:
+    # The certificate a full sweep counts for s: the one its orbit's least
+    # member R gets, carried over by the least unit u with u * s = R.
     s = config.sequence()
     try:
-        result = find_witness(s)
+        _check_quadruple(s)
     except (NotLength4, NotMinimalZeroSum) as exc:
         raise UsageError(str(exc)) from exc
+    rep = orbit_canonical(s)
+    u = next(u for u in units(s.modulus) if apply_unit(s, u) == rep)
+    result = find_witness(s, find_witness(rep), u)
     if isinstance(result, Witness):
         out.write(
             f"index 1 witness {result.m} rule {result.label} "

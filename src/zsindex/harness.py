@@ -1,16 +1,15 @@
 """Whole-space verification: enumeration, orbits, sweeps, checkpoints.
 
-The sequence space of one modulus is partitioned into blocks by leading
-term, so blocks can run on parallel workers and completed blocks can be
-checkpointed.  A full sweep has one block per term in [1, n-1].  An orbit
-sweep has one per proper divisor d of n, because every unit orbit's least
-member leads with d = min gcd(t_i, n).  Each orbit block finds its least
-members with one pair of tests, and ``_orbit_tests`` is the one place that
-picks the pair by d.  The admission test passes or refuses a term as it
-joins the prefix, so no tuple of a refused subtree is built.  The leastness
-test then decides whether a tuple built is least in its orbit, and counts
-its stabilizer.  For d > 1 the pair is the gcd floor, gcd(t, n) >= d (no
-tuple holding a term of smaller gcd can be a least member), and
+The sequence space of one modulus is partitioned into blocks, so blocks can
+run on parallel workers and completed blocks can be checkpointed.  Both
+sweep modes have one block per proper divisor d of n, because every unit
+orbit's least member leads with d = min gcd(t_i, n).  Each orbit block finds
+its least members with one pair of tests, and ``_orbit_tests`` is the one
+place that picks the pair by d.  The admission test passes or refuses a term
+as it joins the prefix, so no tuple of a refused subtree is built.  The
+leastness test then decides whether a tuple built is least in its orbit, and
+counts its stabilizer.  For d > 1 the pair is the gcd floor, gcd(t, n) >= d
+(no tuple holding a term of smaller gcd can be a least member), and
 ``_representative_stabilizer``, which tries the units that send one of the
 tuple's gcd-d terms to d.  For block 1, which holds most tuples, every term
 passes that floor, so the pair works on units instead: ``clear`` refuses a
@@ -19,15 +18,19 @@ term when some unit term t sends another term below the second term b
 tuple), and ``ties`` builds only the images that tie with the tuple on b.
 ``_orbit_block`` yields each least member R with |Stab(R)|, so the sweep
 counts each orbit's members (|orbit(R)| = phi(n) / |Stab(R)|) rather than
-enumerating them.  Every gcd, inverse and such unit is read from one
-per-modulus table, ``residues.lift_table``, which both pairs and
-``orbit_canonical`` share.  ``search_high_index`` walks the same pairs, one
-unit scan per representative, and expands only the high-index orbits.
-One worker pool serves a whole ``verify_moduli`` run, however many moduli it
-sweeps, and its task queue runs across moduli.  Block results, logged or
-new, are added into one running tally per sweep by plain counter addition,
-and the report sorts the tally's histogram keys and findings, so it is
-independent of worker scheduling.
+enumerating them.  An orbit sweep certifies R alone.  A full sweep also
+expands R's orbit with ``_orbit_members``, which checks the orbit's size,
+and each member gets its certificate from R's: the index is constant on an
+orbit, so the reduction chain runs once per orbit.  Every gcd, inverse and
+such unit is read from one per-modulus table, ``residues.lift_table``,
+which both pairs, ``_orbit_members`` and ``orbit_canonical`` share.
+``search_high_index`` walks the same pairs, one unit scan per
+representative, and expands only the high-index orbits.  One worker pool
+serves a whole ``verify_moduli`` run, however many moduli it sweeps, and its
+task queue runs across moduli.  Block results, logged or new, are added
+into one running tally per sweep by plain counter addition, and the report
+sorts the tally's histogram keys and findings, so it is independent of
+worker scheduling.
 """
 
 from __future__ import annotations
@@ -40,21 +43,24 @@ import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence as SequenceABC
 
 from .certificates import HighIndexEvidence, verify_witness
-from .residues import GroupOrder, factorize, lift_table, units
+from .residues import GroupOrder, _units, factorize, lift_table, units
 from .sequences import Sequence, _presorted, min_transform_sum, sequence_index
-from .witness import _MEMO, _exhaustive, find_witness
+from .witness import _exhaustive, find_witness
 
 HIGH_INDEX_KEY = "HIGH_INDEX"
 # Version of the FILE.blocks records.  Records without it were written
 # before full sweeps carried each sequence's lead-image label, so their
 # histograms cannot merge with this engine's; schema 2 orbit records counted
 # the tuples of their own block, where schema 3 ones count whole orbits.
-CHECKPOINT_SCHEMA = 3
+# Schema 3 full-sweep records name one block per leading term and carry
+# lead-image labels; schema 4 ones, like every orbit record, name a divisor
+# block and carry each orbit representative's label.
+CHECKPOINT_SCHEMA = 4
 
 
 def _minimal_tuples(
@@ -304,14 +310,12 @@ def orbit_canonical(s: Sequence) -> Sequence:
     return Sequence(s.modulus, _canonical_terms(s.terms, s.n))
 
 
-def _leading_terms(n: int, orbits: bool) -> list[int]:
-    """The blocks of a sweep: every term in [1, n-1], or for orbits its proper divisors.
+def _leading_terms(n: int) -> list[int]:
+    """The blocks of a sweep, in either mode: the proper divisors of n.
 
     An orbit's least member leads with a divisor of n (see ``_canonical_terms``).
     """
-    if orbits:
-        return [d for d in range(1, n) if n % d == 0]
-    return list(range(1, n))
+    return [d for d in range(1, n) if n % d == 0]
 
 
 def _orbit_block(n: int, k: int, d: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -334,12 +338,37 @@ def _orbit_reps(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
     Only the blocks led by a divisor d of n are enumerated
     (``_leading_terms``), each by ``_orbit_block``.
     """
-    return chain.from_iterable(_orbit_block(n, k, d) for d in _leading_terms(n, orbits=True))
+    return chain.from_iterable(_orbit_block(n, k, d) for d in _leading_terms(n))
+
+
+def _orbit_members(
+    rep: tuple[int, ...], n: int, fixed: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Each member T of R's unit orbit once, with the least unit u that sends T to R.
+
+    The units u are walked ascending, and each sorted image T = u^-1 * R is
+    yielded the first time it turns up, with that u: the least unit with
+    u * T = R.  So R itself comes first, with u = 1.  The orbit holds
+    phi(n) / |Stab(R)| members; ``fixed`` is the |Stab(R)| that R's orbit
+    block counted, and the walk raises ``RuntimeError`` at its end if it saw
+    another number.  Each inverse is read from the modulus's ``lift_table``.
+    """
+    _, lifts = lift_table(n)
+    unit_list = _units(n)
+    seen = set()
+    for u in unit_list:
+        (v,) = lifts[u]  # u^-1
+        terms = tuple(sorted([v * t % n for t in rep]))
+        if terms not in seen:
+            seen.add(terms)
+            yield terms, u
+    if len(seen) * fixed != len(unit_list):
+        raise RuntimeError(f"orbit of {rep} over {n} has {len(seen)} members")
 
 
 @dataclass(slots=True)
 class BlockResult:
-    """Tallies for one leading-term block; merging is plain addition."""
+    """Tallies for one divisor block; merging is plain addition."""
 
     n1: int
     sequences: int
@@ -351,9 +380,10 @@ class BlockResult:
 class SweepTally:
     """Running totals of one (n, k, orbits) sweep, its block results added as they arrive.
 
-    ``done`` holds the leading terms added so far.  A block added again is
-    skipped: block results are deterministic, so a block logged twice (as a
-    modulus listed twice in one run logs each of its blocks) counts once.
+    ``done`` holds the leading divisors of the blocks added so far.  A block
+    added again is skipped: block results are deterministic, so a block
+    logged twice (as a modulus listed twice in one run logs each of its
+    blocks) counts once.
     """
 
     __slots__ = ("done", "sequences", "orbit_reps", "histogram", "high_index")
@@ -384,15 +414,18 @@ class SweepTally:
         self.high_index.extend(high_index)
 
 
-def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
-    """Run the witness engine over one leading-term block.
+def _scan_block_impl(n: int, k: int, d: int, orbits: bool) -> BlockResult:
+    """Run the witness engine over orbit block d, a proper divisor of n.
 
-    In orbit mode ``n1`` is a divisor of n and the block is an orbit block
-    (see ``_orbit_block``): only its orbit representatives R are certified.
-    Each adds its whole orbit, phi(n) / |Stab(R)| sequences, to the count,
-    so the divisor blocks together count every sequence of the modulus.
-    In full mode every tuple is paired with phi(n) in place of |Stab|, so it
-    counts once.
+    The block yields its orbit representatives R (see ``_orbit_block``), and
+    each adds its whole orbit, phi(n) / |Stab(R)| sequences, to the count,
+    so the divisor blocks together count every sequence of the modulus.  In
+    orbit mode only R is certified.  In full mode R's orbit is expanded
+    (``_orbit_members``): R is certified first, and every other member T
+    then gets its result from R's through ``find_witness(T, found, u)``.
+    Every member carries R's label, so the histogram adds the orbit's size
+    (full mode) or 1 (orbit mode) under R's label once per representative.
+    Lengths other than 4 run the exhaustive scan on every member.
 
     Every witness is rechecked with the independent verifier; every piece of
     high-index evidence is cross-checked against the exhaustive index.  A
@@ -404,32 +437,30 @@ def _scan_block_impl(n: int, k: int, n1: int, orbits: bool) -> BlockResult:
     high: list[tuple[tuple[int, ...], int]] = []
     sequences = 0
     reps = 0
-    if orbits:
-        block = _orbit_block(n, k, n1)
-    else:
-        block = zip(_minimal_tuples(n, k, (n1,)), repeat(phi))
-    find = find_witness if k == 4 else _exhaustive
-    for terms, fixed in block:
-        sequences += phi // fixed
+    for rep, fixed in _orbit_block(n, k, d):
+        size = phi // fixed
+        sequences += size
         reps += 1
-        seq = _presorted(group, terms)  # the kernel builds them sorted, in [1, n - 1]
-        result = find(seq)
-        if type(result) is HighIndexEvidence:
-            check = sequence_index(seq)
-            if check.numerator != result.min_sum or check.argmin_unit != result.argmin_unit:
-                raise RuntimeError(
-                    f"evidence mismatch for {terms} over {n}: "
-                    f"{result} vs exhaustive {check}"
-                )
-            key = HIGH_INDEX_KEY
-            high.append((terms, result.index))
-        else:
-            if result is None or not verify_witness(seq, result):
+        found = None  # R's result; R is the first member
+        for terms, u in ((rep, 1),) if orbits else _orbit_members(rep, n, fixed):
+            seq = _presorted(group, terms)  # sorted, in [1, n - 1]
+            result = find_witness(seq, found, u) if k == 4 else _exhaustive(seq)
+            if found is None:
+                found = result
+            if type(result) is HighIndexEvidence:
+                check = sequence_index(seq)
+                if check.numerator != result.min_sum or check.argmin_unit != result.argmin_unit:
+                    raise RuntimeError(
+                        f"evidence mismatch for {terms} over {n}: "
+                        f"{result} vs exhaustive {check}"
+                    )
+                high.append((terms, result.index))
+            elif result is None or not verify_witness(seq, result):
                 raise RuntimeError(f"unsound witness {result} for {terms} over {n}")
-            key = result.label
-        histogram[key] = histogram.get(key, 0) + 1
+        key = HIGH_INDEX_KEY if type(found) is HighIndexEvidence else found.label
+        histogram[key] = histogram.get(key, 0) + (1 if orbits else size)
     return BlockResult(
-        n1=n1, sequences=sequences, orbit_reps=reps, histogram=histogram, high_index=high
+        n1=d, sequences=sequences, orbit_reps=reps, histogram=histogram, high_index=high
     )
 
 
@@ -502,9 +533,8 @@ class Checkpoint:
         ``ValueError``, and so does one that decodes but is not an object
         holding every field.  Every record's fields, whichever sweep it
         belongs to, must also hold what ``record`` writes: ints, an orbits
-        flag, a leading term in [1, n-1] for the record's own n (a divisor
-        of n if the record is an orbit sweep's), a histogram of ints and
-        [terms, index] pairs of ints.
+        flag, a block's leading term that is a proper divisor of the
+        record's own n, a histogram of ints and [terms, index] pairs of ints.
         """
         sweeps: dict[tuple[int, int, bool], SweepTally] = {}
         if not self.data_path.exists():
@@ -537,7 +567,7 @@ class Checkpoint:
                         and type(sequences) is int and type(reps) is int
                         and type(orbits := rec["orbits"]) is bool
                         and 0 < n1 < n
-                        and (n % n1 == 0 or not orbits)
+                        and n % n1 == 0
                     ):
                         raise TypeError(wrong)
                     histogram = rec["histogram"]
@@ -652,7 +682,7 @@ def verify_moduli(
     tallies = [sweeps.pop((n, opts.k, opts.orbits), None) or SweepTally() for n in run]
     del sweeps
     pending = [
-        [n1 for n1 in _leading_terms(n, opts.orbits) if n1 not in tally.done]
+        [n1 for n1 in _leading_terms(n) if n1 not in tally.done]
         for n, tally in zip(run, tallies)
     ]
     remaining = [len(blocks) for blocks in pending]
@@ -726,20 +756,10 @@ def _sigint_deferred() -> Iterator[None]:
 # across modulus boundaries, few enough that pickling and wake-ups are paid
 # a few times per modulus rather than once per block.
 _TASKS_PER_WORKER = 4
-_worker_modulus = 0  # the modulus whose lead images a pool worker's memo holds
 
 
 def _pooled_blocks(n: int, k: int, leading: list[int], orbits: bool) -> list[BlockResult]:
-    """One pool task: ``_scan_block_impl`` over some blocks of modulus n, in a worker.
-
-    The worker's memo starts cold at each new modulus and then serves every
-    block of that modulus the worker runs; a run over several moduli gives
-    each modulus one task, so one memo serves all of its blocks.
-    """
-    global _worker_modulus
-    if n != _worker_modulus:
-        _MEMO.clear()
-        _worker_modulus = n
+    """One pool task: ``_scan_block_impl`` over some blocks of modulus n, in a worker."""
     return [_scan_block_impl(n, k, n1, orbits) for n1 in leading]
 
 
@@ -760,10 +780,10 @@ def _run_blocks(
     they complete, so the pool never drains at a modulus boundary; a task's
     blocks arrive when it completes, in completion order, whatever their
     modulus.  Otherwise every block runs in-process, modulus by modulus and
-    in leading-term order, and arrives as it completes; the memo is emptied
-    as each modulus starts and when the run ends.  Closing the generator
-    cancels the queued tasks, lets the running ones finish and shuts the
-    pool down.
+    in divisor order, and arrives as it completes.  No state outlives a
+    block, so a block's result does not depend on the process that ran it.
+    Closing the generator cancels the queued tasks, lets the running ones
+    finish and shuts the pool down.
     """
     share = max(1, workers * _TASKS_PER_WORKER // max(1, sum(map(bool, pending))))
     tasks = [
@@ -773,13 +793,9 @@ def _run_blocks(
         for j in range(count)
     ]
     if workers < 2 or len(tasks) < 2:
-        try:
-            for i, blocks in enumerate(pending):
-                _MEMO.clear()  # cold start, as in every pool worker
-                for n1 in blocks:
-                    yield i, _scan_block_impl(moduli[i], opts.k, n1, opts.orbits)
-        finally:
-            _MEMO.clear()
+        for i, blocks in enumerate(pending):
+            for n1 in blocks:
+                yield i, _scan_block_impl(moduli[i], opts.k, n1, opts.orbits)
         return
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_ignore_sigint)
     queue = iter(tasks)
@@ -822,7 +838,7 @@ def _merge(
         high_index=tuple(sorted(tally.high_index)),
         elapsed=elapsed,
         complete=not interrupted
-        and all(n1 in tally.done for n1 in _leading_terms(modulus, opts.orbits)),
+        and all(n1 in tally.done for n1 in _leading_terms(modulus)),
     )
 
 
@@ -834,9 +850,9 @@ def search_high_index(
     The index is constant on unit orbits, so one unit scan per orbit
     representative R (``_orbit_reps``) settles every member.  With
     ``orbits=True`` the high-index representatives are the findings.
-    Otherwise each high-index R is expanded into its orbit {u * R}, which
-    must hold phi(n) / |Stab(R)| members, with the |Stab(R)| that the walk
-    counted, or the search raises.
+    Otherwise each high-index R is expanded into its orbit by
+    ``_orbit_members``, which raises unless the orbit holds
+    phi(n) / |Stab(R)| members, with the |Stab(R)| that the walk counted.
     """
     modulus = n.n
     unit_list = units(n)
@@ -845,11 +861,7 @@ def search_high_index(
         min_sum, _ = min_transform_sum(rep, modulus, unit_list, stop_at=modulus)
         if min_sum <= modulus:
             continue
-        orbit: Iterable[tuple[int, ...]] = (rep,)
-        if not orbits:
-            orbit = {tuple(sorted([u * t % modulus for t in rep])) for u in unit_list}
-            if len(orbit) * fixed != len(unit_list):
-                raise RuntimeError(f"orbit of {rep} over {modulus} has {len(orbit)} members")
-        found.extend((terms, min_sum // modulus) for terms in orbit)
+        orbit = ((rep, 1),) if orbits else _orbit_members(rep, modulus, fixed)
+        found.extend((terms, min_sum // modulus) for terms, _ in orbit)
     found.sort()
     return [(Sequence(n, terms), index) for terms, index in found]

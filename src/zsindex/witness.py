@@ -10,18 +10,21 @@ no normal form built.  The interval stage and the pool's interval members
 read the half-open intervals [kn/c, kn/b) from one function,
 ``interval_integers``; the rest of the pool is a fixed list of small
 constants.  Every hit from every stage is validated by direct recomputation
-before it is emitted; a failed validation is logged and the search just
-continues, so soundness rests on the validation alone.  Each stage
-certifies on the sequence it answers for: the two form stages take the
-input s with its normal form nf and try m * nf.unit on s, with nf.steps as
-the trail, as ``_pipeline`` does for each pool member, so a hit is
-certified once.  ``find_witness`` runs the stages once per lead image of a
-unit orbit.  A certificate found on one sequence reaches another by a unit
-move (the lift out of content division, the orbit transport), and each
-move certifies it again on the target's own terms by calling ``certify``
-itself.  The sweep's recheck, ``certificates.verify_witness``, shares no
-code with this search, not even residue reduction: it reduces each term
-inline.
+before it is emitted, so soundness rests on the validation alone.  The
+interval stage's first unit probe always certifies (its docstring gives the
+proof), so it asserts that; the half-plane stage logs a probe that fails
+and goes on, and the pool skips one.  Each stage certifies on the sequence it
+answers for: the two form stages take the input s with its normal form nf
+and try m * nf.unit on s, with nf.steps as the trail, as ``_pipeline`` does
+for each pool member, so a hit is certified once.  ``find_witness`` runs the
+stages on the sequence it is given, or, handed the result for another
+member of the sequence's unit orbit, carries that result over.  A
+certificate found on one sequence reaches another by a unit move (the lift
+out of content division, the orbit transport), and each move certifies it
+again on the target's own terms by calling ``certify`` itself.  Nothing is
+kept between calls.  The sweep's recheck, ``certificates.verify_witness``,
+shares no code with this search, not even residue reduction: it reduces
+each term inline.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .normal_form import (
     content,
     reduce_by_content,
 )
-from .residues import lift_table, reduce_value, units
+from .residues import reduce_value, units
 from .sequences import Sequence, is_minimal_zero_sum, min_transform_sum
 
 logger = logging.getLogger(__name__)
@@ -88,14 +91,18 @@ def compute_l(nf: NormalForm) -> int:
 
 
 def interval_witness(s: Sequence, nf: NormalForm) -> Witness | None:
-    """First (k, m) with kn/c <= m < kn/b, gcd(m, n) = 1 and m*a < n that
-    certifies the represented sequence, as m times ``nf.unit`` on s.
+    """First (k, m) with kn/c <= m < kn/b, gcd(m, n) = 1 and m*a < n, as a
+    certificate m times ``nf.unit`` of the input s that nf normalizes.
 
-    s is the input that nf normalizes: m certifies the represented sequence
-    exactly when m * nf.unit certifies s, so each probe is checked once, on
-    s's own terms, with nf.steps as its trail.  Scans k ascending, then m
-    ascending within the half-open interval; stops once even the interval's
-    lower end pushes m*a past n.
+    Every such m certifies the represented sequence (e, c, n-b, n-a): e < a
+    gives 0 < me < ma < n, and c - b = a - e gives mc - mb < ma < n, so
+    (k-1)n < mb < kn <= mc < (k+1)n, with mc != kn as m is a unit and
+    0 < c < n.  The transformed sum is then me + (mc - kn) + (kn - mb) +
+    (n - ma) = n + m(e + c - a - b) = n.  So the first unit probe is the
+    certificate, and m certifies the represented sequence exactly when
+    m * nf.unit certifies s, which is checked on s's own terms with nf.steps
+    as its trail.  Scans k ascending, then m ascending within the half-open
+    interval; stops once even the interval's lower end pushes m*a past n.
     """
     n = nf.modulus.n
     a = nf.a
@@ -109,11 +116,8 @@ def interval_witness(s: Sequence, nf: NormalForm) -> Witness | None:
             if math.gcd(m, n) != 1:
                 continue
             w = certify(s, m * nf.unit, RULE_INTERVAL, k=k, trail=nf.steps)
-            if w is not None:
-                return w
-            logger.debug(
-                "interval hit failed validation: m=%d k=%d on %s", m, k, nf
-            )
+            assert w is not None, f"interval unit {m} (k={k}) must certify {nf}"
+            return w
     return None
 
 
@@ -230,80 +234,36 @@ def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
     return _exhaustive(s)
 
 
-def _lead_image(terms: tuple[int, ...], n: int) -> tuple[tuple[int, ...], int]:
-    """A sorted image u*T of sorted terms that leads with d = min gcd(t, n).
-
-    u is the least unit with u*t = d for the first term t with gcd(t, n) = d:
-    the first of t's lifts in the modulus's ``lift_table``, which also gives
-    every gcd and covers the zero element n.  When T already leads with d,
-    u = 1 and the image is T itself.  Unlike the orbit's least member, this
-    needs one lookup and one sort, not one sort per lift of every gcd-d term.
-    A unit first term, as in every full-sweep block led by a unit, is that t
-    (no gcd is smaller), and its one lift is its inverse.
-    """
-    gcds, lifts = lift_table(n)
-    t = terms[0]
-    d = gcds[t]
-    if d > 1:
-        for x in terms:
-            if gcds[x] < d:
-                d, t = gcds[x], x
-    if t == d:
-        return terms, 1
-    u = lifts[t][0]
-    return tuple(sorted([(u * x - 1) % n + 1 for x in terms])), u
-
-
-# _pipeline's result per (n, lead image).  find_witness reads the same
-# result for every sequence with that image, so the memo changes no output;
-# harness._run_blocks empties it at both ends so every modulus sweep starts
-# cold, and a pool worker empties it when it starts a task of another modulus.
-_MEMO_CAP = 1 << 15
-_MEMO: dict[tuple[int, tuple[int, ...]], Witness | HighIndexEvidence] = {}
-# The trail step ("orbit:u",) of a carried hit, built once per unit u: one
-# entry per u below the largest modulus swept, whatever the modulus.
-_ORBIT_STEPS: dict[int, tuple[str]] = {}
-
-
-def find_witness(s: Sequence) -> Witness | HighIndexEvidence:
+def find_witness(
+    s: Sequence, found: Witness | HighIndexEvidence | None = None, u: int = 1
+) -> Witness | HighIndexEvidence:
     """Find a validated index-1 certificate, or prove the index exceeds 1.
 
-    The staged pipeline runs once per lead image u*T (see ``_lead_image``):
-    sum = n, content division, normalization (with its cheap certificates),
-    the interval condition on [kn/c, kn/b), the half-plane condition, the
-    candidate pool, exhaustive scan.  The index is constant on unit orbits
-    and a certificate m of u*T gives m*u for T, which is certified on T's
-    own terms; high-index evidence is recomputed on T so its argmin is T's
-    smallest.  Requires a minimal zero-sum quadruple.
+    Requires a minimal zero-sum quadruple, and tests both on every call.
+    Without ``found`` the staged pipeline runs on s: sum = n, content
+    division, normalization (with its cheap certificates), the interval
+    condition on [kn/c, kn/b), the half-plane condition, the candidate pool,
+    exhaustive scan.
 
-    Minimality is tested only on a memo miss.  A unit multiplies a zero-sum
-    subset into a zero-sum subset and back, so T is minimal zero-sum exactly
-    when u*T is; and an image enters the memo only after the sequence that
-    put it there passed the test.  A hit therefore proves T minimal, and
-    NotMinimalZeroSum is raised for exactly the inputs that fail the test.
+    ``found`` is the result for u*s, another member of s's unit orbit, which
+    the caller already holds.  The index is constant on unit orbits, and a
+    certificate m of u*s gives m*u for s, which is certified on s's own
+    terms with the step ``orbit:u`` in front of its trail; high-index
+    evidence is recomputed on s, so its argmin is s's smallest.  For u = 1
+    the sequence is u*s itself, and ``found`` is returned as is.
     """
     terms = s.terms
     if len(terms) != 4:
         raise NotLength4(f"expected 4 terms, got {len(terms)}")
-    n = s.modulus.n
-    image, u = _lead_image(terms, n)
-    key = (n, image)
-    found = _MEMO.get(key)
+    if not is_minimal_zero_sum(s):
+        raise NotMinimalZeroSum(f"{terms} over {s.n} is not minimal zero-sum")
     if found is None:
-        if not is_minimal_zero_sum(s):
-            raise NotMinimalZeroSum(f"{terms} over {n} is not minimal zero-sum")
-        found = _pipeline(s if u == 1 else Sequence(s.modulus, image))
-        if len(_MEMO) >= _MEMO_CAP:
-            _MEMO.clear()  # a bound on memory; a sweep past it restarts cold
-        _MEMO[key] = found
+        return _pipeline(s)
     if u == 1:
         return found
     if type(found) is HighIndexEvidence:
         return _exhaustive(s)
-    step = _ORBIT_STEPS.get(u)
-    if step is None:
-        step = _ORBIT_STEPS[u] = (f"orbit:{u}",)
-    # The orbit move, certified on s's own terms: the hot path of a full sweep.
-    carried = certify(s, found.m * u, found.rule, found.k, found.case, step + found.trail)
+    step = f"orbit:{u}"
+    carried = certify(s, found.m * u, found.rule, found.k, found.case, (step,) + found.trail)
     assert carried is not None, f"{step} must carry the certificate {found}"
     return carried

@@ -24,7 +24,7 @@ from zsindex.cli import (
     verify_csv_row,
     verify_record,
 )
-from zsindex.harness import VerificationReport, _minimal_tuples
+from zsindex.harness import VerificationReport, _leading_terms, _minimal_tuples
 
 from oracles import naive_orbit_reps
 
@@ -97,7 +97,7 @@ class TestWitnessCommand:
              "--report-path", str(report)]
         )
         assert code == EXIT_OK
-        assert output.startswith("index 1 witness 24 rule INTERVAL")
+        assert output.startswith("index 1 witness 26 rule INTERVAL")
         record = json.loads(report.read_text().strip())
         assert set(record) == {"n", "terms", "index", "witness_m", "rule", "trail"}
         s = Sequence.over(record["n"], record["terms"])
@@ -217,7 +217,7 @@ class TestVerifyCommand:
         assert not ckpt.exists()
         lines = (tmp_path / "sweep.ckpt.blocks").read_text().splitlines()
         keys = [(r["n"], r["k"], r["n1"]) for r in map(json.loads, lines)]
-        assert len(keys) == 20 and set(keys) == {(21, 4, i) for i in range(1, 21)}
+        assert len(keys) == 3 and set(keys) == {(21, 4, d) for d in (1, 3, 7)}
         record = json.loads(report.read_text().strip())
         assert record["complete"] is True
 
@@ -299,7 +299,7 @@ class TestVerifyCommand:
         scan = harness._scan_block_impl
 
         def interrupting(n, k, n1, orbits):
-            if (n, n1) == (13, 5):
+            if (n, n1) == (12, 3):
                 raise KeyboardInterrupt
             return scan(n, k, n1, orbits)
 
@@ -307,14 +307,14 @@ class TestVerifyCommand:
             patch.setattr(harness, "_scan_block_impl", interrupting)
             code, output = invoke(argv)
         assert code == EXIT_INTERRUPTED
-        assert output.splitlines()[-1].startswith("n=13 ") and "complete=false" in output
+        assert output.splitlines()[-1].startswith("n=12 ") and "complete=false" in output
         assert invoke(argv)[0] == EXIT_OK
         assert invoke(["verify", "--n-range", "7:20", "--all-moduli",
                        "--report-path", str(fresh)])[0] == EXIT_OK
         assert _records(report) == _records(fresh)
         lines = (tmp_path / "sweep.ckpt.blocks").read_text().splitlines()
         keys = [(r["n"], r["n1"]) for r in map(json.loads, lines)]
-        assert sorted(keys) == [(n, n1) for n in range(7, 21) for n1 in range(1, n)]
+        assert sorted(keys) == [(n, d) for n in range(7, 21) for d in _leading_terms(n)]
 
 
 class TestOutputPaths:
@@ -497,9 +497,11 @@ class TestModuleEntryPoint:
 class TestLogLevel:
     def test_debug_leaves_report_unchanged(self, tmp_path, capsys):
         records = []
+        # At n = 45 one representative's half-plane hit fails its
+        # conversion, and the stage logs it at DEBUG.
         for extra in ([], ["--log-level", "DEBUG"]):
             report = tmp_path / f"verify{len(extra)}.jsonl"
-            code, _ = invoke(["verify", "--n", "35", "--report-path", str(report)] + extra)
+            code, _ = invoke(["verify", "--n", "45", "--report-path", str(report)] + extra)
             assert code == EXIT_OK
             record = json.loads(report.read_text())
             del record["elapsed_ms"]
@@ -563,7 +565,7 @@ class TestPooledVerify:
                        "--report-path", str(fresh)])[0] == EXIT_OK
         assert _records(report) == _records(fresh)
         keys = _logged_blocks(tmp_path / "sweep.ckpt.blocks")
-        assert sorted(keys) == [(n, n1) for n in range(7, 31) for n1 in range(1, n)]
+        assert sorted(keys) == [(n, d) for n in range(7, 31) for d in _leading_terms(n)]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_interrupt_in_the_fsync_yields_an_incomplete_report(self, monkeypatch, tmp_path, jobs):
@@ -627,7 +629,10 @@ class TestPooledVerify:
         log = tmp_path / "sweep.ckpt.blocks"
         report = tmp_path / "verify.jsonl"
         fresh = tmp_path / "fresh.jsonl"
-        argv = ["verify", "--n-range", "7:60", "--all-moduli", "--jobs", "2",
+        # 7:70 keeps the window between the first record and the run's end
+        # (0.8-1.1 s on two cores) at least as wide as 7:60 gave when full
+        # sweeps had one block per leading term (0.6-0.8 s).
+        argv = ["verify", "--n-range", "7:70", "--all-moduli", "--jobs", "2",
                 "--checkpoint-path", str(ckpt), "--report-path", str(report)]
         proc = subprocess.Popen(
             [sys.executable, "-m", "zsindex"] + argv, env=_module_env(), text=True,
@@ -656,8 +661,8 @@ class TestPooledVerify:
         )
         assert "Traceback" not in err
         assert invoke(argv)[0] == EXIT_OK
-        assert invoke(["verify", "--n-range", "7:60", "--all-moduli",
+        assert invoke(["verify", "--n-range", "7:70", "--all-moduli",
                        "--report-path", str(fresh)])[0] == EXIT_OK
         assert _records(report) == _records(fresh)
         keys = _logged_blocks(log)
-        assert sorted(keys) == [(n, n1) for n in range(7, 61) for n1 in range(1, n)]
+        assert sorted(keys) == [(n, d) for n in range(7, 71) for d in _leading_terms(n)]

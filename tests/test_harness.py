@@ -30,6 +30,7 @@ from zsindex.harness import (
     _leading_terms,
     _minimal_tuples,
     _orbit_block,
+    _orbit_members,
     _orbit_reps,
     _orbit_tests,
     _representative_stabilizer,
@@ -44,6 +45,7 @@ from oracles import (
     naive_orbit_canonical,
     naive_orbit_reps,
     naive_stabilizer_size,
+    naive_units,
 )
 
 
@@ -100,19 +102,23 @@ class TestEnumerateMinimal:
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_presorted_sequences_equal_checked_ones(self, k, orbits):
         # A sweep builds each tuple's Sequence without sorting or a range
-        # check, so every tuple the kernel yields, in either mode, must be
-        # sorted and in range.  Full mode at k = 5 stops at n = 40: its 1.2
-        # million tuples up to 60 take about 2.5 s to build twice.
+        # check, so every tuple it sweeps, each representative in orbit mode
+        # and each member of its orbit in full mode, must be sorted and in
+        # range.  Full mode at k = 5 stops at n = 40: its 1.2 million tuples
+        # up to 60 take about 2.5 s to build twice.
         top = 40 if (k, orbits) == (5, False) else 60
         for n in range(2, top + 1):
             group = factorize(n)
-            for n1 in _leading_terms(n, orbits):
+            for d in _leading_terms(n):
+                reps = list(_orbit_block(n, k, d))
                 if orbits:
-                    block = [terms for terms, _ in _orbit_block(n, k, n1)]
+                    block = [rep for rep, _ in reps]
                 else:
-                    block = list(_minimal_tuples(n, k, (n1,)))
+                    block = [
+                        terms for rep, fixed in reps for terms, _ in _orbit_members(rep, n, fixed)
+                    ]
                 built = [_presorted(group, terms) for terms in block]
-                assert built == [Sequence(group, terms) for terms in block], (n, n1)
+                assert built == [Sequence(group, terms) for terms in block], (n, d)
 
     def test_lengths_above_n_are_empty(self):
         # The Davenport constant of Z_n is n: longer sequences are never minimal.
@@ -171,7 +177,7 @@ class TestOrbitCanonical:
         for n in range(2, top + 1):
             tuples = [
                 terms
-                for d in _leading_terms(n, orbits=True)
+                for d in _leading_terms(n)
                 for terms in _minimal_tuples(n, k, (d,))
             ]
             rep_of = naive_orbit_reps(n, tuples)
@@ -185,7 +191,7 @@ class TestOrbitCanonical:
         # Block 1's floor would admit every term, so its test is the unit
         # one, which test_block_one_prune_keeps_every_least_member checks.
         for n in range(2, top + 1):
-            for d in _leading_terms(n, orbits=True)[1:]:
+            for d in _leading_terms(n)[1:]:
                 assert admitted(n, k, d) == naive_floor_block(n, k, d), (n, d)
 
     @pytest.mark.parametrize("k, top", [(2, 60), (3, 60), (4, 60), (5, 60), (6, 40)])
@@ -297,7 +303,7 @@ class TestOrbitCanonical:
                 (rep, naive_stabilizer_size(rep, n))
                 for rep in sorted(set(naive_orbit_reps(n, tuples).values()))
             ]
-            for d in _leading_terms(n, orbits=True):
+            for d in _leading_terms(n):
                 block = [pair for pair in expected if pair[0][0] == d]
                 assert list(_orbit_block(n, k, d)) == block, (n, d)
             assert list(_orbit_reps(n, k)) == expected, n
@@ -488,23 +494,23 @@ GOLDEN_HIGH_INDEX = {
 }
 
 
-# The same sweeps' rule_histogram, where find_witness runs the pipeline on
-# each sequence's lead image and the sequence carries that image's label.
+# The same sweeps' rule_histogram, where the pipeline runs once per orbit
+# representative R and every member of R's orbit carries R's label.
 GOLDEN_TRANSPORTED = {
     30: {
-        "CANDIDATE:interval": 52, "HIGH_INDEX": 140, "INTERVAL": 158,
-        "ONE_SIDED": 102, "SUM_N": 572, "TWO_OF_THREE": 58,
+        "CANDIDATE:interval": 52, "HIGH_INDEX": 140, "INTERVAL": 128,
+        "ONE_SIDED": 52, "SUM_N": 670, "TWO_OF_THREE": 40,
     },
-    35: {"INTERVAL": 539, "ONE_SIDED": 247, "SUM_N": 912, "TWO_OF_THREE": 36},
-    49: {"INTERVAL": 1658, "ONE_SIDED": 622, "SUM_N": 2520},
-    55: {"INTERVAL": 2328, "ONE_SIDED": 898, "SUM_N": 3539, "TWO_OF_THREE": 39},
+    35: {"INTERVAL": 270, "ONE_SIDED": 60, "SUM_N": 1404},
+    49: {"INTERVAL": 504, "SUM_N": 4296},
+    55: {"INTERVAL": 1200, "ONE_SIDED": 90, "SUM_N": 5514},
     75: {
-        "HIGH_INDEX": 32, "INTERVAL": 5249, "ONE_SIDED": 2235, "SUM_N": 8928,
-        "TWO_OF_THREE": 896,
+        "HIGH_INDEX": 32, "INTERVAL": 3438, "ONE_SIDED": 432, "SUM_N": 13198,
+        "TWO_OF_THREE": 240,
     },
-    77: {"INTERVAL": 6672, "ONE_SIDED": 2501, "SUM_N": 9599},
+    77: {"INTERVAL": 2840, "ONE_SIDED": 330, "SUM_N": 15602},
 }
-# verify --orbits: (orbits_total, rule_histogram), as before lead images.
+# verify --orbits: (orbits_total, rule_histogram), one count per representative.
 GOLDEN_ORBITS = {
     35: (79, {"INTERVAL": 13, "ONE_SIDED": 3, "SUM_N": 63}),
     75: (476, {"HIGH_INDEX": 3, "INTERVAL": 91, "ONE_SIDED": 13, "SUM_N": 363,
@@ -540,11 +546,12 @@ def test_golden_orbit_histogram(n):
 
 
 def test_golden_pool_sweep():
-    # n = 36: lead images reach the pool, and its hits are interval members
+    # n = 36: nine representatives reach the pool, and it certifies none of
+    # them, since each has index 2; their orbits hold the 84 findings.
     report = verify_conjecture(factorize(36))
     assert report.rule_histogram == {
-        "CANDIDATE:interval": 9, "HIGH_INDEX": 84, "INTERVAL": 464,
-        "ONE_SIDED": 253, "SUM_N": 999, "TWO_OF_THREE": 75,
+        "HIGH_INDEX": 84, "INTERVAL": 304, "ONE_SIDED": 114, "SUM_N": 1328,
+        "TWO_OF_THREE": 54,
     }
     assert len(report.high_index) == 84
 
@@ -563,26 +570,8 @@ def test_sweep_reaches_the_pool(monkeypatch):
     assert report.rule_histogram == GOLDEN_TRANSPORTED[30]
 
 
-def test_every_sweep_starts_with_a_cold_memo(monkeypatch):
-    images = []
-    pipeline = witness._pipeline
-
-    def counting(s):
-        if s.n == 77:  # content division recurses at smaller moduli
-            images.append(s.terms)
-        return pipeline(s)
-
-    monkeypatch.setattr(witness, "_pipeline", counting)
-    first = verify_conjecture(factorize(77))
-    calls = len(images)
-    second = verify_conjecture(factorize(77))
-    assert calls == len(images) - calls == len(set(images)) == 970
-    assert first.rule_histogram == second.rule_histogram
-    assert witness._MEMO == {}
-
-
-def test_a_full_sweep_tests_minimality_once_per_memo_miss(monkeypatch, tmp_path):
-    """A memo hit proves minimality (see ``find_witness``), so only misses pay the test."""
+def test_a_full_sweep_tests_minimality_once_per_sequence(monkeypatch, tmp_path):
+    """find_witness tests every sequence it is given, and runs the stages once per orbit."""
     staged = []
     tested = []
     pipeline = witness._pipeline
@@ -602,8 +591,49 @@ def test_a_full_sweep_tests_minimality_once_per_memo_miss(monkeypatch, tmp_path)
     report = tmp_path / "report.jsonl"
     assert run(["verify", "--n", "35", "--report-path", str(report)], out=io.StringIO()) == 0
     sequences = json.loads(report.read_text())["sequences_total"]
-    assert len(tested) == len(staged) == len(set(staged)) == 194
-    assert sequences == 1734
+    assert len(tested) == len(set(tested)) == sequences == 1734
+    assert staged == [terms for terms, _ in _orbit_reps(35, 4)] and len(staged) == 79
+
+
+def test_a_full_sweep_gives_every_sequence_once(sweep_results):
+    # What a full sweep hands find_witness is the minimal quadruples
+    # themselves, each once: the orbit expansion against the naive oracle.
+    # The sweep rechecks each result it gets back (verify_witness, or
+    # sequence_index at high index) and raises on a mismatch.
+    for n in range(2, 61):
+        swept = [terms for terms, _ in sweep_results(n)]
+        assert len(swept) == len(set(swept)), n
+        assert set(swept) == naive_minimal_enumeration(n, 4), n
+
+
+def test_full_histogram_weighs_each_representative_by_its_orbit():
+    # The full rule_histogram is the sum of phi(n) / |Stab(R)| * label(R).
+    for n in range(4, 81):
+        group = factorize(n)
+        phi = len(naive_units(n))
+        expected: dict[str, int] = {}
+        for rep, fixed in _orbit_reps(n, 4):
+            result = witness.find_witness(_presorted(group, rep))
+            label = HIGH_INDEX_KEY if isinstance(result, HighIndexEvidence) else result.label
+            expected[label] = expected.get(label, 0) + phi // fixed
+        report = verify_conjecture(group)
+        assert report.rule_histogram == dict(sorted(expected.items())), n
+
+
+@pytest.mark.parametrize("n", [30, 35, 48])
+def test_the_witness_command_prints_what_the_sweep_counted(n, sweep_results, tmp_path):
+    report = tmp_path / "w.jsonl"
+    for terms, result in sweep_results(n):
+        argv = ["witness", "--n", str(n), "--terms", ",".join(map(str, terms)),
+                "--report-path", str(report)]
+        assert run(argv, out=io.StringIO()) == 0
+        record = json.loads(report.read_text())
+        if isinstance(result, HighIndexEvidence):
+            assert (record["index"], record["witness_m"]) == (result.index, None), terms
+            continue
+        assert (record["witness_m"], record["rule"], record["trail"]) == (
+            result.m, result.label, list(result.trail)
+        ), terms
 
 
 class ReadFuture(Future):
@@ -658,9 +688,7 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", Recording)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(harness, "_worker_modulus", 0)
-    yield started
-    witness._MEMO.clear()  # the in-process tasks filled it
+    return started
 
 
 def fake_scan(n, k, n1, orbits):
@@ -686,7 +714,7 @@ def test_pool_workers(monkeypatch, pools, jobs, cpu_count, pending, expected):
     the blocks run in-process and no pool starts.
     """
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpu_count)
-    monkeypatch.setattr(harness, "_leading_terms", lambda n, orbits: list(range(1, pending + 1)))
+    monkeypatch.setattr(harness, "_leading_terms", lambda n: list(range(1, pending + 1)))
     monkeypatch.setattr(harness, "_scan_block_impl", fake_scan)
     (report,) = harness.verify_moduli([factorize(7)], VerifyOptions(jobs=jobs))
     assert report.complete and report.sequences_total == pending
@@ -701,7 +729,7 @@ def test_pool_workers(monkeypatch, pools, jobs, cpu_count, pending, expected):
 @pytest.mark.parametrize("jobs, pending", [(2, 100), (2, 5), (3, 30), (4, 9)])
 def test_a_lone_modulus_is_dealt_into_tasks_per_worker(monkeypatch, pools, jobs, pending):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: jobs)
-    monkeypatch.setattr(harness, "_leading_terms", lambda n, orbits: list(range(1, pending + 1)))
+    monkeypatch.setattr(harness, "_leading_terms", lambda n: list(range(1, pending + 1)))
     monkeypatch.setattr(harness, "_scan_block_impl", fake_scan)
     (report,) = harness.verify_moduli([factorize(7)], VerifyOptions(jobs=jobs))
     assert report.complete and report.sequences_total == pending
@@ -713,20 +741,20 @@ def test_a_lone_modulus_is_dealt_into_tasks_per_worker(monkeypatch, pools, jobs,
 
 
 def test_a_range_run_deals_one_task_per_modulus(pools, tmp_path):
-    """Each modulus goes to one worker whole, so one memo serves all of its blocks."""
-    moduli = list(range(7, 20))
+    """Each modulus goes to one worker whole, one task per modulus."""
+    moduli = list(range(12, 25))
     ckpt = tmp_path / "sweep.ckpt"
-    # A resumed first modulus: only its unlogged blocks are dealt, and no task for n = 8.
-    partial = harness.verify_moduli(map(factorize, [7, 8]), VerifyOptions(checkpoint_path=ckpt))
+    # A resumed first modulus: only its unlogged blocks are dealt, and no task for n = 13.
+    partial = harness.verify_moduli(map(factorize, [12, 13]), VerifyOptions(checkpoint_path=ckpt))
     assert [r.complete for r in partial] == [True, True]
     blocks = tmp_path / "sweep.ckpt.blocks"
-    blocks.write_text("".join(blocks.read_text().splitlines(keepends=True)[:4]))  # n = 7, blocks 1-4
+    blocks.write_text("".join(blocks.read_text().splitlines(keepends=True)[:3]))  # n = 12, blocks 1-3
     reports = list(harness.verify_moduli(
         map(factorize, moduli), VerifyOptions(jobs=2, checkpoint_path=ckpt)
     ))
     (pool,) = pools
-    assert pool.calls == [(7, 4, [5, 6], False)] + [
-        (n, 4, list(range(1, n)), False) for n in moduli[1:]
+    assert pool.calls == [(12, 4, [4, 6], False)] + [
+        (n, 4, _leading_terms(n), False) for n in moduli[1:]
     ]
     assert pool.peak == 2 * harness._TASKS_PER_WORKER
     serial = list(harness.verify_moduli(map(factorize, moduli)))
@@ -738,10 +766,10 @@ def test_a_range_run_deals_one_task_per_modulus(pools, tmp_path):
 @pytest.mark.parametrize("count, tasks", [(3, 6), (20, 20)])  # 8 // 3 = 2 tasks per modulus
 def test_a_pooled_run_keeps_at_most_tasks_per_worker_outstanding(monkeypatch, pools, count, tasks):
     monkeypatch.setattr(harness, "_scan_block_impl", fake_scan)
-    moduli = list(range(7, 7 + count))
+    moduli = list(range(8, 8 + count))  # 8, 9 and 10 have two blocks or more each
     reports = list(harness.verify_moduli(map(factorize, moduli), VerifyOptions(jobs=2)))
     assert [(r.n, r.complete, r.sequences_total) for r in reports] == [
-        (n, True, n - 1) for n in moduli
+        (n, True, len(_leading_terms(n))) for n in moduli
     ]
     (pool,) = pools
     assert pool.tasks == tasks
@@ -788,7 +816,6 @@ def deferred_pool(monkeypatch, pick):
     monkeypatch.setattr(harness, "ProcessPoolExecutor", DeferredPool)
     monkeypatch.setattr(harness, "wait", wait)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(harness, "_worker_modulus", 0)
     return submitted
 
 
@@ -802,10 +829,7 @@ def test_a_pooled_run_reports_the_serial_histogram_order(monkeypatch):
     ]
     # A lone modulus is dealt into tasks; the last one dealt completes first.
     deferred_pool(monkeypatch, lambda futures: futures[-1])
-    try:
-        (report,) = harness.verify_moduli([factorize(30)], VerifyOptions(jobs=2))
-    finally:
-        witness._MEMO.clear()  # the in-process tasks filled it
+    (report,) = harness.verify_moduli([factorize(30)], VerifyOptions(jobs=2))
     assert list(report.rule_histogram.items()) == list(serial[30 - 7].rule_histogram.items())
 
 
@@ -837,38 +861,20 @@ def test_an_interrupt_keeps_the_blocks_of_a_later_modulus(monkeypatch, tmp_path)
 
     submitted = deferred_pool(monkeypatch, latest_then_interrupt)
     ckpt = tmp_path / "sweep.ckpt"
-    try:
-        reports = list(harness.verify_moduli(
-            map(factorize, moduli), VerifyOptions(jobs=2, checkpoint_path=ckpt)
-        ))
-    finally:
-        witness._MEMO.clear()  # the in-process task filled it
+    reports = list(harness.verify_moduli(
+        map(factorize, moduli), VerifyOptions(jobs=2, checkpoint_path=ckpt)
+    ))
     assert [(r.n, r.complete) for r in reports] == [(7, False)]
     assert [future.cancelled() for future in submitted] == [True] * 4 + [False]
     blocks = tmp_path / "sweep.ckpt.blocks"
-    assert block_keys(blocks) == [(11, 4, n1) for n1 in range(1, 11)]
+    assert block_keys(blocks) == [(11, 4, 1)]
     monkeypatch.undo()
     resumed = list(harness.verify_moduli(map(factorize, moduli), VerifyOptions(checkpoint_path=ckpt)))
     fresh = list(harness.verify_moduli(map(factorize, moduli)))
     for report, serial in zip(resumed, fresh, strict=True):
         assert report.complete
         assert_same_report(report, serial)
-    assert sorted(block_keys(blocks)) == [(n, 4, n1) for n in moduli for n1 in range(1, n)]
-
-
-def test_a_pool_worker_empties_its_memo_at_each_new_modulus(monkeypatch):
-    monkeypatch.setattr(harness, "_worker_modulus", 0)
-    witness._MEMO.clear()
-    try:
-        harness._pooled_blocks(77, 4, [1], False)
-        kept = next(iter(witness._MEMO))
-        assert kept[0] == 77
-        harness._pooled_blocks(77, 4, [2], False)  # same modulus: the memo is kept
-        assert kept in witness._MEMO
-        harness._pooled_blocks(35, 4, [2], False)
-        assert witness._MEMO and not any(n == 77 for n, _ in witness._MEMO)
-    finally:
-        witness._MEMO.clear()
+    assert sorted(block_keys(blocks)) == [(n, 4, d) for n in moduli for d in _leading_terms(n)]
 
 
 def test_closing_a_run_early_stops_its_workers():
@@ -890,7 +896,10 @@ def assert_same_report(resumed, fresh):
 
 
 def sweep_interrupted_at_block_6(monkeypatch, ckpt):
-    """verify n = 25 with a checkpoint, stopped by Ctrl-C as block 6 starts."""
+    """verify n = 30 with a checkpoint, stopped by Ctrl-C as block 6 starts.
+
+    Its blocks are the divisors 1, 2, 3, 5, 6, 10 and 15, so four are logged.
+    """
     scan = harness._scan_block_impl
 
     def interrupting(n, k, n1, orbits):
@@ -900,20 +909,20 @@ def sweep_interrupted_at_block_6(monkeypatch, ckpt):
 
     with monkeypatch.context() as patch:
         patch.setattr(harness, "_scan_block_impl", interrupting)
-        return verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
+        return verify_conjecture(factorize(30), VerifyOptions(checkpoint_path=ckpt))
 
 
 def test_an_interrupted_sweep_ends_the_run(monkeypatch):
     scan = harness._scan_block_impl
 
     def interrupting(n, k, n1, orbits):
-        if (n, n1) == (11, 3):
+        if (n, n1) == (12, 3):
             raise KeyboardInterrupt
         return scan(n, k, n1, orbits)
 
     monkeypatch.setattr(harness, "_scan_block_impl", interrupting)
-    reports = list(harness.verify_moduli(map(factorize, [7, 11, 13])))
-    assert [(r.n, r.complete) for r in reports] == [(7, True), (11, False)]
+    reports = list(harness.verify_moduli(map(factorize, [7, 12, 13])))
+    assert [(r.n, r.complete) for r in reports] == [(7, True), (12, False)]
 
 
 class TestCheckpointResume:
@@ -923,12 +932,12 @@ class TestCheckpointResume:
         partial = sweep_interrupted_at_block_6(monkeypatch, ckpt)
         assert not partial.complete
         assert not ckpt.exists()
-        assert block_keys(blocks) == [(25, 4, i) for i in range(1, 6)]
-        resumed = verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
+        assert block_keys(blocks) == [(30, 4, d) for d in (1, 2, 3, 5)]
+        resumed = verify_conjecture(factorize(30), VerifyOptions(checkpoint_path=ckpt))
         assert resumed.complete
-        assert_same_report(resumed, verify_conjecture(factorize(25)))
+        assert_same_report(resumed, verify_conjecture(factorize(30)))
         assert not ckpt.exists()
-        assert block_keys(blocks) == [(25, 4, i) for i in range(1, 25)]
+        assert block_keys(blocks) == [(30, 4, d) for d in _leading_terms(30)]
 
     def test_one_fsync_per_sweep_that_appends(self, monkeypatch, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"
@@ -936,21 +945,21 @@ class TestCheckpointResume:
         fsync = harness.os.fsync
         monkeypatch.setattr(harness.os, "fsync", lambda fd: synced.append(fd) or fsync(fd))
         sweep_interrupted_at_block_6(monkeypatch, ckpt)
-        assert len(synced) == 1  # the interrupted sweep's five records
+        assert len(synced) == 1  # the interrupted sweep's four records
         opts = VerifyOptions(checkpoint_path=ckpt)
-        verify_conjecture(factorize(25), opts)
-        assert len(synced) == 2  # the remaining nineteen
-        verify_conjecture(factorize(25), opts)
+        verify_conjecture(factorize(30), opts)
+        assert len(synced) == 2  # the remaining three
+        verify_conjecture(factorize(30), opts)
         assert len(synced) == 2  # nothing left to append, nothing to sync
 
     def test_stale_marker_file_is_ignored(self, monkeypatch, tmp_path):
         # Older releases also wrote one "n k n1" line per block at FILE itself.
         ckpt = tmp_path / "sweep.ckpt"
         sweep_interrupted_at_block_6(monkeypatch, ckpt)
-        markers = "".join(f"25 4 {i}\n" for i in range(1, 6))
+        markers = "".join(f"30 4 {d}\n" for d in (1, 2, 3, 5))
         ckpt.write_text(markers)
-        resumed = verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
-        assert_same_report(resumed, verify_conjecture(factorize(25)))
+        resumed = verify_conjecture(factorize(30), VerifyOptions(checkpoint_path=ckpt))
+        assert_same_report(resumed, verify_conjecture(factorize(30)))
         assert ckpt.read_text() == markers
 
     @pytest.mark.parametrize("cut", ["half", "no_newline", "garbled"])
@@ -966,13 +975,13 @@ class TestCheckpointResume:
         }[cut]
         with open(blocks, "ab") as fh:
             fh.write(torn)
-        resumed = verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
-        fresh = verify_conjecture(factorize(25))
+        resumed = verify_conjecture(factorize(30), VerifyOptions(checkpoint_path=ckpt))
+        fresh = verify_conjecture(factorize(30))
         for field in dataclasses.fields(VerificationReport):
             if field.name != "elapsed":
                 assert getattr(resumed, field.name) == getattr(fresh, field.name), field.name
         records = [json.loads(line) for line in blocks.read_text().splitlines()]
-        assert [r["n1"] for r in records] == list(range(1, 25))
+        assert [r["n1"] for r in records] == _leading_terms(30)
 
     def test_corrupt_inner_record_raises(self, monkeypatch, tmp_path, capsys):
         ckpt = tmp_path / "sweep.ckpt"
@@ -982,8 +991,8 @@ class TestCheckpointResume:
         lines[2] = lines[2][:10] + b"\n"
         blocks.write_bytes(b"".join(lines))
         with pytest.raises(json.JSONDecodeError):
-            verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
-        code = run(["verify", "--n", "25", "--checkpoint-path", str(ckpt)], out=io.StringIO())
+            verify_conjecture(factorize(30), VerifyOptions(checkpoint_path=ckpt))
+        code = run(["verify", "--n", "30", "--checkpoint-path", str(ckpt)], out=io.StringIO())
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
@@ -998,13 +1007,15 @@ class TestCheckpointResume:
         lines[1] = lines[1][:4] + b"\xff" + lines[1][5:]
         blocks.write_bytes(b"".join(lines))
         with pytest.raises(json.JSONDecodeError, match="line 2 column 5") as raised:
-            verify_conjecture(factorize(25), VerifyOptions(checkpoint_path=ckpt))
+            verify_conjecture(factorize(30), VerifyOptions(checkpoint_path=ckpt))
         assert str(blocks) in str(raised.value)
 
-    @pytest.mark.parametrize("schema", [None, 1, 2, SCHEMA + 1])
+    @pytest.mark.parametrize("schema", [None, 1, 2, 3, SCHEMA + 1])
     def test_record_of_another_schema_is_refused(self, tmp_path, capsys, schema):
-        # A record as releases before the schema field wrote it: full-sweep
-        # labels came from the staged pipeline on every sequence then.
+        # A full-sweep record of block 1, a divisor block as schema 4 names
+        # them.  Its labels came from the staged pipeline on every sequence
+        # before the schema field, from each lead image in schema 3, and
+        # from each orbit representative in schema 4.
         record = {
             "high_index": [], "histogram": {"INTERVAL": 29, "ONE_SIDED": 14, "SUM_N": 48,
                                             "TWO_OF_THREE": 1},
@@ -1043,7 +1054,7 @@ class TestCheckpointResume:
     def test_records_carry_the_schema(self, monkeypatch, tmp_path):
         sweep_interrupted_at_block_6(monkeypatch, tmp_path / "sweep.ckpt")
         records = (tmp_path / "sweep.ckpt.blocks").read_text().splitlines()
-        assert [json.loads(r)["schema"] for r in records] == [harness.CHECKPOINT_SCHEMA] * 5
+        assert [json.loads(r)["schema"] for r in records] == [harness.CHECKPOINT_SCHEMA] * 4
 
     @pytest.mark.parametrize(
         "record",
@@ -1062,6 +1073,8 @@ class TestCheckpointResume:
              "orbit_reps": 0, "histogram": {}, "high_index": []},
             {"schema": SCHEMA, "n": 25, "k": 4, "orbits": True, "n1": 2, "sequences": 5,
              "orbit_reps": 0, "histogram": {}, "high_index": []},
+            {"schema": SCHEMA, "n": 25, "k": 4, "orbits": False, "n1": 2, "sequences": 5,
+             "orbit_reps": 0, "histogram": {}, "high_index": []},
             {"schema": SCHEMA, "n": 25, "k": 4, "orbits": False, "n1": 1, "sequences": True,
              "orbit_reps": 0, "histogram": {}, "high_index": []},
             {"schema": SCHEMA, "n": 25, "k": 4, "orbits": False, "n1": 1, "sequences": 92,
@@ -1070,6 +1083,7 @@ class TestCheckpointResume:
         ids=["fields_missing", "not_an_object", "no_sequences", "count_not_int",
              "high_index_not_a_pair", "leading_term_out_of_range",
              "another_modulus_leading_term_out_of_range", "orbit_leading_term_not_a_divisor",
+             "full_leading_term_not_a_divisor",
              "count_is_a_bool", "high_index_term_not_int"],
     )
     def test_malformed_record_is_refused(self, tmp_path, capsys, record):
@@ -1092,20 +1106,20 @@ class TestCheckpointResume:
         twice = list(harness.verify_moduli(map(factorize, [25, 25]), opts))
         assert [r.complete for r in twice] == [True, True]
         blocks = tmp_path / "sweep.ckpt.blocks"
-        assert block_keys(blocks) == [(25, 4, n1) for n1 in range(1, 25)] * 2
+        assert block_keys(blocks) == [(25, 4, 1), (25, 4, 5)] * 2
         resumed = verify_conjecture(factorize(25), opts)
         fresh = verify_conjecture(factorize(25))
         assert resumed.complete and resumed.sequences_total == 624
         assert_same_report(resumed, fresh)
-        assert len(block_keys(blocks)) == 48  # the resume ran no block
+        assert len(block_keys(blocks)) == 4  # the resume ran no block
 
     def test_orbit_mode_invalidates_blocks(self, monkeypatch, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"
         sweep_interrupted_at_block_6(monkeypatch, ckpt)
         orbity = verify_conjecture(
-            factorize(25), VerifyOptions(checkpoint_path=ckpt, orbits=True)
+            factorize(30), VerifyOptions(checkpoint_path=ckpt, orbits=True)
         )
-        fresh = verify_conjecture(factorize(25), VerifyOptions(orbits=True))
+        fresh = verify_conjecture(factorize(30), VerifyOptions(orbits=True))
         assert orbity.rule_histogram == fresh.rule_histogram
         assert orbity.orbits_total == fresh.orbits_total
 
@@ -1169,11 +1183,12 @@ class TestSearchHighIndex:
         assert len(search_high_index(group, k, orbits=True)) == orbits
 
     def test_orbit_size_mismatch_raises(self, monkeypatch):
-        # The search checks each expanded orbit against the |Stab| that the
+        # The search and a full sweep expand orbits through
+        # ``_orbit_members``, which checks each against the |Stab| that the
         # walk itself counted, so a wrong count from one block's leastness
         # test, block 1's tie test or block 2's generic test, is a bug and
-        # the search stops rather than report a short orbit.  Both blocks
-        # hold high-index representatives at n = 12.
+        # both stop rather than report a short orbit.  Both blocks hold
+        # high-index representatives at n = 12.
         tests = harness._orbit_tests
         for wrong in (1, 2):
 
@@ -1186,3 +1201,6 @@ class TestSearchHighIndex:
             assert {s.terms[0] for s, _ in found} == {1, 2}
             with pytest.raises(RuntimeError, match="orbit of"):
                 search_high_index(factorize(12))
+            # A full sweep expands every orbit through the same check.
+            with pytest.raises(RuntimeError, match="orbit of"):
+                verify_conjecture(factorize(12))

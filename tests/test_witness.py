@@ -31,8 +31,9 @@ from zsindex import (
     verify_witness,
 )
 
-from zsindex.harness import _minimal_tuples, _scan_block_impl
-from zsindex.witness import FIXED_CANDIDATES, _MEMO, _lead_image, _pipeline, _unit_lift
+from zsindex import witness
+from zsindex.harness import _minimal_tuples, _orbit_members, _orbit_reps, _scan_block_impl
+from zsindex.witness import FIXED_CANDIDATES, _pipeline, _unit_lift
 
 from oracles import (
     naive_index,
@@ -42,6 +43,7 @@ from oracles import (
     naive_l,
     naive_orbit_canonical,
     naive_orbit_reps,
+    naive_transform_sum,
     naive_units,
 )
 
@@ -167,6 +169,31 @@ class TestIntervalWitness:
         assert w.m * 2 < 35
 
 
+def test_every_admissible_interval_unit_certifies():
+    # interval_witness returns its first unit probe, on the proof in its
+    # docstring; here every probe it could make certifies: each unit m in
+    # [kn/c, kn/b) with m*a < n, for every k <= b, of every normal form a
+    # content-1 minimal quadruple over n <= 60 reaches.
+    from zsindex.normal_form import _normalize_validated
+
+    forms = set()
+    for n in range(2, 61):
+        for terms in _minimal_tuples(n, 4):
+            if math.gcd(n, *terms) == 1:
+                form = _normalize_validated(seq(n, terms))
+                if isinstance(form, NormalForm):
+                    forms.add((n, form.e, form.a, form.b, form.c))
+    probes = 0
+    for n, e, a, b, c in forms:
+        represented = (e, c, n - b, n - a)
+        for k in range(1, b + 1):
+            for m in naive_interval_members(k, n, b, c):
+                if m * a < n and math.gcd(m, n) == 1:
+                    probes += 1
+                    assert naive_transform_sum(represented, n, m) == n, (n, e, a, b, c, k, m)
+    assert probes  # 22,112 probes over 27,486 forms
+
+
 class TestTwoOfThree:
     def test_first_qualifying_multiplier(self):
         w = two_of_three_witness(*on_represented(nf(35, 1, 2, 3, 4)))
@@ -264,47 +291,54 @@ class TestCandidatePool:
 
 
 class TestLeadImage:
+    """The image a sequence T takes its certificate from: its orbit's least
+    member R, which leads with d = min gcd(t, n), reached by the least unit u
+    with u*T = R.  A full sweep walks them with ``_orbit_members``, and the
+    ``witness`` command finds them with ``orbit_canonical``."""
+
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_matches_oracle_on_every_minimal_tuple(self, k):
         for n in range(2, 41):
             tuples = list(_minimal_tuples(n, k))
             rep_of = naive_orbit_reps(n, tuples)
             units = naive_units(n)
-            for terms in tuples:
-                image, u = _lead_image(terms, n)
-                d = min(math.gcd(t, n) for t in terms)
-                assert u in units and u < n, (n, terms, u)
-                assert image == tuple(sorted((u * t) % n or n for t in terms))
-                assert image[0] == d, (n, terms, image)
-                assert rep_of[image] == rep_of[terms], (n, terms, image)
-                assert (u == 1) == (terms[0] == d), (n, terms, u)
-                # the smallest unit sending the first gcd-d term to d
-                t = next(t for t in terms if math.gcd(t, n) == d)
-                assert u == min(m for m in units if m * t % n == d), (n, terms)
+            members = {}
+            for rep, fixed in _orbit_reps(n, k):
+                for terms, u in _orbit_members(rep, n, fixed):
+                    assert terms not in members, (n, terms)
+                    members[terms] = rep, u
+            assert set(members) == set(tuples), n
+            # The units m with m * T = R, for every member T of every orbit:
+            # m * T = R exactly when m^-1 * R = T.
+            carriers = {}
+            for rep in set(rep_of.values()):
+                for v in units:
+                    image = tuple(sorted(v * t % n for t in rep))
+                    carriers.setdefault(image, []).append(pow(v, -1, n))
+            for terms, (rep, u) in members.items():
+                assert rep == rep_of[terms], (n, terms, rep)
+                assert rep[0] == min(math.gcd(t, n) for t in terms), (n, terms, rep)
+                assert u == min(carriers[terms]), (n, terms, u)
+                assert (u == 1) == (terms == rep), (n, terms, u)
 
     def test_every_multiset_with_the_zero_element(self):
-        # Sequences holding the zero element n are never minimal, but they
-        # reach _lead_image (find_witness tests minimality after it) and
-        # orbit_canonical, so the lift table must cover t = n.
+        # Sequences holding the zero element n are never minimal, but
+        # orbit_canonical takes any terms in [1, n], so the lift table that
+        # it reads must cover t = n.
         for n in range(2, 17):
-            units = naive_units(n)
             for terms in combinations_with_replacement(range(1, n + 1), 4):
                 assert orbit_canonical(seq(n, terms)).terms == naive_orbit_canonical(terms, n)
-                image, u = _lead_image(terms, n)
-                assert u in units, (n, terms, u)
-                assert image == tuple(sorted((u * t) % n or n for t in terms)), (n, terms)
-                assert image[0] == min(math.gcd(t, n) for t in terms), (n, terms, image)
 
     def test_no_lead_image_sums_to_3n(self):
-        # A lead image leads with d = min gcd(t, n), and n - t has the same gcd
-        # with n as t, so every term is at most n - d and the sum at most
-        # 3n - 2d: find_witness never hands normalization a sum-3n input, the
-        # one case it certifies at the complement n - 1 as ONE_SIDED.
+        # An orbit's least member leads with d = min gcd(t, n), and n - t has
+        # the same gcd with n as t, so every term is at most n - d and the
+        # sum at most 3n - 2d: a sweep never hands normalization a sum-3n
+        # input, the one case it certifies at the complement n - 1 as
+        # ONE_SIDED.
         for n in range(2, 61):
-            for terms in _minimal_tuples(n, 4):
-                image, _ = _lead_image(terms, n)
-                d = image[0]
-                assert image[-1] <= n - d and sum(image) <= 3 * n - 2 * d, (n, terms)
+            for rep, _ in _orbit_reps(n, 4):
+                d = rep[0]
+                assert rep[-1] <= n - d and sum(rep) <= 3 * n - 2 * d, (n, rep)
 
 
 class TestUnitLift:
@@ -320,31 +354,33 @@ class TestUnitLift:
 
 
 # SHA-256 of the repr of every result, one per line, over the minimal
-# quadruples in enumeration order: find_witness, then the staged pipeline on
-# the sequence itself.  Between them they pin content lifts, normalization
-# moves through a complement, orbit transports, pool hits and scan hits with their
-# whole provenance; find_witness alone reaches neither the pool nor the scan
-# at these moduli, nor a complement trail.
+# quadruples in enumeration order: what a full sweep gets from find_witness
+# (its orbit representative's result, carried over), then the staged
+# pipeline on the sequence itself.  Between them they pin content lifts,
+# normalization moves through a complement, orbit transports, pool hits and
+# scan hits with their whole provenance; the sweep reaches neither the pool
+# nor the scan at these moduli, nor a complement trail.
 GOLDEN_WITNESS_REPRS = {
     45: (
-        "075881576bead17322782353fbe3b197e027f989db884b0433718b3387b8656a",
+        "55c487fab809eb4936ef1271a18234c42a5c47ff813eac9d8c2d6be133d54bd6",
         "e7d4f0b4f10cfada7084e32bbd8aac84d5f44ad2f85716e48ad7f05caa2f0bf5",
     ),
     75: (
-        "5fdf3df60aee95e4ae35cee7f6c1970d045a6238af4f647cd078c81aaa561463",
+        "23c75ab161a7dac655f8164c45682a555c4d60a0dbec9db16c6bb8378b9d6730",
         "341a1478a3c694d595c310c9607da89d8bee47566a3805e6be08dc0cd12bd327",
     ),
 }
 
 
 @pytest.mark.parametrize("n", sorted(GOLDEN_WITNESS_REPRS))
-def test_golden_witness_provenance(n):
-    from zsindex import enumerate_minimal
-
+def test_golden_witness_provenance(n, sweep_results):
+    swept = dict(sweep_results(n))
     digests = (hashlib.sha256(), hashlib.sha256())
-    for s in enumerate_minimal(factorize(n), 4):
-        for digest, engine in zip(digests, (find_witness, _pipeline)):
-            digest.update((repr(engine(s)) + "\n").encode())
+    for terms in _minimal_tuples(n, 4):
+        s = seq(n, terms)
+        for digest, result in zip(digests, (swept[terms], _pipeline(s))):
+            digest.update((repr(result) + "\n").encode())
+    assert len(swept) == sum(1 for _ in _minimal_tuples(n, 4))
     assert tuple(d.hexdigest() for d in digests) == GOLDEN_WITNESS_REPRS[n]
 
 
@@ -360,20 +396,23 @@ class TestFindWitness:
     def test_worked_transported_case(self):
         s = seq(35, (2, 3, 31, 34))
         # 18 = 2^-1 mod 35 sends the leading unit term 2 to 1
-        assert _lead_image(s.terms, 35) == ((1, 17, 19, 33), 18)
-        image = _pipeline(seq(35, (1, 17, 19, 33)))
-        w = find_witness(s)
+        assert apply_unit(s, 18).terms == (1, 17, 19, 33)
+        image = find_witness(seq(35, (1, 17, 19, 33)))
+        assert image == _pipeline(seq(35, (1, 17, 19, 33)))
+        w = find_witness(s, image, 18)
         assert isinstance(w, Witness)
         assert (w.rule, w.k) == (image.rule, image.k) == (RULE_INTERVAL, 6)
         assert w.m == image.m * 18 % 35 == 24
         assert w.trail == ("orbit:18",) + image.trail
         assert verify_witness(s, w)
+        assert find_witness(s, image, 1) is image  # u = 1: the result is s's own
 
     def test_high_index_evidence_is_the_inputs_own(self):
-        # (2, 5, 6, 7) leads its image (1, 5, 6, 8) by the unit 3 over Z_10
-        assert _lead_image((2, 5, 6, 7), 10) == ((1, 5, 6, 8), 3)
-        assert find_witness(seq(10, (1, 5, 6, 8))).argmin_unit == 1
-        result = find_witness(seq(10, (2, 5, 6, 7)))
+        # the unit 3 sends (2, 5, 6, 7) to (1, 5, 6, 8) over Z_10
+        assert apply_unit(seq(10, (2, 5, 6, 7)), 3).terms == (1, 5, 6, 8)
+        image = find_witness(seq(10, (1, 5, 6, 8)))
+        assert image.argmin_unit == 1
+        result = find_witness(seq(10, (2, 5, 6, 7)), image, 3)
         assert result == _pipeline(seq(10, (2, 5, 6, 7)))
         assert result.argmin_unit == 1 and result.min_sum == 20
 
@@ -453,61 +492,57 @@ class TestFindWitness:
         with pytest.raises(NotMinimalZeroSum):
             find_witness(seq(10, (2, 4, 6, 8)))
 
-    def test_warm_memo_keeps_the_minimality_precondition(self):
-        """Minimality is tested on memo misses only: every 4-multiset over
-        [1, n], n <= 24, against the oracle, after a sweep of each n."""
-        moduli = range(2, 25)
-        multisets = {
-            n: [seq(n, c) for c in combinations_with_replacement(range(1, n + 1), 4)]
-            for n in moduli
-        }
-        cold = {}
-        _MEMO.clear()
-        try:
-            for n in moduli:
-                for s in multisets[n]:
-                    if naive_is_minimal(s.terms, n):
-                        _MEMO.clear()
-                        cold[s] = find_witness(s)
-            _MEMO.clear()
-            for n in moduli:
-                for terms in _minimal_tuples(n, 4):
-                    find_witness(seq(n, terms))
-            for n in moduli:
-                for s in multisets[n]:
-                    key = (n, _lead_image(s.terms, n)[0])
-                    if s in cold:
-                        assert key in _MEMO, s  # the hit path is the one under test
-                        assert find_witness(s) == cold[s], s
-                    else:
-                        assert key not in _MEMO, s
-                        with pytest.raises(NotMinimalZeroSum):
-                            find_witness(s)
-        finally:
-            _MEMO.clear()
+    def test_precondition_errors_with_a_carried_result(self):
+        found = find_witness(seq(10, (1, 1, 3, 5)))
+        with pytest.raises(NotLength4):
+            find_witness(seq(10, (1, 9)), found, 3)
+        for u in (1, 3):
+            with pytest.raises(NotMinimalZeroSum):
+                find_witness(seq(10, (2, 4, 6, 8)), found, u)
 
-    def test_a_carried_hit_is_certified_on_its_own_terms(self):
-        """A memo entry whose m does not certify its image is never passed on:
-        the carry recomputes the sum on the sequence's terms, and the sweep's
-        recheck stands behind it."""
+    def test_a_carried_result_keeps_the_minimality_precondition(self):
+        """Handed another orbit member's result, find_witness still tests its
+        own input: every 4-multiset over [1, n], n <= 24, against the oracle,
+        each with its orbit's least member's result and the least unit that
+        sends it there."""
+        for n in range(2, 25):
+            units = naive_units(n)
+            for terms in combinations_with_replacement(range(1, n + 1), 4):
+                s = seq(n, terms)
+                rep = orbit_canonical(s)
+                u = next(
+                    m for m in units if tuple(sorted(m * t % n or n for t in terms)) == rep.terms
+                )
+                if not naive_is_minimal(terms, n):
+                    bogus = Witness(m=1, achieved_sum=n, rule=RULE_SUM_N)
+                    with pytest.raises(NotMinimalZeroSum):
+                        find_witness(s, bogus, u)
+                    continue
+                result = find_witness(s, find_witness(rep), u)
+                own = find_witness(s)  # the stages on s itself
+                if isinstance(own, Witness):
+                    assert isinstance(result, Witness) and verify_witness(s, result), s
+                else:
+                    assert result == own, s
+
+    def test_a_carried_hit_is_certified_on_its_own_terms(self, monkeypatch):
+        """A handed-in result whose m does not certify its image is never
+        passed on: the carry recomputes the sum on the sequence's terms, and
+        the sweep's recheck stands behind it, on the representative too."""
         s = seq(35, (2, 3, 31, 34))
-        image, u = _lead_image(s.terms, 35)
-        assert u != 1 and sum(image) == 70  # so m = 1 does not certify the image
+        image = seq(35, (1, 17, 19, 33))
+        assert apply_unit(s, 18) == image and sum(image.terms) == 70  # m = 1 does not certify it
         bogus = Witness(m=1, achieved_sum=35, rule=RULE_INTERVAL, k=1)
-        _MEMO.clear()
         try:
-            _MEMO[(35, image)] = bogus
-            try:
-                result = find_witness(s)
-            except AssertionError:
-                pass
-            else:
-                assert isinstance(result, Witness) and verify_witness(s, result)
-            _MEMO[(35, image)] = bogus
-            with pytest.raises((AssertionError, RuntimeError)):
-                _scan_block_impl(35, 4, s.terms[0], False)
-        finally:
-            _MEMO.clear()
+            result = find_witness(s, bogus, 18)
+        except AssertionError:
+            pass
+        else:
+            assert isinstance(result, Witness) and verify_witness(s, result)
+        pipeline = witness._pipeline
+        monkeypatch.setattr(witness, "_pipeline", lambda s: bogus if s.n == 35 else pipeline(s))
+        with pytest.raises((AssertionError, RuntimeError)):
+            _scan_block_impl(35, 4, 1, False)
 
     @pytest.mark.parametrize("n", [9, 10, 25, 35])
     def test_oracle_agreement_exhaustive(self, n):
@@ -525,25 +560,24 @@ class TestFindWitness:
                 assert result.index == expected
 
     def test_oracle_agreement_full_range_to_60(self):
-        from zsindex import enumerate_minimal
-
-        # The staged pipeline on its own too: find_witness runs it on lead
-        # images only, which would leave some stages unexercised.
+        # The stages on every sequence, where a sweep runs them on orbit
+        # representatives only, which would leave some stages unexercised;
+        # test_a_full_sweep_gives_every_sequence_once checks the sweep's own
+        # results against the same oracle.
         for n in range(4, 61):
-            group = factorize(n)
             units = naive_units(n)
-            for s in enumerate_minimal(group, 4):
+            for terms in _minimal_tuples(n, 4):
+                s = seq(n, terms)
                 best = min(
                     sum((m * t - 1) % n + 1 for t in s.terms) for m in units
                 )
-                for engine in (find_witness, _pipeline):
-                    result = engine(s)
-                    if best == n:
-                        assert isinstance(result, Witness), (engine, n, s.terms)
-                        assert verify_witness(s, result), (engine, n, s.terms)
-                    else:
-                        assert isinstance(result, HighIndexEvidence), (engine, n, s.terms)
-                        assert result.min_sum == best, (engine, n, s.terms)
+                result = find_witness(s)
+                if best == n:
+                    assert isinstance(result, Witness), (n, s.terms)
+                    assert verify_witness(s, result), (n, s.terms)
+                else:
+                    assert isinstance(result, HighIndexEvidence), (n, s.terms)
+                    assert result.min_sum == best, (n, s.terms)
 
     def test_oracle_agreement_random_large_moduli(self):
         rng = random.Random(1225)

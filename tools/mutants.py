@@ -146,12 +146,9 @@ MUTANTS = [
         "src/zsindex/residues.py",
         "tuple(map(tuple, lifts))",
         "tuple(tuple(reversed(lift)) for lift in lifts)",
-        (
-            "tests/test_residues.py::TestLiftTable::test_matches_brute_force",
-            "tests/test_witness.py::TestLeadImage"
-            "::test_matches_oracle_on_every_minimal_tuple[4]",
-            "tests/test_witness.py::test_golden_witness_provenance[45]",
-        ),
+        # Since the lead image went, no caller reads the order of a lift
+        # list: the table's own test is the one that sees it.
+        ("tests/test_residues.py::TestLiftTable::test_matches_brute_force",),
     ),
     Mutant(
         "unit test refuses at <= b instead of < b",
@@ -280,7 +277,7 @@ MUTANTS = [
         "a carried hit skips the recomputation on its own terms",
         WITNESS,
         CARRY,
-        "    carried = Witness(found.m * u % n, n, ",
+        "    carried = Witness(found.m * u % s.n, s.n, ",
         (FIND + "test_a_carried_hit_is_certified_on_its_own_terms",),
     ),
     Mutant(
@@ -290,9 +287,38 @@ MUTANTS = [
         "    carried = certify(s, found.m, ",
         (
             FIND + "test_worked_transported_case",
-            FIND + "test_oracle_agreement_exhaustive[35]",
+            FIND + "test_a_carried_result_keeps_the_minimality_precondition",
             "tests/test_witness.py::test_golden_witness_provenance[45]",
+            "tests/test_harness.py::test_the_witness_command_prints_what_the_sweep_counted[35]",
         ),
+    ),
+    Mutant(
+        "the transport skips the minimality test",
+        WITNESS,
+        "    if not is_minimal_zero_sum(s):\n",
+        "    if found is None and not is_minimal_zero_sum(s):\n",
+        (
+            FIND + "test_precondition_errors_with_a_carried_result",
+            FIND + "test_a_carried_result_keeps_the_minimality_precondition",
+        ),
+    ),
+    Mutant(
+        "orbit members carry u^-1 in place of u",
+        HARNESS,
+        "            yield terms, u\n",
+        "            yield terms, v\n",
+        (
+            "tests/test_witness.py::TestLeadImage::test_matches_oracle_on_every_minimal_tuple[4]",
+            "tests/test_harness.py::test_golden_rule_histogram[35]",
+            "tests/test_harness.py::test_the_witness_command_prints_what_the_sweep_counted[35]",
+        ),
+    ),
+    Mutant(
+        "the orbit-size check is dropped",
+        HARNESS,
+        "    if len(seen) * fixed != len(unit_list):\n",
+        "    if False:\n",
+        (SEARCH + "test_orbit_size_mismatch_raises",),
     ),
     Mutant(
         "the interval stage certifies m without nf.unit",
@@ -316,17 +342,10 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "the lead image maps the zero element n to 0",
-        WITNESS,
-        "sorted([(u * x - 1) % n + 1 for x in terms])",
-        "sorted([u * x % n for x in terms])",
-        ("tests/test_witness.py::TestLeadImage::test_every_multiset_with_the_zero_element",),
-    ),
-    Mutant(
-        "search expands each orbit over every unit but the last",
+        "orbits are expanded over every unit but the last",
         HARNESS,
-        "for u in unit_list}",
-        "for u in unit_list[:-1]}",
+        "    for u in unit_list:\n",
+        "    for u in unit_list[:-1]:\n",
         (
             SEARCH + "test_full_search_matches_naive_oracle[4-30]",
             SEARCH + "test_n10_includes_literal_example",
@@ -336,8 +355,8 @@ MUTANTS = [
     Mutant(
         "full search returns the representatives unexpanded",
         HARNESS,
-        "        if not orbits:\n            orbit = {",
-        "        if False:\n            orbit = {",
+        "        orbit = ((rep, 1),) if orbits else _orbit_members(rep, modulus, fixed)\n",
+        "        orbit = ((rep, 1),)\n",
         (
             SEARCH + "test_full_search_matches_naive_oracle[4-30]",
             SEARCH + "test_n10_includes_literal_example",
