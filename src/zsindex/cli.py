@@ -3,9 +3,11 @@
 Exit codes: 0 success (for verify: no high-index length-4 sequence over a
 gcd(n,6)=1 modulus; shorter ones always have index 1), 1 a high-index
 sequence was found where the conjecture predicted none, 2 invalid input,
-3 interrupted (checkpoint written).  All outputs are deterministic: lists
-are sorted and timestamps appear only in elapsed fields.  Configuration is
-flags only; no environment variables are read.
+3 interrupted (checkpoint written), 4 the engine failed (a soundness check
+raised, a stage's assertion failed, or a worker process died), so the run
+proves nothing either way.  All outputs are deterministic: lists are sorted
+and timestamps appear only in elapsed fields.  Configuration is flags only;
+no environment variables are read.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .harness import (
     verify_moduli,
 )
 from .normal_form import (
-    NotLength4,
-    NotMinimalZeroSum,
     UnbalancedSplit,
     _check_quadruple,
     content,
@@ -50,6 +50,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INTERRUPTED = 3
+EXIT_FAILED = 4
 
 VERIFY_FIELDS = (
     "n",
@@ -303,10 +304,7 @@ def _cmd_witness(config: RunConfig, out: TextIO) -> int:
     # The certificate a full sweep counts for s: the one its orbit's least
     # member R gets, carried over by the least unit u with u * s = R.
     s = config.sequence()
-    try:
-        _check_quadruple(s)
-    except (NotLength4, NotMinimalZeroSum) as exc:
-        raise UsageError(str(exc)) from exc
+    _check_quadruple(s)  # NotLength4 and NotMinimalZeroSum exit 2 as usage errors
     rep = orbit_canonical(s)
     u = next(u for u in units(s.modulus) if apply_unit(s, u) == rep)
     result = find_witness(s, find_witness(rep), u)
@@ -538,6 +536,9 @@ def run(argv: list[str] | None = None, out: TextIO | None = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except (RuntimeError, AssertionError) as exc:  # BrokenProcessPool included
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAILED
 
 
 def main() -> None:

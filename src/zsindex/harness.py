@@ -50,7 +50,7 @@ from typing import Callable, Iterable, Iterator, Sequence as SequenceABC
 from .certificates import HighIndexEvidence, verify_witness
 from .residues import GroupOrder, _units, factorize, lift_table, units
 from .sequences import Sequence, _presorted, min_transform_sum, sequence_index
-from .witness import _exhaustive, find_witness
+from .witness import find_witness
 
 HIGH_INDEX_KEY = "HIGH_INDEX"
 # Version of the FILE.blocks records.  Records without it were written
@@ -425,7 +425,7 @@ def _scan_block_impl(n: int, k: int, d: int, orbits: bool) -> BlockResult:
     then gets its result from R's through ``find_witness(T, found, u)``.
     Every member carries R's label, so the histogram adds the orbit's size
     (full mode) or 1 (orbit mode) under R's label once per representative.
-    Lengths other than 4 run the exhaustive scan on every member.
+    The same two calls serve every length k.
 
     Every witness is rechecked with the independent verifier; every piece of
     high-index evidence is cross-checked against the exhaustive index.  A
@@ -444,7 +444,7 @@ def _scan_block_impl(n: int, k: int, d: int, orbits: bool) -> BlockResult:
         found = None  # R's result; R is the first member
         for terms, u in ((rep, 1),) if orbits else _orbit_members(rep, n, fixed):
             seq = _presorted(group, terms)  # sorted, in [1, n - 1]
-            result = find_witness(seq, found, u) if k == 4 else _exhaustive(seq)
+            result = find_witness(seq, found, u)
             if found is None:
                 found = result
             if type(result) is HighIndexEvidence:

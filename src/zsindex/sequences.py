@@ -104,7 +104,8 @@ def is_minimal_terms(terms: tuple[int, ...], n: int) -> bool:
     complement does, so only the 2^(k-1) - 1 nonempty subsets that leave
     out the last term are checked.  Their sums are built incrementally,
     each from a smaller subset's sum plus one term.  Four terms, the length
-    every witness search tests, check their seven subsets in one expression.
+    the staged witness search takes, check their seven subsets in one
+    expression.
     """
     if len(terms) == 4:
         a, b, c, _ = terms

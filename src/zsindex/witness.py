@@ -1,30 +1,31 @@
-"""Certificate search for length-4 minimal zero-sum sequences.
+"""Certificate search for minimal zero-sum sequences of any length.
 
-The pipeline mirrors the reduction order: cheap sum checks, content
-division, normalization, then two interval-based sufficient conditions, a
-pool of candidate multipliers, and finally an exhaustive ascending scan
-over all units.  Normalization settles a quadruple with no 2-2 split
-around n/2 on its own: one ascending scan either certifies it or proves
-its index above 1, and then it goes straight to the exhaustive scan with
-no normal form built.  The interval stage and the pool's interval members
-read the half-open intervals [kn/c, kn/b) from one function,
-``interval_integers``; the rest of the pool is a fixed list of small
-constants.  Every hit from every stage is validated by direct recomputation
-before it is emitted, so soundness rests on the validation alone.  The
-interval stage's first unit probe always certifies (its docstring gives the
-proof), so it asserts that; the half-plane stage logs a probe that fails
-and goes on, and the pool skips one.  Each stage certifies on the sequence it
-answers for: the two form stages take the input s with its normal form nf
-and try m * nf.unit on s, with nf.steps as the trail, as ``_pipeline`` does
-for each pool member, so a hit is certified once.  ``find_witness`` runs the
-stages on the sequence it is given, or, handed the result for another
-member of the sequence's unit orbit, carries that result over.  A
-certificate found on one sequence reaches another by a unit move (the lift
-out of content division, the orbit transport), and each move certifies it
-again on the target's own terms by calling ``certify`` itself.  Nothing is
-kept between calls.  The sweep's recheck, ``certificates.verify_witness``,
-shares no code with this search, not even residue reduction: it reduces
-each term inline.
+A quadruple runs the staged pipeline; every other length runs the
+exhaustive ascending unit scan alone.  The pipeline mirrors the reduction
+order: cheap sum checks, content division, normalization, then two
+interval-based sufficient conditions, a pool of candidate multipliers, and
+finally an exhaustive ascending scan over all units.  Normalization settles
+a quadruple with no 2-2 split around n/2 on its own: one ascending scan
+either certifies it or proves its index above 1, and then it goes straight
+to the exhaustive scan with no normal form built.  The interval stage and
+the pool's interval members read the half-open intervals [kn/c, kn/b) from
+one function, ``interval_integers``; the rest of the pool is a fixed list
+of small constants.  Every hit from every stage is validated by direct
+recomputation before it is emitted, so soundness rests on the validation
+alone.  The interval stage's first unit probe always certifies (its
+docstring gives the proof), so it asserts that; the half-plane stage logs a
+probe that fails and goes on, and the pool skips one.  Each stage certifies
+on the sequence it answers for: the two form stages take the input s with
+its normal form nf and try m * nf.unit on s, with nf.steps as the trail, as
+``_pipeline`` does for each pool member, so a hit is certified once.
+``find_witness`` certifies the sequence it is given, or, handed the result
+for another member of the sequence's unit orbit, carries that result over;
+the carry is the same at every length.  A certificate found on one sequence
+reaches another by a unit move (the lift out of content division, the orbit
+transport), and each move certifies it again on the target's own terms by
+calling ``certify`` itself.  Nothing is kept between calls.  The sweep's
+recheck, ``certificates.verify_witness``, shares no code with this search,
+not even residue reduction: it reduces each term inline.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .certificates import (
 )
 from .normal_form import (
     NormalForm,
-    NotLength4,
     NotMinimalZeroSum,
     _normalize_validated,
     content,
@@ -239,26 +239,26 @@ def find_witness(
 ) -> Witness | HighIndexEvidence:
     """Find a validated index-1 certificate, or prove the index exceeds 1.
 
-    Requires a minimal zero-sum quadruple, and tests both on every call.
-    Without ``found`` the staged pipeline runs on s: sum = n, content
-    division, normalization (with its cheap certificates), the interval
-    condition on [kn/c, kn/b), the half-plane condition, the candidate pool,
-    exhaustive scan.
+    Requires a minimal zero-sum sequence of any length, and tests minimality
+    on every call.  Without ``found`` a quadruple runs the staged pipeline:
+    sum = n, content division, normalization (with its cheap certificates),
+    the interval condition on [kn/c, kn/b), the half-plane condition, the
+    candidate pool, exhaustive scan.  Any other length runs the exhaustive
+    scan alone.
 
     ``found`` is the result for u*s, another member of s's unit orbit, which
     the caller already holds.  The index is constant on unit orbits, and a
     certificate m of u*s gives m*u for s, which is certified on s's own
     terms with the step ``orbit:u`` in front of its trail; high-index
     evidence is recomputed on s, so its argmin is s's smallest.  For u = 1
-    the sequence is u*s itself, and ``found`` is returned as is.
+    the sequence is u*s itself, and ``found`` is returned as is.  The carry
+    does not depend on the length.
     """
     terms = s.terms
-    if len(terms) != 4:
-        raise NotLength4(f"expected 4 terms, got {len(terms)}")
     if not is_minimal_zero_sum(s):
         raise NotMinimalZeroSum(f"{terms} over {s.n} is not minimal zero-sum")
     if found is None:
-        return _pipeline(s)
+        return _pipeline(s) if len(terms) == 4 else _exhaustive(s)
     if u == 1:
         return found
     if type(found) is HighIndexEvidence:

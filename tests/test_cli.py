@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ import zsindex
 from zsindex import Sequence, Witness, harness, verify_witness
 from zsindex.cli import (
     CSV_HEADER,
+    EXIT_FAILED,
     EXIT_INTERRUPTED,
     EXIT_OK,
     EXIT_USAGE,
@@ -288,6 +290,21 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli_mod, "verify_moduli", lambda moduli, opts: iter([fake]))
         code, _ = invoke(["verify", "--n", "25"])
         assert code == EXIT_INTERRUPTED
+
+    @pytest.mark.parametrize("fault", [RuntimeError, BrokenProcessPool])
+    def test_an_engine_fault_exits_failed_not_violation(self, monkeypatch, capsys, fault):
+        """A soundness check that raises, or a dead pool worker, proves
+        nothing about the conjecture: exit 4 with one error line."""
+
+        def broken(n, k, d, orbits):
+            raise fault(f"unsound witness for block {d} over {n}")
+
+        monkeypatch.setattr(harness, "_scan_block_impl", broken)
+        code, output = invoke(["verify", "--n", "7", "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert code == EXIT_FAILED and output == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
     def test_range_interrupt_resumes_to_the_uninterrupted_report(self, monkeypatch, tmp_path):

@@ -437,11 +437,15 @@ class TestVerifyConjecture:
         with pytest.raises(AssertionError):
             verify_conjecture(factorize(12), VerifyOptions(k=3))
 
-    @pytest.mark.parametrize("n", range(6, 15))
-    def test_generic_k_high_index_branch(self, n):
-        report = verify_conjecture(factorize(n), VerifyOptions(k=5))
+    @pytest.mark.parametrize(
+        "k, n",
+        [pytest.param(5, n, id=str(n)) for n in range(6, 15)]
+        + [pytest.param(k, n, id=f"k{k}-{n}") for k in (3, 6) for n in range(6, 15)],
+    )
+    def test_generic_k_high_index_branch(self, k, n):
+        report = verify_conjecture(factorize(n), VerifyOptions(k=k))
         expected = []
-        for terms in sorted(naive_minimal_enumeration(n, 5)):
+        for terms in sorted(naive_minimal_enumeration(n, k)):
             index, _ = naive_index(terms, n)
             if index >= 2:
                 expected.append((terms, int(index)))
@@ -449,6 +453,25 @@ class TestVerifyConjecture:
         assert set(report.rule_histogram) <= {"EXHAUSTIVE", HIGH_INDEX_KEY}
         assert report.rule_histogram.get(HIGH_INDEX_KEY, 0) == len(expected)
         assert sum(report.rule_histogram.values()) == report.sequences_total
+
+    def test_generic_k_scans_once_per_orbit(self, monkeypatch):
+        """A full k = 5 sweep scans each orbit representative, and rescans
+        only the other members of high-index orbits: every certificate is
+        carried over by its unit."""
+        scan = witness._exhaustive
+        calls = []
+
+        def counting(s):
+            calls.append(s.terms)
+            return scan(s)
+
+        monkeypatch.setattr(witness, "_exhaustive", counting)
+        full = verify_conjecture(factorize(11), VerifyOptions(k=5))
+        full_scans = len(calls)
+        orbity = verify_conjecture(factorize(11), VerifyOptions(k=5, orbits=True))
+        assert len(calls) - full_scans == orbity.orbits_total
+        rescans = len(full.high_index) - len(orbity.high_index)
+        assert full_scans == orbity.orbits_total + rescans < full.sequences_total
 
 
 # Proof-rule labels as the staged pipeline produces them on every sequence.

@@ -9,7 +9,6 @@ import pytest
 from zsindex import (
     HighIndexEvidence,
     NormalForm,
-    NotLength4,
     NotMinimalZeroSum,
     RULE_EXHAUSTIVE,
     RULE_INTERVAL,
@@ -20,6 +19,7 @@ from zsindex import (
     Witness,
     apply_unit,
     candidate_multipliers,
+    certify,
     compute_k1,
     compute_l,
     factorize,
@@ -487,15 +487,28 @@ class TestFindWitness:
         assert high > 0
 
     def test_precondition_errors(self):
-        with pytest.raises(NotLength4):
-            find_witness(seq(10, (1, 9)))
+        """Every length is served; off length 4 the stages are the unit scan."""
+        for n, terms in ((10, (3, 7)), (10, (4, 7, 9)), (11, (1, 1, 4, 8, 8)),
+                         (11, (1, 1, 5, 7, 8))):
+            s = seq(n, terms)
+            assert find_witness(s) == witness._exhaustive(s), s
+        assert find_witness(seq(10, (4, 7, 9))).m == 3
+        assert isinstance(find_witness(seq(11, (1, 1, 5, 7, 8))), HighIndexEvidence)
         with pytest.raises(NotMinimalZeroSum):
             find_witness(seq(10, (2, 4, 6, 8)))
+        with pytest.raises(NotMinimalZeroSum):
+            find_witness(seq(10, (1, 2, 3, 5, 9)))
 
     def test_precondition_errors_with_a_carried_result(self):
+        # the unit 8 sends (1, 1, 6, 7, 7) to (1, 1, 4, 8, 8) over Z_11
+        s, image = seq(11, (1, 1, 6, 7, 7)), seq(11, (1, 1, 4, 8, 8))
+        assert apply_unit(s, 8) == image
+        found = find_witness(image)
+        assert found.m == 3  # m * 8 = 24 = 2 mod 11 certifies s, and 3 does not
+        carried = find_witness(s, found, 8)
+        assert carried == certify(s, 3 * 8, found.rule, trail=("orbit:8",))
+        assert carried.m == 2 and verify_witness(s, carried)
         found = find_witness(seq(10, (1, 1, 3, 5)))
-        with pytest.raises(NotLength4):
-            find_witness(seq(10, (1, 9)), found, 3)
         for u in (1, 3):
             with pytest.raises(NotMinimalZeroSum):
                 find_witness(seq(10, (2, 4, 6, 8)), found, u)

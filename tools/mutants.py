@@ -290,7 +290,16 @@ MUTANTS = [
             FIND + "test_a_carried_result_keeps_the_minimality_precondition",
             "tests/test_witness.py::test_golden_witness_provenance[45]",
             "tests/test_harness.py::test_the_witness_command_prints_what_the_sweep_counted[35]",
+            # k = 5 takes the same transport as k = 4.
+            "tests/test_harness.py::TestVerifyConjecture::test_generic_k_high_index_branch[11]",
         ),
+    ),
+    Mutant(
+        "every length takes the unit scan",
+        WITNESS,
+        "_pipeline(s) if len(terms) == 4 else _exhaustive(s)",
+        "_exhaustive(s)",
+        ("tests/test_harness.py::test_golden_rule_histogram[35]",),
     ),
     Mutant(
         "the transport skips the minimality test",
