@@ -29,9 +29,9 @@ from .harness import (
     Checkpoint,
     VerificationReport,
     VerifyOptions,
+    _least_image,
     _minimal_tuples,
     _orbit_reps,
-    orbit_canonical,
     search_high_index,
     verify_moduli,
 )
@@ -42,8 +42,8 @@ from .normal_form import (
     reduce_by_content,
     to_normal_form,
 )
-from .residues import factorize, units
-from .sequences import Sequence, apply_unit, is_minimal_zero_sum, is_zero_sum, sequence_index
+from .residues import factorize
+from .sequences import Sequence, is_minimal_zero_sum, is_zero_sum, sequence_index
 from .witness import compute_k1, compute_l, find_witness
 
 EXIT_OK = 0
@@ -305,9 +305,8 @@ def _cmd_witness(config: RunConfig, out: TextIO) -> int:
     # member R gets, carried over by the least unit u with u * s = R.
     s = config.sequence()
     _check_quadruple(s)  # NotLength4 and NotMinimalZeroSum exit 2 as usage errors
-    rep = orbit_canonical(s)
-    u = next(u for u in units(s.modulus) if apply_unit(s, u) == rep)
-    result = find_witness(s, find_witness(rep), u)
+    rep, u = _least_image(s.terms, s.n)
+    result = find_witness(s, find_witness(Sequence(s.modulus, rep)), u)
     if isinstance(result, Witness):
         out.write(
             f"index 1 witness {result.m} rule {result.label} "
@@ -361,11 +360,11 @@ def _cmd_verify(config: RunConfig, out: TextIO) -> int:
         checkpoint_path=config.checkpoint_path,
     )
     reports: list[VerificationReport] = []
-    interrupted = False
     # verify_moduli ends the run after an incomplete report and shuts its
-    # worker pool down as it ends, so the loop runs to its end; a Ctrl-C
-    # between reports (in this loop's work, or as the pool shuts down) ends
-    # it early, and the reports already out are kept.
+    # worker pool down as it ends, so the loop runs to its end.  A Ctrl-C
+    # between reports (in this loop's work, or as the pool shuts down) or an
+    # engine fault ends it early, and ``run`` maps either to its exit code;
+    # the report file still holds every report already out.
     try:
         for report in verify_moduli(map(factorize, config.moduli), options):
             reports.append(report)
@@ -375,14 +374,13 @@ def _cmd_verify(config: RunConfig, out: TextIO) -> int:
                 f"high_index={len(report.high_index)} "
                 f"complete={str(report.complete).lower()} {flag}\n"
             )
-    except KeyboardInterrupt:
-        interrupted = True
-    if config.report_path:
-        if config.format == "csv":
-            _write_csv(config.report_path, reports)
-        else:
-            _write_jsonl(config.report_path, (verify_record(r) for r in reports))
-    if interrupted or not all(r.complete for r in reports):
+    finally:
+        if config.report_path:
+            if config.format == "csv":
+                _write_csv(config.report_path, reports)
+            else:
+                _write_jsonl(config.report_path, (verify_record(r) for r in reports))
+    if not all(r.complete for r in reports):
         return EXIT_INTERRUPTED
     if any(r.conjecture_violated() for r in reports):
         return EXIT_VIOLATION

@@ -23,7 +23,8 @@ expands R's orbit with ``_orbit_members``, which checks the orbit's size,
 and each member gets its certificate from R's: the index is constant on an
 orbit, so the reduction chain runs once per orbit.  Every gcd, inverse and
 such unit is read from one per-modulus table, ``residues.lift_table``,
-which both pairs, ``_orbit_members`` and ``orbit_canonical`` share.
+which both pairs and ``_orbit_members`` share.  ``orbit_canonical``, which
+no sweep calls, walks every unit instead (``_least_image``).
 ``search_high_index`` walks the same pairs, one unit scan per
 representative, and expands only the high-index orbits.  One worker pool
 serves a whole ``verify_moduli`` run, however many moduli it sweeps, and its
@@ -165,33 +166,12 @@ def enumerate_minimal(n: GroupOrder, k: int = 4) -> Iterator[Sequence]:
         yield _presorted(n, terms)
 
 
-def _canonical_terms(terms: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The least image of sorted terms under the units of Z_n.
-
-    A unit preserves gcd(t, n), and the smallest residue in [1, n] with gcd d
-    is d itself, so the smallest image leads with d = min gcd(t_i, n).  The
-    only units sending a gcd-d term t to d are t's lifts in the modulus's
-    ``lift_table``, so only those are tried: for d = 1, one unit per term.
-    It serves ``orbit_canonical``, and accepts any terms in [1, n], the zero
-    element included; sweeps only ask whether terms are least, which
-    ``_representative_stabilizer`` answers without finishing the scan.
-    """
-    gcds, lifts = lift_table(n)
-    d = min(gcds[t] for t in terms)
-    best = terms
-    for t in {t for t in terms if gcds[t] == d}:
-        for m in lifts[t]:
-            candidate = tuple(sorted([(m * x - 1) % n + 1 for x in terms]))
-            if candidate < best:
-                best = candidate
-    return best
-
-
 def _representative_stabilizer(terms: tuple[int, ...], n: int) -> int:
     """|Stab(terms)| if sorted terms over [1, n-1] are their orbit's least member, else 0.
 
-    The least member leads with d = min gcd(t_i, n) (see ``_canonical_terms``),
-    so terms that lead with anything else get 0 at once.  Otherwise only the
+    A unit preserves gcd(t, n), and the smallest residue in [1, n] with gcd
+    d is d itself, so the least member leads with d = min gcd(t_i, n), and
+    terms that lead with anything else get 0 at once.  Otherwise only the
     lifts that send a gcd-d term to d are tried, the only units whose image
     leads with d; gcds and lifts alike are read from the modulus's
     ``lift_table``.  The test returns 0 at the first lift whose sorted image
@@ -262,11 +242,28 @@ def _orbit_tests(
     Every gcd, inverse and lift comes from the modulus's ``lift_table``.
     """
     gcds, lifts = lift_table(n)
-    # The inverse of each unit, 0 for the other residues.
-    inverse = [lift[0] if g == 1 else 0 for g, lift in zip(gcds, lifts)]
 
     def floor(x: int, held: tuple[int, ...]) -> bool:
         return gcds[x] >= d
+
+    def ties(terms: tuple[int, ...]) -> int:
+        b = terms[1]
+        present = set(terms)
+        fixed = 1  # the identity, never tried
+        for t in present:
+            if t > 1 and gcds[t] == 1 and t * b % n in present:
+                (m,) = lifts[t]
+                image = tuple(sorted([m * x % n for x in terms]))
+                if image < terms:
+                    return 0
+                fixed += image == terms
+        return fixed
+
+    if d > 1:
+        return floor, lambda terms: _representative_stabilizer(terms, n)
+    # The inverse of each unit, 0 for the other residues; only ``clear``
+    # reads it, so the blocks d > 1 never build it.
+    inverse = [lift[0] if g == 1 else 0 for g, lift in zip(gcds, lifts)]
 
     def clear(x: int, held: tuple[int, ...]) -> bool:
         # Whether x may join the block-1 prefix (1, *held), whose second term
@@ -287,33 +284,28 @@ def _orbit_tests(
                 return False
         return True
 
-    def ties(terms: tuple[int, ...]) -> int:
-        b = terms[1]
-        present = set(terms)
-        fixed = 1  # the identity, never tried
-        for t in present:
-            if t > 1 and gcds[t] == 1 and t * b % n in present:
-                (m,) = lifts[t]
-                image = tuple(sorted([m * x % n for x in terms]))
-                if image < terms:
-                    return 0
-                fixed += image == terms
-        return fixed
-
-    if d > 1:
-        return floor, lambda terms: _representative_stabilizer(terms, n)
     return clear, ties
+
+
+def _least_image(terms: SequenceABC[int], n: int) -> tuple[tuple[int, ...], int]:
+    """(R, u): the least sorted image R of terms in [1, n] under the units of
+    Z_n, and the least unit u with u * terms = R.
+
+    One ascending walk over the units; the zero element n stays n.
+    """
+    return min((tuple(sorted([(u * t - 1) % n + 1 for t in terms])), u) for u in _units(n))
 
 
 def orbit_canonical(s: Sequence) -> Sequence:
     """Lexicographically smallest sorted sequence in the unit orbit of s."""
-    return Sequence(s.modulus, _canonical_terms(s.terms, s.n))
+    return Sequence(s.modulus, _least_image(s.terms, s.n)[0])
 
 
 def _leading_terms(n: int) -> list[int]:
     """The blocks of a sweep, in either mode: the proper divisors of n.
 
-    An orbit's least member leads with a divisor of n (see ``_canonical_terms``).
+    An orbit's least member leads with a divisor of n (see
+    ``_representative_stabilizer``).
     """
     return [d for d in range(1, n) if n % d == 0]
 

@@ -87,18 +87,18 @@ def _units(modulus: int) -> tuple[int, ...]:
 def lift_table(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """(gcds, lifts) for Z_n, built on first use and cached per modulus.
 
-    For every t in [0, n], where 0 and n both stand for the zero element,
-    ``gcds[t]`` is d = gcd(t, n) and ``lifts[t]`` the ascending units u with
-    u*t = d (mod n).  Every t with gcd d is d times a unit v, so its lifts
-    are the units u with u*v = 1 (mod n/d); the table is filled by walking
-    the units u ascending and appending u at d * u^-1 for every divisor d,
-    phi(n) inverses in all.
+    For every nonzero t in [1, n), ``gcds[t]`` is d = gcd(t, n) and
+    ``lifts[t]`` the ascending units u with u*t = d (mod n).  Every such t
+    is d times a unit v, so its lifts are the units u with u*v = 1
+    (mod n/d); the table is filled by walking the units u ascending and
+    appending u at d * u^-1 for every proper divisor d, phi(n) inverses in
+    all.  The zero element has no row of its own: row 0 only keeps the
+    indices aligned with t, and no reader asks for it.
     """
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    lifts: list[list[int]] = [[] for _ in range(n + 1)]
+    divisors = [d for d in range(1, n) if n % d == 0]
+    lifts: list[list[int]] = [[] for _ in range(n)]
     for u in _units(n):
         v = pow(u, -1, n)
         for d in divisors:
             lifts[d * v % n].append(u)
-    lifts[n] = lifts[0]
-    return tuple(math.gcd(t, n) for t in range(n + 1)), tuple(map(tuple, lifts))
+    return tuple(math.gcd(t, n) for t in range(n)), tuple(map(tuple, lifts))

@@ -306,6 +306,29 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
 
+    def test_an_engine_fault_keeps_the_reports_out_on_file(self, monkeypatch, capsys, tmp_path):
+        """A run that fails at n = 11 exits 4 and still writes the report
+        file, holding the reports printed before the fault."""
+        report = tmp_path / "verify.jsonl"
+        fresh = tmp_path / "fresh.jsonl"
+        scan = harness._scan_block_impl
+
+        def failing(n, k, d, orbits):
+            if n == 11:
+                raise RuntimeError(f"unsound witness for block {d} over {n}")
+            return scan(n, k, d, orbits)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_scan_block_impl", failing)
+            code, output = invoke(["verify", "--n-range", "5:13", "--report-path", str(report),
+                                   "--checkpoint-path", str(tmp_path / "sweep.ckpt")])
+        err = capsys.readouterr().err
+        assert code == EXIT_FAILED
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert [line.split()[0] for line in output.splitlines()] == ["n=5", "n=7"]
+        assert invoke(["verify", "--n-range", "5:7", "--report-path", str(fresh)])[0] == EXIT_OK
+        assert [r["n"] for r in _records(report)] == [5, 7]
+        assert _records(report) == _records(fresh)
 
     def test_range_interrupt_resumes_to_the_uninterrupted_report(self, monkeypatch, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"

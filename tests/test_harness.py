@@ -26,8 +26,8 @@ from zsindex.cli import run
 from zsindex.harness import (
     HIGH_INDEX_KEY,
     VerificationReport,
-    _canonical_terms,
     _leading_terms,
+    _least_image,
     _minimal_tuples,
     _orbit_block,
     _orbit_members,
@@ -159,7 +159,7 @@ class TestOrbitCanonical:
             rep_of = naive_orbit_reps(n, tuples)
             assert set(rep_of) == set(tuples)  # orbits stay inside the minimal set
             for terms in tuples:
-                assert _canonical_terms(terms, n) == rep_of[terms], (n, terms)
+                assert _least_image(terms, n)[0] == rep_of[terms], (n, terms)
 
     def test_kernel_matches_oracle_with_zero_term(self):
         rng = random.Random(7)
@@ -167,7 +167,7 @@ class TestOrbitCanonical:
             n = rng.randint(2, 90)
             terms = tuple(sorted([rng.randint(1, n) for _ in range(rng.randint(0, 5))] + [n]))
             expected = naive_orbit_canonical(terms, n)
-            assert _canonical_terms(terms, n) == expected, (n, terms)
+            assert _least_image(terms, n)[0] == expected, (n, terms)
             assert orbit_canonical(Sequence.over(n, terms)).terms == expected
 
     @pytest.mark.parametrize("k, top", [(2, 60), (3, 60), (4, 60), (5, 30), (6, 30)])
@@ -1005,6 +1005,48 @@ class TestCheckpointResume:
                 assert getattr(resumed, field.name) == getattr(fresh, field.name), field.name
         records = [json.loads(line) for line in blocks.read_text().splitlines()]
         assert [r["n1"] for r in records] == _leading_terms(30)
+
+    def test_a_log_cut_at_any_byte_loads_its_complete_records(self, tmp_path):
+        """A crash can tear the log's last append at any byte.  Cut a real
+        log at every offset: ``load`` returns exactly the tallies of the
+        records complete before the cut, and truncates the file to them."""
+        ckpt = tmp_path / "sweep.ckpt"
+        argv = ["verify", "--n-range", "7:14", "--all-moduli", "--checkpoint-path", str(ckpt)]
+        assert run(argv, out=io.StringIO()) == 0
+        data = ckpt.with_name("sweep.ckpt.blocks").read_bytes()
+        lines = data.splitlines(keepends=True)
+        assert len(lines) == 19
+
+        def summary(records):
+            # (blocks, sequences, orbit_reps, histogram, high_index) per sweep
+            sweeps = {}
+            for r in records:
+                sweep = sweeps.setdefault((r["n"], r["k"], r["orbits"]), [set(), 0, 0, {}, []])
+                sweep[0].add(r["n1"])
+                sweep[1] += r["sequences"]
+                sweep[2] += r["orbit_reps"]
+                for key, count in r["histogram"].items():
+                    sweep[3][key] = sweep[3].get(key, 0) + count
+                sweep[4] += [(tuple(terms), index) for terms, index in r["high_index"]]
+            return sweeps
+
+        records = [json.loads(line) for line in lines]
+        ends = [0]
+        for line in lines:
+            ends.append(ends[-1] + len(line))
+        cut_log = tmp_path / "cut.ckpt.blocks"
+        whole = 0  # complete records before the cut
+        for cut in range(len(data) + 1):
+            if whole < len(lines) and ends[whole + 1] <= cut:
+                whole += 1
+            cut_log.write_bytes(data[:cut])
+            loaded = harness.Checkpoint(tmp_path / "cut.ckpt").load()
+            got = {
+                key: [t.done, t.sequences, t.orbit_reps, t.histogram, t.high_index]
+                for key, t in loaded.items()
+            }
+            assert got == summary(records[:whole]), cut
+            assert cut_log.read_bytes() == data[: ends[whole]], cut
 
     def test_corrupt_inner_record_raises(self, monkeypatch, tmp_path, capsys):
         ckpt = tmp_path / "sweep.ckpt"

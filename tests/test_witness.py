@@ -32,7 +32,13 @@ from zsindex import (
 )
 
 from zsindex import witness
-from zsindex.harness import _minimal_tuples, _orbit_members, _orbit_reps, _scan_block_impl
+from zsindex.harness import (
+    _least_image,
+    _minimal_tuples,
+    _orbit_members,
+    _orbit_reps,
+    _scan_block_impl,
+)
 from zsindex.witness import FIXED_CANDIDATES, _pipeline, _unit_lift
 
 from oracles import (
@@ -294,7 +300,8 @@ class TestLeadImage:
     """The image a sequence T takes its certificate from: its orbit's least
     member R, which leads with d = min gcd(t, n), reached by the least unit u
     with u*T = R.  A full sweep walks them with ``_orbit_members``, and the
-    ``witness`` command finds them with ``orbit_canonical``."""
+    ``witness`` command finds them with ``_least_image``, one walk over the
+    units."""
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_matches_oracle_on_every_minimal_tuple(self, k):
@@ -323,8 +330,8 @@ class TestLeadImage:
 
     def test_every_multiset_with_the_zero_element(self):
         # Sequences holding the zero element n are never minimal, but
-        # orbit_canonical takes any terms in [1, n], so the lift table that
-        # it reads must cover t = n.
+        # orbit_canonical takes any terms in [1, n], and its unit walk must
+        # keep n as n.
         for n in range(2, 17):
             for terms in combinations_with_replacement(range(1, n + 1), 4):
                 assert orbit_canonical(seq(n, terms)).terms == naive_orbit_canonical(terms, n)
@@ -517,7 +524,7 @@ class TestFindWitness:
         """Handed another orbit member's result, find_witness still tests its
         own input: every 4-multiset over [1, n], n <= 24, against the oracle,
         each with its orbit's least member's result and the least unit that
-        sends it there."""
+        sends it there, which ``_least_image`` finds as the command does."""
         for n in range(2, 25):
             units = naive_units(n)
             for terms in combinations_with_replacement(range(1, n + 1), 4):
@@ -526,6 +533,7 @@ class TestFindWitness:
                 u = next(
                     m for m in units if tuple(sorted(m * t % n or n for t in terms)) == rep.terms
                 )
+                assert _least_image(terms, n) == (rep.terms, u), s
                 if not naive_is_minimal(terms, n):
                     bogus = Witness(m=1, achieved_sum=n, rule=RULE_SUM_N)
                     with pytest.raises(NotMinimalZeroSum):

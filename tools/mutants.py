@@ -373,6 +373,24 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "least image compares unsorted images",
+        HARNESS,
+        "tuple(sorted([(u * t - 1) % n + 1 for t in terms]))",
+        "tuple([(u * t - 1) % n + 1 for t in terms])",
+        (
+            ORBIT + "test_worked_example",
+            ORBIT + "test_kernel_matches_oracle_on_every_minimal_tuple[4]",
+            ORBIT + "test_kernel_matches_oracle_with_zero_term",
+        ),
+    ),
+    Mutant(
+        "witness carries u^-1 in place of u",
+        "src/zsindex/cli.py",
+        "find_witness(Sequence(s.modulus, rep)), u)",
+        "find_witness(Sequence(s.modulus, rep)), pow(u, -1, s.n))",
+        ("tests/test_harness.py::test_the_witness_command_prints_what_the_sweep_counted[35]",),
+    ),
+    Mutant(
         "search keeps index-1 orbits",
         HARNESS,
         "        if min_sum <= modulus:\n",
