@@ -387,23 +387,16 @@ class SweepTally:
         self.histogram: dict[str, int] = {}
         self.high_index: list[tuple[tuple[int, ...], int]] = []
 
-    def add(
-        self,
-        n1: int,
-        sequences: int,
-        orbit_reps: int,
-        histogram: dict[str, int],
-        high_index: Iterable[tuple[tuple[int, ...], int]],
-    ) -> None:
-        if n1 in self.done:
+    def add(self, block: BlockResult) -> None:
+        if block.n1 in self.done:
             return
-        self.done.add(n1)
-        self.sequences += sequences
-        self.orbit_reps += orbit_reps
+        self.done.add(block.n1)
+        self.sequences += block.sequences
+        self.orbit_reps += block.orbit_reps
         tally = self.histogram
-        for key, count in histogram.items():
+        for key, count in block.histogram.items():
             tally[key] = tally.get(key, 0) + count
-        self.high_index.extend(high_index)
+        self.high_index.extend(block.high_index)
 
 
 def _scan_block_impl(n: int, k: int, d: int, orbits: bool) -> BlockResult:
@@ -585,7 +578,7 @@ class Checkpoint:
                 tally = sweeps.get((n, k, orbits))
                 if tally is None:
                     tally = sweeps[n, k, orbits] = SweepTally()
-                tally.add(n1, sequences, reps, histogram, high)
+                tally.add(BlockResult(n1, sequences, reps, histogram, high))
             torn = fh.tell() > whole
         if torn:
             with open(self.data_path, "r+b") as fh:
@@ -602,13 +595,15 @@ class Checkpoint:
         with open(self.data_path, "rb") as fh:
             head = fh.read(start).decode()  # every earlier line decoded
             line = fh.readline()
+        text = line.decode(errors="replace")
         if isinstance(exc, UnicodeDecodeError):
             reason, column = exc.reason, len(line[: exc.start].decode())
         else:
-            reason, column = exc.msg, exc.pos
+            # A fault at the line's end can sit past the newline it keeps.
+            reason, column = exc.msg, min(exc.pos, len(text) - 1)
         return json.JSONDecodeError(
             f"{self.data_path} holds a corrupt checkpoint record; {reason}",
-            head + line.decode(errors="replace"),
+            head + text,
             len(head) + column,
         )
 
@@ -689,10 +684,7 @@ def verify_moduli(
                 try:
                     while remaining[i] and not interrupted:
                         j, block = next(blocks)
-                        tallies[j].add(
-                            block.n1, block.sequences, block.orbit_reps, block.histogram,
-                            block.high_index,
-                        )
+                        tallies[j].add(block)
                         if checkpoint:
                             checkpoint.record(run[j], opts.k, opts.orbits, block)
                         remaining[j] -= 1

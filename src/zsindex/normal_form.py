@@ -184,7 +184,11 @@ def to_normal_form(s: Sequence) -> Witness | NormalForm:
     _check_quadruple(s)
     if content(s) != 1:
         raise ContentNotOne(f"content {content(s)} must be divided out first")
-    found = _normalize_validated(s)
+    if sum(s.terms) == s.n:
+        w = certify(s, 1, RULE_SUM_N)
+        assert w is not None
+        return w
+    found = _oriented_form(s) or one_sided_witness(s)
     if found is not None:
         return found
     # Unit 1 yields no form here: the identity orientation is lopsided.
@@ -196,21 +200,3 @@ def to_normal_form(s: Sequence) -> Witness | NormalForm:
         f"no unit transform of {s.terms} over {s.n} splits two-and-two"
     )
 
-
-def _normalize_validated(s: Sequence) -> Witness | NormalForm | None:
-    """to_normal_form without its unit search, for callers that already
-    hold the preconditions; None for a lopsided input of index above 1."""
-    n = s.n
-    total = sum(s.terms)
-    if total == n:
-        w = certify(s, 1, RULE_SUM_N)
-        assert w is not None
-        return w
-    assert total in (2 * n, 3 * n), "minimal zero-sum quadruple sums to n, 2n or 3n"
-
-    nf = _oriented_form(s)
-    if nf is not None:
-        return nf
-    # Lopsided identity orientation: at most one term on one strict side, or
-    # a term sits exactly on n/2.
-    return one_sided_witness(s)

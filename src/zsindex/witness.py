@@ -4,10 +4,10 @@ A quadruple runs the staged pipeline; every other length runs the
 exhaustive ascending unit scan alone.  The pipeline mirrors the reduction
 order: cheap sum checks, content division, normalization, then two
 interval-based sufficient conditions, a pool of candidate multipliers, and
-finally an exhaustive ascending scan over all units.  Normalization settles
-a quadruple with no 2-2 split around n/2 on its own: one ascending scan
-either certifies it or proves its index above 1, and then it goes straight
-to the exhaustive scan with no normal form built.  The interval stage and
+finally an exhaustive ascending scan over all units.  A quadruple with no
+2-2 split around n/2 has no normal form and is settled by one ascending
+unit scan: it certifies under ONE_SIDED at the least certifying unit, or
+its exact minimum proves the index above 1.  The interval stage and
 the pool's interval members read the half-open intervals [kn/c, kn/b) from
 one function, ``interval_integers``; the rest of the pool is a fixed list
 of small constants.  Every hit from every stage is validated by direct
@@ -38,6 +38,7 @@ from .certificates import (
     RULE_CANDIDATE,
     RULE_EXHAUSTIVE,
     RULE_INTERVAL,
+    RULE_ONE_SIDED,
     RULE_SUM_N,
     RULE_TWO_OF_THREE,
     HighIndexEvidence,
@@ -47,7 +48,7 @@ from .certificates import (
 from .normal_form import (
     NormalForm,
     NotMinimalZeroSum,
-    _normalize_validated,
+    _oriented_form,
     content,
     reduce_by_content,
 )
@@ -174,12 +175,12 @@ def candidate_multipliers(nf: NormalForm) -> list[tuple[int, str]]:
     return list(pool.items())
 
 
-def _exhaustive(s: Sequence) -> Witness | HighIndexEvidence:
-    """Ascending unit scan: first certificate, else the exact minimum."""
+def _exhaustive(s: Sequence, rule: str = RULE_EXHAUSTIVE) -> Witness | HighIndexEvidence:
+    """Ascending unit scan: first certificate, under ``rule``, else the exact minimum."""
     n = s.n
     best, best_m = min_transform_sum(s.terms, n, units(s.modulus), stop_at=n)
     if best == n:
-        w = certify(s, best_m, RULE_EXHAUSTIVE)
+        w = certify(s, best_m, rule)
         assert w is not None
         return w
     assert best % n == 0
@@ -199,7 +200,8 @@ def _unit_lift(x: int, n: int, step: int) -> int:
 
 def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
     n = s.n
-    if sum(s.terms) == n:
+    total = sum(s.terms)
+    if total == n:
         w = certify(s, 1, RULE_SUM_N)
         assert w is not None
         return w
@@ -216,11 +218,12 @@ def _pipeline(s: Sequence) -> Witness | HighIndexEvidence:
         w = certify(s, m, inner.rule, inner.k, inner.case, (f"content:{u}",) + inner.trail)
         assert w is not None, f"content:{u} must carry the certificate {inner}"
         return w
-    nf = _normalize_validated(s)
+    assert total in (2 * n, 3 * n), "minimal zero-sum quadruple sums to n, 2n or 3n"
+    nf = _oriented_form(s)
     if nf is None:
-        return _exhaustive(s)  # lopsided, and no unit certifies it
-    if isinstance(nf, Witness):
-        return nf
+        # Lopsided: a unit image summing to n is one-sided, so one scan
+        # either certifies at the least such unit or proves the index above 1.
+        return _exhaustive(s, RULE_ONE_SIDED)
     # nf.unit maps s onto the represented sequence, so m certifies that
     # sequence exactly when m times the unit certifies s.
     for stage in (interval_witness, two_of_three_witness):
@@ -241,10 +244,11 @@ def find_witness(
 
     Requires a minimal zero-sum sequence of any length, and tests minimality
     on every call.  Without ``found`` a quadruple runs the staged pipeline:
-    sum = n, content division, normalization (with its cheap certificates),
-    the interval condition on [kn/c, kn/b), the half-plane condition, the
-    candidate pool, exhaustive scan.  Any other length runs the exhaustive
-    scan alone.
+    sum = n, content division, the 2-2 split's normal form, the interval
+    condition on [kn/c, kn/b), the half-plane condition, the candidate pool,
+    exhaustive scan.  A quadruple with no 2-2 split is one unit scan, which
+    certifies under ONE_SIDED or proves the index above 1.  Any other length
+    runs the exhaustive scan alone.
 
     ``found`` is the result for u*s, another member of s's unit orbit, which
     the caller already holds.  The index is constant on unit orbits, and a

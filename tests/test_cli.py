@@ -356,6 +356,28 @@ class TestVerifyCommand:
         keys = [(r["n"], r["n1"]) for r in map(json.loads, lines)]
         assert sorted(keys) == [(n, d) for n in range(7, 21) for d in _leading_terms(n)]
 
+    def test_a_resume_from_any_record_boundary_reproduces_the_report(self, tmp_path):
+        """A run stopped after any number of logged blocks, or in the middle
+        of a record, resumes to the uninterrupted run's reports and log."""
+        argv = ["verify", "--n-range", "7:14", "--all-moduli"]
+        fresh = tmp_path / "fresh.jsonl"
+        full = tmp_path / "full.ckpt"
+        code, _ = invoke(argv + ["--checkpoint-path", str(full), "--report-path", str(fresh)])
+        assert code == EXIT_OK
+        lines = (tmp_path / "full.ckpt.blocks").read_bytes().splitlines(keepends=True)
+        assert len(lines) == 19
+        cuts = [b"".join(lines[:i]) for i in range(len(lines) + 1)]
+        cuts += [b"".join(lines[:i]) + lines[i][: len(lines[i]) // 2] for i in range(len(lines))]
+        ckpt = tmp_path / "cut.ckpt"
+        blocks = tmp_path / "cut.ckpt.blocks"
+        report = tmp_path / "resumed.jsonl"
+        for i, data in enumerate(cuts):
+            blocks.write_bytes(data)
+            code, _ = invoke(argv + ["--checkpoint-path", str(ckpt), "--report-path", str(report)])
+            assert code == EXIT_OK, i
+            assert _records(report) == _records(fresh), i
+            assert sorted(blocks.read_bytes().splitlines(keepends=True)) == sorted(lines), i
+
 
 class TestOutputPaths:
     """A path that cannot be written is refused before any block runs."""

@@ -1064,6 +1064,22 @@ class TestCheckpointResume:
         assert str(blocks) in err and "line 3 column 11" in err
         assert blocks.read_bytes() == b"".join(lines)
 
+    def test_a_fault_at_a_line_end_names_that_line(self, tmp_path, capsys):
+        # The decoder looks for the value past the newline of '{"bad": ', so
+        # its own position is on the next line, a valid record.
+        ckpt = tmp_path / "sweep.ckpt"
+        argv = ["verify", "--n", "7", "--checkpoint-path", str(ckpt)]
+        assert run(argv, out=io.StringIO()) == 0
+        blocks = tmp_path / "sweep.ckpt.blocks"
+        log = b'{"bad": \n' + blocks.read_bytes()
+        blocks.write_bytes(log)
+        code = run(argv, out=io.StringIO())
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+        assert str(blocks) in err and "line 1 column 9" in err
+        assert blocks.read_bytes() == log
+
     def test_non_utf8_inner_record_names_its_line(self, monkeypatch, tmp_path):
         ckpt = tmp_path / "sweep.ckpt"
         sweep_interrupted_at_block_6(monkeypatch, ckpt)

@@ -26,6 +26,7 @@ from zsindex import (
     find_witness,
     interval_integers,
     interval_witness,
+    one_sided_witness,
     orbit_canonical,
     two_of_three_witness,
     verify_witness,
@@ -180,13 +181,13 @@ def test_every_admissible_interval_unit_certifies():
     # docstring; here every probe it could make certifies: each unit m in
     # [kn/c, kn/b) with m*a < n, for every k <= b, of every normal form a
     # content-1 minimal quadruple over n <= 60 reaches.
-    from zsindex.normal_form import _normalize_validated
+    from zsindex.normal_form import _oriented_form
 
     forms = set()
     for n in range(2, 61):
         for terms in _minimal_tuples(n, 4):
             if math.gcd(n, *terms) == 1:
-                form = _normalize_validated(seq(n, terms))
+                form = _oriented_form(seq(n, terms))
                 if isinstance(form, NormalForm):
                     forms.add((n, form.e, form.a, form.b, form.c))
     probes = 0
@@ -222,7 +223,7 @@ def test_form_stage_answers_for_its_input(stage):
     complement, at n - 1; the input v^-1 * s, whose form is reached through
     the further move mul:v, checks a unit that is neither."""
     from zsindex import enumerate_minimal
-    from zsindex.normal_form import _normalize_validated
+    from zsindex.normal_form import _oriented_form
 
     seen = {1: 0, -1: 0}
     for n in range(2, 41):
@@ -230,7 +231,7 @@ def test_form_stage_answers_for_its_input(stage):
         for s in enumerate_minimal(factorize(n), 4):
             if math.gcd(n, *s.terms) != 1:
                 continue
-            form = _normalize_validated(s)
+            form = _oriented_form(s)
             if not isinstance(form, NormalForm):
                 continue
             assert form.unit in (1, n - 1), (n, s.terms, form)
@@ -464,9 +465,9 @@ class TestFindWitness:
         assert scanned > 0
 
     def test_lopsided_input_skips_the_form_stages(self, monkeypatch):
-        # A lopsided quadruple is settled by the one-sided scan: index 1 gives
-        # ONE_SIDED, and otherwise no normal form can hold a certificate, so
-        # the pipeline goes straight to the exhaustive scan.
+        # A lopsided quadruple is settled by one ascending unit scan: index 1
+        # gives ONE_SIDED at the least certifying unit, as one_sided_witness
+        # finds it, and otherwise the scan's exact minimum is the evidence.
         from zsindex import enumerate_minimal
 
         def forbidden(*args):
@@ -474,6 +475,15 @@ class TestFindWitness:
 
         for name in ("interval_witness", "two_of_three_witness", "candidate_multipliers"):
             monkeypatch.setattr(f"zsindex.witness.{name}", forbidden)
+        scans = []
+        scan = witness.min_transform_sum
+
+        def counting(*args, **kwargs):
+            scans.append(args)
+            return scan(*args, **kwargs)
+
+        for module in ("witness", "normal_form"):
+            monkeypatch.setattr(f"zsindex.{module}.min_transform_sum", counting)
         high = 0
         for n in range(2, 41):
             for s in enumerate_minimal(factorize(n), 4):
@@ -482,11 +492,14 @@ class TestFindWitness:
                 above = sum(1 for t in terms if 2 * t > n)
                 if (below, above) == (2, 2) or sum(terms) == n or math.gcd(n, *terms) != 1:
                     continue
+                scans.clear()
                 result = _pipeline(s)
+                assert len(scans) == 1, (n, terms)
                 index, argmin = naive_index(terms, n)
                 if index == 1:
                     assert isinstance(result, Witness) and result.rule == RULE_ONE_SIDED, (n, terms)
                     assert verify_witness(s, result)
+                    assert result == one_sided_witness(s), (n, terms)
                 else:
                     high += 1
                     expected = HighIndexEvidence(int(index), argmin, int(index) * n)

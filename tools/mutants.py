@@ -255,7 +255,7 @@ MUTANTS = [
     Mutant(
         "a sweep's tally adds a block logged twice twice",
         HARNESS,
-        "        if n1 in self.done:\n            return\n",
+        "        if block.n1 in self.done:\n            return\n",
         "",
         (RESUME + "test_a_log_holding_every_block_twice_counts_each_once",),
     ),
@@ -265,6 +265,13 @@ MUTANTS = [
         "and type(sequences) is int and type(reps) is int",
         "and isinstance(sequences, int) and isinstance(reps, int)",
         (RESUME + "test_malformed_record_is_refused[count_is_a_bool]",),
+    ),
+    Mutant(
+        "a fault's column runs past its line",
+        HARNESS,
+        "min(exc.pos, len(text) - 1)",
+        "exc.pos",
+        (RESUME + "test_a_fault_at_a_line_end_names_that_line",),
     ),
     Mutant(
         "a report's histogram keeps its blocks' arrival order",
@@ -300,6 +307,23 @@ MUTANTS = [
         "_pipeline(s) if len(terms) == 4 else _exhaustive(s)",
         "_exhaustive(s)",
         ("tests/test_harness.py::test_golden_rule_histogram[35]",),
+    ),
+    Mutant(
+        "a lopsided quadruple's scan certifies under EXHAUSTIVE",
+        WITNESS,
+        "_exhaustive(s, RULE_ONE_SIDED)",
+        "_exhaustive(s)",
+        (
+            FIND + "test_lopsided_input_skips_the_form_stages",
+            "tests/test_harness.py::test_golden_rule_histogram[35]",
+        ),
+    ),
+    Mutant(
+        "a lopsided quadruple is scanned twice",
+        WITNESS,
+        "return _exhaustive(s, RULE_ONE_SIDED)",
+        "return (_exhaustive(s), _exhaustive(s, RULE_ONE_SIDED))[1]",
+        (FIND + "test_lopsided_input_skips_the_form_stages",),
     ),
     Mutant(
         "the transport skips the minimality test",
