@@ -51,6 +51,11 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INTERRUPTED = 3
 EXIT_FAILED = 4
+# The longest sequence length a command takes.  The enumeration kernel nests
+# one generator frame per term, so a length near the interpreter's recursion
+# limit would fault instead of sweeping; every sweep that can finish is far
+# shorter.
+MAX_K = 64
 
 VERIFY_FIELDS = (
     "n",
@@ -110,8 +115,8 @@ class RunConfig:
                 raise UsageError(f"modulus must be >= 2, got {n}")
         if self.jobs < 1:
             raise UsageError("jobs must be >= 1")
-        if self.k < 1:
-            raise UsageError("k must be >= 1")
+        if not 1 <= self.k <= MAX_K:
+            raise UsageError(f"k must be in [1, {MAX_K}], got {self.k}")
         if self.terms is not None:
             n = self.moduli[0]
             for t in self.terms:

@@ -50,7 +50,9 @@ from typing import Callable, Iterable, Iterator, Sequence as SequenceABC
 
 from .certificates import HighIndexEvidence, verify_witness
 from .residues import GroupOrder, _units, factorize, lift_table, units
-from .sequences import Sequence, _presorted, min_transform_sum, sequence_index
+from .sequences import (
+    Sequence, _presorted, _set_modulus, _set_terms, min_transform_sum, sequence_index
+)
 from .witness import find_witness
 
 HIGH_INDEX_KEY = "HIGH_INDEX"
@@ -333,29 +335,29 @@ def _orbit_reps(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
     return chain.from_iterable(_orbit_block(n, k, d) for d in _leading_terms(n))
 
 
-def _orbit_members(
-    rep: tuple[int, ...], n: int, fixed: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
+def _orbit_members(rep: tuple[int, ...], n: int, fixed: int) -> list[tuple[tuple[int, ...], int]]:
     """Each member T of R's unit orbit once, with the least unit u that sends T to R.
 
-    The units u are walked ascending, and each sorted image T = u^-1 * R is
-    yielded the first time it turns up, with that u: the least unit with
-    u * T = R.  So R itself comes first, with u = 1.  The orbit holds
-    phi(n) / |Stab(R)| members; ``fixed`` is the |Stab(R)| that R's orbit
-    block counted, and the walk raises ``RuntimeError`` at its end if it saw
-    another number.  Each inverse is read from the modulus's ``lift_table``.
+    The images u^-1 * R are built column-wise, one list per term of R over
+    the inverses of the units u ascending, and zipped into one image per u.
+    Each sorted image T is kept with the first u that gives it, the least
+    unit with u * T = R, so the u ascend and R itself comes first, with
+    u = 1.  The orbit holds phi(n) / |Stab(R)| members; ``fixed`` is the
+    |Stab(R)| that R's orbit block counted, and the walk raises
+    ``RuntimeError`` if it finds another number.  Each inverse is read from
+    the modulus's ``lift_table``.
     """
     _, lifts = lift_table(n)
     unit_list = _units(n)
-    seen = set()
-    for u in unit_list:
-        (v,) = lifts[u]  # u^-1
-        terms = tuple(sorted([v * t % n for t in rep]))
-        if terms not in seen:
-            seen.add(terms)
-            yield terms, u
-    if len(seen) * fixed != len(unit_list):
-        raise RuntimeError(f"orbit of {rep} over {n} has {len(seen)} members")
+    inverses = [lifts[u][0] for u in unit_list]
+    images = zip(*[[v * t % n for v in inverses] for t in rep])
+    first: dict[tuple[int, ...], int] = {}
+    for terms, u in zip(map(tuple, map(sorted, images)), unit_list):
+        if terms not in first:
+            first[terms] = u
+    if len(first) * fixed != len(unit_list):
+        raise RuntimeError(f"orbit of {rep} over {n} has {len(first)} members")
+    return list(first.items())
 
 
 @dataclass(slots=True)
@@ -406,8 +408,9 @@ def _scan_block_impl(n: int, k: int, d: int, orbits: bool) -> BlockResult:
     each adds its whole orbit, phi(n) / |Stab(R)| sequences, to the count,
     so the divisor blocks together count every sequence of the modulus.  In
     orbit mode only R is certified.  In full mode R's orbit is expanded
-    (``_orbit_members``): R is certified first, and every other member T
-    then gets its result from R's through ``find_witness(T, found, u)``.
+    (``_orbit_members``, which lists R first): R is certified and checked
+    before the walk, and every other member T then gets its result from R's
+    through ``find_witness(T, found, u)``, its Sequence built in the loop.
     Every member carries R's label, so the histogram adds the orbit's size
     (full mode) or 1 (orbit mode) under R's label once per representative.
     The same two calls serve every length k.
@@ -418,6 +421,8 @@ def _scan_block_impl(n: int, k: int, d: int, orbits: bool) -> BlockResult:
     """
     group = factorize(n)
     phi = len(units(group))
+    # Bound per call, never as defaults, so that patches of these names apply.
+    find, recheck, new = find_witness, verify_witness, object.__new__
     histogram: dict[str, int] = {}
     high: list[tuple[tuple[int, ...], int]] = []
     sequences = 0
@@ -426,27 +431,39 @@ def _scan_block_impl(n: int, k: int, d: int, orbits: bool) -> BlockResult:
         size = phi // fixed
         sequences += size
         reps += 1
-        found = None  # R's result; R is the first member
-        for terms, u in ((rep, 1),) if orbits else _orbit_members(rep, n, fixed):
-            seq = _presorted(group, terms)  # sorted, in [1, n - 1]
-            result = find_witness(seq, found, u)
-            if found is None:
-                found = result
+        seq = _presorted(group, rep)  # R comes first in its orbit, with u = 1
+        found = find(seq)
+        if type(found) is HighIndexEvidence:
+            high.append(_cross_checked(seq, found))
+        elif found is None or not recheck(seq, found):
+            raise RuntimeError(f"unsound witness {found} for {rep} over {n}")
+        for terms, u in () if orbits else _orbit_members(rep, n, fixed)[1:]:
+            seq = new(Sequence)  # what _presorted builds: sorted, in [1, n - 1]
+            _set_modulus(seq, group)
+            _set_terms(seq, terms)
+            result = find(seq, found, u)
             if type(result) is HighIndexEvidence:
-                check = sequence_index(seq)
-                if check.numerator != result.min_sum or check.argmin_unit != result.argmin_unit:
-                    raise RuntimeError(
-                        f"evidence mismatch for {terms} over {n}: "
-                        f"{result} vs exhaustive {check}"
-                    )
-                high.append((terms, result.index))
-            elif result is None or not verify_witness(seq, result):
+                high.append(_cross_checked(seq, result))
+            elif result is None or not recheck(seq, result):
                 raise RuntimeError(f"unsound witness {result} for {terms} over {n}")
         key = HIGH_INDEX_KEY if type(found) is HighIndexEvidence else found.label
         histogram[key] = histogram.get(key, 0) + (1 if orbits else size)
     return BlockResult(
         n1=d, sequences=sequences, orbit_reps=reps, histogram=histogram, high_index=high
     )
+
+
+def _cross_checked(seq: Sequence, evidence: HighIndexEvidence) -> tuple[tuple[int, ...], int]:
+    """(terms, index) of high-index evidence that the exhaustive index agrees with.
+
+    A disagreement is a soundness bug and raises.
+    """
+    check = sequence_index(seq)
+    if check.numerator != evidence.min_sum or check.argmin_unit != evidence.argmin_unit:
+        raise RuntimeError(
+            f"evidence mismatch for {seq.terms} over {seq.n}: {evidence} vs exhaustive {check}"
+        )
+    return seq.terms, evidence.index
 
 
 @dataclass

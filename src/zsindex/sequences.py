@@ -93,33 +93,32 @@ def is_zero_sum(s: Sequence) -> bool:
 
 
 def is_minimal_zero_sum(s: Sequence) -> bool:
-    """Zero-sum with no proper nonempty sub-multiset summing to zero."""
-    return is_minimal_terms(s.terms, s.n)
-
-
-def is_minimal_terms(terms: tuple[int, ...], n: int) -> bool:
-    """is_minimal_zero_sum on a bare term tuple over Z_n.
+    """Zero-sum with no proper nonempty sub-multiset summing to zero.
 
     For a zero-sum sequence a subset sums to zero exactly when its
-    complement does, so only the 2^(k-1) - 1 nonempty subsets that leave
-    out the last term are checked.  Their sums are built incrementally,
-    each from a smaller subset's sum plus one term.  Four terms, the length
-    the staged witness search takes, check their seven subsets in one
-    expression.
+    complement does, so only the nonempty subsets that leave out the last
+    term are checked.  Four terms, the length the staged witness search
+    takes, check their seven subsets in one expression.  Other lengths grow
+    the set of residues that those subsets reach, one term at a time, and
+    stop as soon as it holds 0.  The set is the bits of one int, at most n
+    of them, and each term adds its shift by t mod n in a few whole-int
+    operations: O(k n) bit steps, not 2^(k-1) sums.
     """
+    terms, n = s.terms, s.modulus.n
     if len(terms) == 4:
         a, b, c, _ = terms
         return bool(not sum(terms) % n and a % n and b % n and c % n and (a + b) % n
                     and (a + c) % n and (b + c) % n and (a + b + c) % n)
     if sum(terms) % n:
         return False
-    sums = [0]
+    full = (1 << n) - 1
+    reached = 0  # bit r is set once a subset of the terms so far sums to r
     for t in terms[:-1]:
-        for x in tuple(sums):
-            y = (x + t) % n
-            if not y:
-                return False
-            sums.append(y)
+        t %= n
+        moved = reached << t  # bit r to r + t, which is below 2n
+        reached |= (moved | moved >> n) & full | 1 << t
+        if reached & 1:
+            return False
     return True
 
 

@@ -21,6 +21,7 @@ from zsindex.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
+    MAX_K,
     VERIFY_FIELDS,
     run,
     verify_csv_row,
@@ -484,6 +485,23 @@ class TestInvalidInput:
     def test_garbled_terms(self):
         code, _ = invoke(["index", "--n", "10", "--terms", "1,x"])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["enumerate", "verify", "search"])
+    @pytest.mark.parametrize("n, k", [(60, 0), (60, MAX_K + 1), (1200, 1150)])
+    def test_k_out_of_bounds(self, command, n, k, capsys):
+        # A length past MAX_K is bad input.  Without the bound, k = 1150 at
+        # n = 1200 reached the recursion limit of the enumeration kernel and
+        # exited 4 (the lengths above n are empty, so they cannot hang).
+        code, output = invoke([command, "--n", str(n), "--k", str(k)])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE and output == ""
+        assert err == f"error: k must be in [1, {MAX_K}], got {k}\n"
+
+    @pytest.mark.parametrize("command", ["enumerate", "verify", "search"])
+    def test_k_at_the_bound_runs(self, command):
+        # The Davenport constant of Z_n is n, so k = MAX_K above n is empty.
+        code, output = invoke([command, "--n", "7", "--k", str(MAX_K)])
+        assert code == EXIT_OK and "Traceback" not in output
 
 
 class TestRunsInOneProcess:

@@ -94,6 +94,23 @@ class TestMinimality:
                         combo, n,
                     )
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 30), st.data())
+    def test_agrees_with_oracle_on_longer_lengths(self, n, data):
+        # Lengths 7 to 12, with the last term closing the sum to 0 so that
+        # most draws reach the subset walk.
+        k = data.draw(st.integers(7, 12))
+        head = data.draw(st.lists(st.integers(1, n), min_size=k - 1, max_size=k - 1))
+        combo = (*head, -sum(head) % n or n)
+        assert is_minimal_zero_sum(seq(n, combo)) == naive_is_minimal(combo, n), (combo, n)
+
+    def test_long_sequences(self):
+        # 2^39 subsets of the first 39 terms, but at most 40 residues they reach.
+        assert is_minimal_zero_sum(seq(40, (1,) * 40))
+        assert is_minimal_zero_sum(seq(40, (1,) * 37 + (3,)))
+        assert not is_minimal_zero_sum(seq(40, (1,) * 36 + (6, 38)))  # 1 + 1 + 38 = 40
+        assert not is_minimal_zero_sum(seq(41, (1,) * 40 + (2, 40)))  # 1 + 40 = 41
+
 
 class TestApplyUnit:
     def test_worked_example(self):

@@ -312,7 +312,12 @@ class TestLeadImage:
             units = naive_units(n)
             members = {}
             for rep, fixed in _orbit_reps(n, k):
-                for terms, u in _orbit_members(rep, n, fixed):
+                walk = list(_orbit_members(rep, n, fixed))
+                # R first, with u = 1, which a full sweep settles before the
+                # rest; then the u ascend.
+                assert walk[0] == (rep, 1), (n, rep)
+                assert all(a[1] < b[1] for a, b in zip(walk, walk[1:])), (n, rep)
+                for terms, u in walk:
                     assert terms not in members, (n, terms)
                     members[terms] = rep, u
             assert set(members) == set(tuples), n

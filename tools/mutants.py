@@ -243,6 +243,17 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "the minimality walk leaves out each term on its own",
+        "src/zsindex/sequences.py",
+        "        reached |= (moved | moved >> n) & full | 1 << t\n",
+        "        reached |= (moved | moved >> n) & full\n",
+        (
+            MINIMAL + "test_zero_element_in_longer_sequence_is_not",
+            MINIMAL + "test_agrees_with_oracle_small",
+            MINIMAL + "test_long_sequences",
+        ),
+    ),
+    Mutant(
         "min_transform_sum breaks ties toward the larger unit",
         "src/zsindex/sequences.py",
         "        if total < best or not best_m:\n",
@@ -338,8 +349,19 @@ MUTANTS = [
     Mutant(
         "orbit members carry u^-1 in place of u",
         HARNESS,
-        "            yield terms, u\n",
-        "            yield terms, v\n",
+        "zip(map(tuple, map(sorted, images)), unit_list)",
+        "zip(map(tuple, map(sorted, images)), inverses)",
+        (
+            "tests/test_witness.py::TestLeadImage::test_matches_oracle_on_every_minimal_tuple[4]",
+            "tests/test_harness.py::test_golden_rule_histogram[35]",
+            "tests/test_harness.py::test_the_witness_command_prints_what_the_sweep_counted[35]",
+        ),
+    ),
+    Mutant(
+        "orbit images are built over the units, not their inverses",
+        HARNESS,
+        "[[v * t % n for v in inverses] for t in rep]",
+        "[[v * t % n for v in unit_list] for t in rep]",
         (
             "tests/test_witness.py::TestLeadImage::test_matches_oracle_on_every_minimal_tuple[4]",
             "tests/test_harness.py::test_golden_rule_histogram[35]",
@@ -349,7 +371,7 @@ MUTANTS = [
     Mutant(
         "the orbit-size check is dropped",
         HARNESS,
-        "    if len(seen) * fixed != len(unit_list):\n",
+        "    if len(first) * fixed != len(unit_list):\n",
         "    if False:\n",
         (SEARCH + "test_orbit_size_mismatch_raises",),
     ),
@@ -377,8 +399,8 @@ MUTANTS = [
     Mutant(
         "orbits are expanded over every unit but the last",
         HARNESS,
-        "    for u in unit_list:\n",
-        "    for u in unit_list[:-1]:\n",
+        "zip(map(tuple, map(sorted, images)), unit_list)",
+        "zip(map(tuple, map(sorted, images)), unit_list[:-1])",
         (
             SEARCH + "test_full_search_matches_naive_oracle[4-30]",
             SEARCH + "test_n10_includes_literal_example",
