@@ -112,7 +112,7 @@ def is_minimal_zero_sum(s: Sequence) -> bool:
     if sum(terms) % n:
         return False
     full = (1 << n) - 1
-    reached = 0  # bit r is set once a subset of the terms so far sums to r
+    reached = 0  # bit r: a nonempty subset of the terms so far sums to r (mod n)
     for t in terms[:-1]:
         t %= n
         moved = reached << t  # bit r to r + t, which is below 2n

@@ -312,7 +312,7 @@ class TestLeadImage:
             units = naive_units(n)
             members = {}
             for rep, fixed in _orbit_reps(n, k):
-                walk = list(_orbit_members(rep, n, fixed))
+                walk = _orbit_members(rep, n, fixed)
                 # R first, with u = 1, which a full sweep settles before the
                 # rest; then the u ascend.
                 assert walk[0] == (rep, 1), (n, rep)
