@@ -16,6 +16,10 @@ passes that floor, so the pair works on units instead: ``clear`` refuses a
 term when some unit term t sends another term below the second term b
 (t^-1 sends (1, b, ...) to an image holding 1, which then sorts below the
 tuple), and ``ties`` builds only the images that tie with the tuple on b.
+Block 1 at k = 4, which holds most representatives, calls neither:
+``_block_one_quadruples`` walks its closing terms, admits them and tests
+ties in one loop, with inverses read from ``lift_table``, and returns what
+the pair returns; ``_orbit_block`` alone picks it.
 ``_orbit_block`` yields each least member R with |Stab(R)|, so the sweep
 counts each orbit's members (|orbit(R)| = phi(n) / |Stab(R)|) rather than
 enumerating them.  An orbit sweep certifies R alone.  A full sweep also
@@ -25,7 +29,7 @@ orbit, so the reduction chain runs once per orbit.  Every gcd, inverse and
 such unit is read from one per-modulus table, ``residues.lift_table``,
 which both pairs and ``_orbit_members`` share.  ``orbit_canonical``, which
 no sweep calls, walks every unit instead (``_least_image``).
-``search_high_index`` walks the same pairs, one unit scan per
+``search_high_index`` walks the same blocks, one unit scan per
 representative, and expands only the high-index orbits.  One worker pool
 serves a whole ``verify_moduli`` run, however many moduli it sweeps, and its
 task queue runs across moduli.  Block results, logged or new, are added
@@ -185,9 +189,9 @@ def _representative_stabilizer(terms: tuple[int, ...], n: int) -> int:
     so it is counted without being tried.
 
     Orbit blocks d > 1 use it as their leastness test (see ``_orbit_tests``).
-    Block 1 uses a tie test that returns the same from fewer images, and
-    ``search_high_index``'s orbit-size check tests the |Stab| that either
-    one returned.
+    Block 1 uses a tie test that returns the same from fewer images, at
+    k = 4 inline in ``_block_one_quadruples``, and the orbit-size check of
+    ``_orbit_members`` tests the |Stab| that any of them returned.
     """
     gcds, lifts = lift_table(n)
     d = terms[0]
@@ -220,7 +224,10 @@ def _orbit_tests(
     ``keep(x, held)``.  The leastness test returns, on every tuple the block
     builds, what ``_representative_stabilizer`` does: |Stab(terms)| if the
     terms are least in their orbit, else 0.  This is the one place that
-    picks the pair by d.
+    picks the pair by d.  Block 1 at k = 4 does not call its pair:
+    ``_block_one_quadruples`` makes the same comparisons inline and yields
+    what the pair keeps.  The pair stays block 1's path at every other
+    length, and the kernel's reference in the tests.
 
     For d > 1 the pair is ``floor``, gcd(x, n) >= d, and
     ``_representative_stabilizer`` itself.  An orbit's least member leads
@@ -241,7 +248,8 @@ def _orbit_tests(
     consulted; the block's one tuple (1, n - 1) is least, and ``ties``
     counts its stabilizer {1, n - 1}.
 
-    Every gcd, inverse and lift comes from the modulus's ``lift_table``.
+    Every gcd, inverse and lift comes from the modulus's ``lift_table``,
+    and so do the kernel's inverses.
     """
     gcds, lifts = lift_table(n)
 
@@ -289,6 +297,58 @@ def _orbit_tests(
     return clear, ties
 
 
+def _block_one_quadruples(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Block 1's least members at k = 4, each with |Stab|, in enumeration order.
+
+    The list that block 1's pair of tests (``_orbit_tests``) keeps of
+    ``_minimal_tuples``, from one loop that calls neither test.  The second
+    term b walks ``_minimal_tuples``' picks after the lead 1, and each b
+    that ``clear`` passes leaves rest = n - 1 - b.  The closing term u walks
+    the two closing ranges and forces w = rest - u (mod n).  A u that closes
+    a zero sum with 1 or b is skipped first.  Then ``clear``'s comparisons
+    for u and for w run inline, with the inverses of b, u and w read once
+    from ``lift_table`` (0 for a term that is no unit).  A tuple they pass
+    sorts at or below one of its images only on a tie, when some unit term
+    t has t * b among the terms.  Only then are images built, one under the
+    inverse of each distinct unit term above 1, as in ``ties``: an untied
+    one sorts above the tuple.
+    """
+    gcds, lifts = lift_table(n)
+    inverse = [lift[0] if g == 1 else 0 for g, lift in zip(gcds, lifts)]
+    for b in range(1, min(n - 1, (2 * n - 1) // 3 + 1)):
+        ib = inverse[b]
+        if ib and ib < b:
+            continue
+        rest = n - 1 - b
+        grown = (rest, n - 1, n - b)  # u = -1 - b, -1 or -b would close a zero sum
+        for u in chain(range(b, rest // 2 + 1), range(max(b, rest + 1), (rest + n) // 2 + 1)):
+            if u in grown:
+                continue
+            iu = inverse[u]
+            if iu and (iu < b or iu * b % n < b) or ib and ib * u % n < b:
+                continue
+            w = (rest - u) % n
+            iw = inverse[w]
+            if (
+                iw and (iw < b or iw * b % n < b or iw * u % n < b)
+                or ib and ib * w % n < b
+                or iu and iu * w % n < b
+            ):
+                continue
+            quad = (1, b, u, w)
+            fixed = 1
+            if ib and b * b % n in quad or iu and u * b % n in quad or iw and w * b % n in quad:
+                for t, m in {b: ib, u: iu, w: iw}.items():
+                    if m and t > 1:
+                        image = tuple(sorted([m * x % n for x in quad]))
+                        if image < quad:
+                            fixed = 0
+                            break
+                        fixed += image == quad
+            if fixed:
+                yield quad, fixed
+
+
 def _least_image(terms: SequenceABC[int], n: int) -> tuple[tuple[int, ...], int]:
     """(R, u): the least sorted image R of terms in [1, n] under the units of
     Z_n, and the least unit u with u * terms = R.
@@ -317,13 +377,15 @@ def _orbit_block(n: int, k: int, d: int) -> Iterator[tuple[tuple[int, ...], int]
 
     ``_minimal_tuples`` builds the k-tuples led by d that the block's
     admission test passes, and its leastness test keeps the least ones
-    (see ``_orbit_tests``).
+    (see ``_orbit_tests``).  Block 1 at k = 4, which holds most
+    representatives, runs ``_block_one_quadruples`` instead, which returns
+    what that pair returns; this is the one place that picks it.
     """
+    if k == 4 and d == 1:
+        return _block_one_quadruples(n)
     keep, least = _orbit_tests(n, d)
-    for terms in _minimal_tuples(n, k, (d,), keep):
-        fixed = least(terms)
-        if fixed:
-            yield terms, fixed
+    tuples = _minimal_tuples(n, k, (d,), keep)
+    return ((terms, fixed) for terms in tuples if (fixed := least(terms)))
 
 
 def _orbit_reps(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:

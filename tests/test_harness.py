@@ -26,6 +26,7 @@ from zsindex.cli import run
 from zsindex.harness import (
     HIGH_INDEX_KEY,
     VerificationReport,
+    _block_one_quadruples,
     _leading_terms,
     _least_image,
     _minimal_tuples,
@@ -60,6 +61,28 @@ def admitted(n, k, d):
     """Orbit block d's tuples that its admission test lets through."""
     keep, _ = _orbit_tests(n, d)
     return list(_minimal_tuples(n, k, (d,), keep))
+
+
+def record_orbit_blocks(monkeypatch):
+    """Patch the walks of the orbit blocks to log each as it starts.
+
+    A block's entry is its leading terms and the name of its admission test,
+    or "kernel" for block 1 at k = 4.
+    """
+    calls = []
+    tuples, kernel = harness._minimal_tuples, harness._block_one_quadruples
+
+    def walking(n, k, leading=None, keep=None):
+        calls.append((list(leading), keep and keep.__name__))
+        return tuples(n, k, leading, keep)
+
+    def fused(n):
+        calls.append(([1], "kernel"))
+        return kernel(n)
+
+    monkeypatch.setattr(harness, "_minimal_tuples", walking)
+    monkeypatch.setattr(harness, "_block_one_quadruples", fused)
+    return calls
 
 
 class TestEnumerateMinimal:
@@ -280,17 +303,40 @@ class TestOrbitCanonical:
         assert sum(1 for _ in _orbit_block(n, 4, d)) == least
 
     def test_orbit_reps_floor_each_divisor_block(self, monkeypatch):
-        calls = []
-        tuples = harness._minimal_tuples
-
-        def recording(n, k, leading=None, keep=None):
-            calls.append((list(leading), keep and keep.__name__))
-            return tuples(n, k, leading, keep)
-
-        monkeypatch.setattr(harness, "_minimal_tuples", recording)
+        # At k = 4 block 1 runs its own kernel, and every other block walks
+        # ``_minimal_tuples`` with the gcd floor.
+        calls = record_orbit_blocks(monkeypatch)
         reps = [terms for terms, _ in _orbit_reps(77, 4)]
+        assert calls == [([1], "kernel"), ([7], "floor"), ([11], "floor")]
+        tuples = list(_minimal_tuples(77, 4))
+        assert reps == sorted(set(naive_orbit_reps(77, tuples).values()))
+
+    def test_orbit_reps_at_other_lengths_run_block_one_on_the_unit_pair(self, monkeypatch):
+        calls = record_orbit_blocks(monkeypatch)
+        reps = [terms for terms, _ in _orbit_reps(77, 3)]
         assert calls == [([1], "clear"), ([7], "floor"), ([11], "floor")]
-        assert reps == sorted(set(naive_orbit_reps(77, list(tuples(77, 4))).values()))
+        tuples = list(_minimal_tuples(77, 3))
+        assert reps == sorted(set(naive_orbit_reps(77, tuples).values()))
+
+    def test_block_one_kernel_matches_the_generic_pair(self):
+        # What block 1 at k = 4 yields, against what its pair of tests keeps
+        # of ``_minimal_tuples``, in order and with |Stab|.
+        for n in [*range(2, 251), 997]:
+            keep, least = _orbit_tests(n, 1)
+            expected = [
+                (terms, fixed)
+                for terms in _minimal_tuples(n, 4, (1,), keep)
+                if (fixed := least(terms))
+            ]
+            assert list(_block_one_quadruples(n)) == expected, n
+
+    @pytest.mark.parametrize("terms", [(1, 1, 3, 3), (1, 4, 5, 6)])
+    def test_block_one_kernel_counts_each_distinct_term_once(self, terms):
+        # Each is fixed by one unit besides 1: 3, a term held twice in the
+        # first, and 5 in the second, where 5 * 4 = 4 ties on b.  Each
+        # distinct unit term counts once.
+        assert (terms, 2) in list(_block_one_quadruples(8))
+        assert naive_stabilizer_size(terms, 8) == 2
 
     @pytest.mark.parametrize("k, top", [(2, 60), (3, 60), (4, 60), (5, 60), (6, 40)])
     def test_orbit_reps_match_naive_oracle_block_by_block(self, k, top):
@@ -358,21 +404,14 @@ class TestOrbitCanonical:
             assert report.sequences_total == sum(1 for _ in _minimal_tuples(n, k)), (n, k)
 
     def test_orbit_sweep_enumerates_only_divisor_led_blocks(self, monkeypatch, tmp_path):
-        blocks = []
-        tuples = harness._minimal_tuples
-
-        def recording(n, k, leading=None, keep=None):
-            blocks.extend((n1, keep and keep.__name__) for n1 in leading)
-            return tuples(n, k, leading, keep)
-
-        monkeypatch.setattr(harness, "_minimal_tuples", recording)
+        calls = record_orbit_blocks(monkeypatch)
         ckpt = tmp_path / "sweep.ckpt"
         argv = ["verify", "--orbits", "--n", "77", "--checkpoint-path", str(ckpt)]
         assert run(argv, out=io.StringIO()) == 0
         assert block_keys(tmp_path / "sweep.ckpt.blocks") == [(77, 4, 1), (77, 4, 7), (77, 4, 11)]
         # Each block is enumerated as an orbit block, led by its own divisor,
-        # with its own admission test.
-        assert sorted(blocks) == [(1, "clear"), (7, "floor"), (11, "floor")]
+        # with its own admission test; block 1 at k = 4 by its kernel.
+        assert sorted(calls) == [([1], "kernel"), ([7], "floor"), ([11], "floor")]
 
 
 
@@ -1266,22 +1305,27 @@ class TestSearchHighIndex:
     def test_orbit_size_mismatch_raises(self, monkeypatch):
         # The search and a full sweep expand orbits through
         # ``_orbit_members``, which checks each against the |Stab| that the
-        # walk itself counted, so a wrong count from one block's leastness
-        # test, block 1's tie test or block 2's generic test, is a bug and
-        # both stop rather than report a short orbit.  Both blocks hold
-        # high-index representatives at n = 12.
-        tests = harness._orbit_tests
-        for wrong in (1, 2):
+        # walk itself counted, so a wrong count from one block, block 1's
+        # kernel or block 2's generic test, is a bug and both stop rather
+        # than report a short orbit.  Both blocks hold high-index
+        # representatives at n = 12.
+        tests, kernel = harness._orbit_tests, harness._block_one_quadruples
 
-            def doubling(n, d, wrong=wrong):
-                keep, least = tests(n, d)
-                return (keep, lambda terms: 2 * least(terms)) if d == wrong else (keep, least)
+        def doubling_tests(n, d):
+            keep, least = tests(n, d)
+            return (keep, lambda terms: 2 * least(terms)) if d == 2 else (keep, least)
 
-            monkeypatch.setattr(harness, "_orbit_tests", doubling)
-            found = search_high_index(factorize(12), orbits=True)
-            assert {s.terms[0] for s, _ in found} == {1, 2}
-            with pytest.raises(RuntimeError, match="orbit of"):
-                search_high_index(factorize(12))
-            # A full sweep expands every orbit through the same check.
-            with pytest.raises(RuntimeError, match="orbit of"):
-                verify_conjecture(factorize(12))
+        def doubling_kernel(n):
+            return ((terms, 2 * fixed) for terms, fixed in kernel(n))
+
+        patches = [("_block_one_quadruples", doubling_kernel), ("_orbit_tests", doubling_tests)]
+        for name, doubling in patches:
+            with monkeypatch.context() as patch:
+                patch.setattr(harness, name, doubling)
+                found = search_high_index(factorize(12), orbits=True)
+                assert {s.terms[0] for s, _ in found} == {1, 2}
+                with pytest.raises(RuntimeError, match="orbit of"):
+                    search_high_index(factorize(12))
+                # A full sweep expands every orbit through the same check.
+                with pytest.raises(RuntimeError, match="orbit of"):
+                    verify_conjecture(factorize(12))

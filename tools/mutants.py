@@ -54,6 +54,8 @@ COUNT = ORBIT + "test_orbit_block_count"
 SEARCH = "tests/test_harness.py::TestSearchHighIndex::"
 TIES = ORBIT + "test_block_one_tie_test_matches_stabilizer"
 REPS = ORBIT + "test_orbit_reps_match_naive_oracle_block_by_block"
+KERNEL = ORBIT + "test_block_one_kernel_matches_the_generic_pair"
+DISTINCT = ORBIT + "test_block_one_kernel_counts_each_distinct_term_once"
 MINIMAL = "tests/test_sequences.py::TestMinimality::"
 INDEX = "tests/test_sequences.py::TestIndex::"
 RESUME = "tests/test_harness.py::TestCheckpointResume::"
@@ -158,7 +160,8 @@ MUTANTS = [
         (
             ORBIT + "test_block_one_prune_keeps_every_least_member[4-60]",
             COUNT + "[77-1-950-331-318]",
-            "tests/test_harness.py::test_golden_orbit_histogram[77]",
+            # Block 1 at k = 4 runs its kernel, so the sweep is read at k = 5.
+            REPS + "[5-60]",
         ),
     ),
     Mutant(
@@ -193,8 +196,8 @@ MUTANTS = [
         (
             TIES + "[4-60]",
             ORBIT + "test_block_one_prune_keeps_every_least_member[4-60]",
-            ORBIT + "test_prime_orbit_report_is_pinned",
-            "tests/test_harness.py::test_golden_orbit_histogram[77]",
+            REPS + "[3-60]",
+            REPS + "[5-60]",
         ),
     ),
     Mutant(
@@ -207,6 +210,66 @@ MUTANTS = [
             TIES + "[5-60]",
             ORBIT + "test_block_one_tie_test_named_cases[8-terms1-2]",
             ORBIT + "test_block_one_tie_test_named_cases[8-terms7-2]",
+        ),
+    ),
+    Mutant(
+        "block-1 kernel drops its w-by-b^-1 check",
+        HARNESS,
+        "                or ib and ib * w % n < b\n",
+        "",
+        (
+            KERNEL,
+            ORBIT + "test_prime_orbit_report_is_pinned",
+            "tests/test_harness.py::test_golden_orbit_histogram[77]",
+            "tests/test_cli.py::TestVerifyCommand::test_three_prime_orbit_report_is_pinned",
+        ),
+    ),
+    Mutant(
+        "block-1 kernel lets a closing term that closes a zero sum through",
+        HARNESS,
+        "            if u in grown:\n                continue\n",
+        "",
+        (
+            KERNEL,
+            ORBIT + "test_prime_orbit_report_is_pinned",
+            "tests/test_harness.py::test_golden_orbit_histogram[77]",
+        ),
+    ),
+    Mutant(
+        "block-1 kernel counts a repeated unit term twice",
+        HARNESS,
+        "{b: ib, u: iu, w: iw}.items()",
+        "((b, ib), (u, iu), (w, iw))",
+        (
+            KERNEL,
+            DISTINCT + "[terms0]",
+            ORBIT + "test_orbits_total_counts_naive_classes",
+            "tests/test_harness.py::test_golden_pool_sweep",
+        ),
+    ),
+    Mutant(
+        "block-1 kernel rejects a tied image equal to the tuple",
+        HARNESS,
+        "                        if image < quad:\n",
+        "                        if image <= quad:\n",
+        (
+            KERNEL,
+            DISTINCT + "[terms0]",
+            DISTINCT + "[terms1]",
+            "tests/test_harness.py::test_golden_orbit_histogram[77]",
+            "tests/test_cli.py::TestVerifyCommand::test_three_prime_orbit_report_is_pinned",
+        ),
+    ),
+    Mutant(
+        "block-1 kernel never looks for a tie on the forced term",
+        HARNESS,
+        " or iw and w * b % n in quad:",
+        ":",
+        (
+            KERNEL,
+            ORBIT + "test_prime_orbit_report_is_pinned",
+            "tests/test_harness.py::test_golden_orbit_histogram[77]",
+            "tests/test_harness.py::test_golden_pool_sweep",
         ),
     ),
     Mutant(
@@ -451,8 +514,9 @@ MUTANTS = [
 # Known equivalent mutants, which no output test can kill and which are
 # therefore not seeded: the leastness test scanning every lift and
 # returning 0 only at the end (only slower), block 1's leastness test
-# comparing every unit term's image, tied or not (only slower: an untied
-# image sorts above the terms), and ``stop_at=None`` in
+# comparing every unit term's image, tied or not, and its k = 4 kernel
+# doing so with no tie check first (only slower: an untied image sorts
+# above the terms), and ``stop_at=None`` in
 # ``one_sided_witness`` (at index 1 the minimum is n, and its least argmin
 # is the first certifying unit).  The two-of-three stage certifying M
 # without nf.unit is not seeded either, though it is not equivalent: the
